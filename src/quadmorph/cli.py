@@ -17,15 +17,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, serialize
 from . import clifford as _clifford
 from . import orthomul as _orthomul
 from . import osystem as _osystem
 from . import qhm as _qhm
-from .core import DEFAULT_TOLERANCES, frobenius, is_exact, to_float
-from .errors import NotUmbilical, QuadmorphError, VerificationError
+from .core import DEFAULT_TOLERANCES, to_float
+from .errors import QuadmorphError, VerificationError
 
 __all__ = ["run", "main"]
 
@@ -58,42 +56,15 @@ def _emit(text: str, out):
 
 
 def _verify_object(obj, args):
-    """Run the kind-appropriate verifier; returns (validated, report dict)."""
+    """Run the kind's checks once; returns (validated, worst residuals)."""
     tol = _tolerances(args)
-    samples = getattr(args, "samples", 64)
-    seed = getattr(args, "seed", 0)
     if isinstance(obj, _clifford.CliffordSystem):
-        checked = _clifford.verify_clifford(obj.matrices, tol)
-        return checked, {"max_relation_residual": _relation_residual(checked.matrices, transpose=False)}
+        return _clifford.check_clifford(obj.matrices, tol)
     if isinstance(obj, _osystem.OSystem):
-        checked = _osystem.verify_osystem(obj.matrices, tol)
-        return checked, {"max_relation_residual": _relation_residual(checked.matrices, transpose=True)}
+        return _osystem.check_osystem(obj.matrices, tol)
     if isinstance(obj, _orthomul.OrthogonalMultiplication):
-        checked = _orthomul.verify_orthomul(obj.slices, samples=samples, seed=seed, tol=tol)
-        report = _orthomul.measure(checked, samples=samples, seed=seed, tol=tol)
-        return checked, {"max_norm_defect": report.max_defect}
-    checked = _qhm.verify_qhm(obj.components, tol, samples=samples, seed=seed)
-    rep = _qhm.sampled_check(checked.components, samples=samples, seed=seed, tol=tol)
-    return checked, {
-        "max_harmonic_defect": rep.max_harmonic_defect,
-        "max_offdiagonal_defect": rep.max_offdiagonal_defect,
-        "max_diagonal_spread": rep.max_diagonal_spread,
-    }
-
-
-def _relation_residual(mats, transpose: bool) -> float:
-    floats = [to_float(M) for M in mats]
-    size = floats[0].shape[0]
-    eye2 = 2.0 * np.eye(size)
-    worst = 0.0
-    for i in range(len(floats)):
-        left_i = floats[i].T if transpose else floats[i]
-        for j in range(i, len(floats)):
-            left_j = floats[j].T if transpose else floats[j]
-            anti = left_i @ floats[j] + left_j @ floats[i]
-            target = eye2 if i == j else 0.0
-            worst = max(worst, frobenius(anti - target))
-    return worst
+        return _orthomul.check_orthomul(obj.slices, samples=args.samples, seed=args.seed, tol=tol)
+    return _qhm.check_qhm(obj.components, tol, samples=args.samples, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +158,7 @@ def _cmd_convert(args) -> int:
     tol = _tolerances(args)
     obj, _ = _verify_object(obj, args)
     if src == "qhm" and to == "clifford":
-        report = _qhm.classify(obj, tol)
-        if not report.is_umbilical:
-            raise NotUmbilical("only umbilical maps scale to a system")
-        lam = report.positive_eigenvalues[0]
-        if is_exact(obj.components[0]) and lam == 1.0:
-            mats = obj.components
-        else:
-            mats = [to_float(A) / lam for A in obj.components]
-        result = _clifford.verify_clifford(mats, tol)
+        result = _qhm.clifford_system(obj, _qhm.classify(obj, tol), tol)
     elif src == "clifford" and to == "qhm":
         result = _qhm.from_clifford(obj, tol)
     elif src == "clifford" and to == "osystem":
@@ -344,7 +307,7 @@ def run(argv=None) -> int:
     except QuadmorphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

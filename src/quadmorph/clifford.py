@@ -25,14 +25,17 @@ from .core import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
     as_matrix,
+    check_symmetric,
     common_mode,
     frobenius,
     identity_matrix,
     is_exact,
-    is_exactly_zero,
     block_diag2,
+    in_off_diagonal_form,
+    pairwise_relation,
     rel_residual,
     spectral_decompose,
+    square_matrices,
     symmetric_pair_index,
     nullspace_dimension_exact,
     to_float,
@@ -40,7 +43,6 @@ from .core import (
 from .errors import (
     AnticommutationViolated,
     ArityMismatch,
-    NotSymmetric,
     OddDimension,
     ShapeMismatch,
     UnbalancedEigenspaces,
@@ -51,6 +53,7 @@ __all__ = [
     "EquivalenceStatus",
     "EquivalenceVerdict",
     "verify_clifford",
+    "check_clifford",
     "minimal_domain_dimension",
     "construct_irreducible",
     "direct_sum",
@@ -86,15 +89,20 @@ class EquivalenceVerdict:
 # verification
 
 
-def _check_symmetry(mats, tol):
-    for i, M in enumerate(mats):
-        if is_exact(M):
-            if not np.array_equal(M, M.T):
-                raise NotSymmetric(i + 1)
-        else:
-            defect = rel_residual(M, M.T)
-            if defect > tol.identity_tol:
-                raise NotSymmetric(i + 1, defect)
+def check_clifford(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """The checks of verify_clifford; returns (system, worst residuals), the
+    residuals as {"max_relation_residual": ...}."""
+    mats = square_matrices(candidate, "members")
+    size = mats[0].shape[0]
+    if size % 2 != 0:
+        raise OddDimension(size)
+    check_symmetric(mats, tol)
+    eye = identity_matrix(size, exact=is_exact(mats[0]))
+    worst, failure = pairwise_relation(mats, eye, tol=tol)
+    if failure:
+        raise AnticommutationViolated(*failure)
+    system = CliffordSystem(two_m=size, n=len(mats), matrices=tuple(mats))
+    return system, {"max_relation_residual": worst}
 
 
 def verify_clifford(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CliffordSystem:
@@ -103,34 +111,7 @@ def verify_clifford(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Cli
     Exact-mode inputs are checked with zero tolerance; float inputs within
     tol.identity_tol (relative Frobenius).
     """
-    mats = [as_matrix(M) for M in candidate]
-    if not mats:
-        raise ShapeMismatch("a system needs at least one matrix")
-    size = mats[0].shape[0]
-    for M in mats:
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != size:
-            raise ShapeMismatch("all members must be square matrices of one size")
-    if size % 2 != 0:
-        raise OddDimension(size)
-    mats = list(common_mode(*mats))
-    _check_symmetry(mats, tol)
-    exact = is_exact(mats[0])
-    eye2 = 2 * identity_matrix(size, exact=exact)
-    for i in range(len(mats)):
-        for j in range(i, len(mats)):
-            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
-            if exact:
-                bad = not np.array_equal(anti, eye2) if i == j else not is_exactly_zero(anti)
-                if bad:
-                    resid = frobenius(anti - eye2) if i == j else frobenius(anti)
-                    raise AnticommutationViolated(i + 1, j + 1, resid)
-            else:
-                scale = max(1.0, frobenius(mats[i]) * frobenius(mats[j]))
-                resid = (rel_residual(anti, eye2) if i == j
-                         else frobenius(anti) / scale)
-                if resid > tol.identity_tol:
-                    raise AnticommutationViolated(i + 1, j + 1, resid)
-    return CliffordSystem(two_m=size, n=len(mats), matrices=tuple(mats))
+    return check_clifford(candidate, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +154,10 @@ def direct_sum(a: CliffordSystem, b: CliffordSystem) -> CliffordSystem:
 # standard representation
 
 
-def _standard_first_member(size, exact):
-    m = size // 2
-    P = identity_matrix(size, exact=exact)
-    P[m:, m:] *= -1
-    return P
-
-
 def _is_standard_form(mats) -> bool:
-    size = mats[0].shape[0]
-    m = size // 2
-    first = _standard_first_member(size, exact=True)
-    if not np.array_equal(to_float(mats[0]), to_float(first)):
-        return False
-    for M in mats[1:]:
-        if np.any(to_float(M[:m, :m])) or np.any(to_float(M[m:, m:])):
-            return False
-    return True
+    eye = identity_matrix(mats[0].shape[0] // 2)
+    return (np.array_equal(to_float(mats[0]), to_float(block_diag2(eye, -eye)))
+            and in_off_diagonal_form(mats[1:], eye.shape[0]))
 
 
 def to_standard_representation(cs: CliffordSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES):

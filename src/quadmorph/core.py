@@ -14,6 +14,7 @@ generation) happens in approx mode on top of LAPACK via numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,12 +29,16 @@ __all__ = [
     "to_float",
     "common_mode",
     "identity_matrix",
-    "zero_matrix",
     "block_diag2",
+    "symmetric_off_diagonal",
     "frobenius",
     "rel_residual",
     "is_exactly_zero",
     "matrices_equal",
+    "square_matrices",
+    "check_symmetric",
+    "pairwise_relation",
+    "in_off_diagonal_form",
     "spectral_decompose",
     "numeric_rank",
     "exact_rank",
@@ -43,7 +48,7 @@ __all__ = [
     "symmetric_pair_index",
 ]
 
-from .errors import NoConvergence, NotSymmetric
+from .errors import NoConvergence, NotSymmetric, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +99,21 @@ def as_matrix(rows):
     Accepts an existing ndarray (returned with dtype normalized), or nested
     sequences of ints, Fractions, floats, and rational strings like "2/3".
     All-integer data lands in int64 when it fits, exact rationals in object
-    dtype, anything float in float64.
+    dtype, anything float in float64.  NaN and infinite entries raise
+    ValueError.
     """
     if isinstance(rows, np.ndarray):
-        if rows.dtype == object or rows.dtype == np.float64 or rows.dtype == np.int64:
+        if rows.dtype == object or rows.dtype == np.int64:
             return rows
         if np.issubdtype(rows.dtype, np.integer):
             return rows.astype(np.int64)
         if np.issubdtype(rows.dtype, np.floating):
-            return rows.astype(np.float64)
+            return _finite(rows.astype(np.float64, copy=False))
         raise TypeError(f"unsupported dtype {rows.dtype}")
     data = [[_coerce_scalar(x) for x in row] for row in rows]
     flat = [x for row in data for x in row]
     if any(isinstance(x, float) for x in flat):
-        return np.array([[float(x) for x in row] for row in data], dtype=np.float64)
+        return _finite(np.array([[float(x) for x in row] for row in data], dtype=np.float64))
     if all(isinstance(x, int) for x in flat) and all(abs(x) < 2**32 for x in flat):
         return np.array(data, dtype=np.int64)
     out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
@@ -115,6 +121,12 @@ def as_matrix(rows):
         for j, x in enumerate(row):
             out[i, j] = x
     return out
+
+
+def _finite(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite numbers")
+    return a
 
 
 def is_exact(a) -> bool:
@@ -140,10 +152,6 @@ def identity_matrix(n, exact=True):
     return np.eye(n, dtype=np.int64 if exact else np.float64)
 
 
-def zero_matrix(rows, cols, exact=True):
-    return np.zeros((rows, cols), dtype=np.int64 if exact else np.float64)
-
-
 def block_diag2(a, b):
     a, b = common_mode(a, b)
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=a.dtype)
@@ -152,12 +160,24 @@ def block_diag2(a, b):
     return out
 
 
+def symmetric_off_diagonal(tau):
+    """The symmetric block matrix [[0, tau], [tau^T, 0]] in tau's dtype."""
+    p, q = tau.shape
+    out = np.zeros((p + q, p + q), dtype=tau.dtype)
+    out[:p, p:] = tau
+    out[p:, :p] = tau.T
+    return out
+
+
 # ---------------------------------------------------------------------------
 # residuals and equality
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(to_float(a)))
+    try:
+        return float(np.linalg.norm(to_float(a)))
+    except OverflowError:  # python integers beyond the float64 range
+        return math.inf
 
 
 def rel_residual(actual, expected) -> float:
@@ -176,6 +196,83 @@ def matrices_equal(a, b, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     if is_exact(a) and is_exact(b):
         return bool(np.array_equal(a, b))
     return rel_residual(to_float(a), to_float(b)) <= tol.identity_tol
+
+
+# ---------------------------------------------------------------------------
+# shared verification steps
+
+
+def square_matrices(candidate, noun: str) -> list:
+    """The candidate's members as matrices of one mode; ShapeMismatch unless
+    there is at least one and all are square of one size."""
+    mats = [as_matrix(M) for M in candidate]
+    if not mats:
+        raise ShapeMismatch(f"need at least one of the {noun}")
+    size = mats[0].shape[0]
+    if any(M.ndim != 2 or M.shape != (size, size) for M in mats):
+        raise ShapeMismatch(f"all {noun} must be square matrices of one size")
+    return list(common_mode(*mats))
+
+
+def check_symmetric(mats, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> None:
+    """NotSymmetric (1-based) for the first matrix unequal to its transpose:
+    bit for bit in exact mode, beyond tol.identity_tol relative otherwise."""
+    for i, M in enumerate(mats, start=1):
+        if is_exact(M):
+            if not np.array_equal(M, M.T):
+                raise NotSymmetric(i)
+        else:
+            defect = rel_residual(M, M.T)
+            if not defect <= tol.identity_tol:
+                raise NotSymmetric(i, defect)
+
+
+def pairwise_relation(mats, target=None, transpose: bool = False,
+                      tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """Check L(M_i) M_j + L(M_j) M_i = 2 delta_ij T over the pairs i <= j in
+    row order, L being the transpose or the identity and T defaulting to
+    L(M_1) M_1 (all L(M_i) M_i agree).  Exact members compare bit for bit;
+    float members compare rel_residual(L(M_i) M_i, T) and
+    |L(M_i) M_j + L(M_j) M_i| / max(1, |M_i| |M_j|) against tol.identity_tol.
+    Returns (worst residual, first failing pair as 1-based (i, j, residual)
+    or None); an exact failure reports its absolute Frobenius residual.
+    """
+    exact = is_exact(mats[0])
+    if exact and mats[0].dtype != object:
+        # int64 products stay exact while no entry can exceed 2^62; a sum of
+        # two of them lies within +-2^63, where a wraparound never gives 0
+        peak = max(max(abs(int(M.max())), abs(int(M.min()))) for M in mats)
+        if mats[0].shape[0] * peak * peak > 2**62:
+            mats = [M.astype(object) for M in mats]
+    left = [M.T for M in mats] if transpose else mats
+    if target is None:
+        target = left[0] @ mats[0]
+    norms = [1.0 if exact else frobenius(M) for M in mats]
+    target_norm = 1.0 if exact else frobenius(target)
+    worst = 0.0
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            if i == j:
+                value, expected, scale = left[i] @ mats[i], target, target_norm
+            else:
+                value, expected = left[i] @ mats[j] + left[j] @ mats[i], 0
+                scale = norms[i] * norms[j]
+            if exact:
+                failed = not np.all(value == expected)
+                resid = frobenius(value - expected) if failed else 0.0
+            else:
+                resid = frobenius(value - expected) / max(1.0, scale)
+                failed = not (resid <= tol.identity_tol)
+            if failed:
+                return worst, (i + 1, j + 1, resid)
+            worst = max(worst, resid)
+    return worst, None
+
+
+def in_off_diagonal_form(mats, k: int) -> bool:
+    """True when every matrix vanishes on its leading k x k diagonal block and
+    on the trailing diagonal block."""
+    return not any(np.any(M[:k, :k] != 0) or np.any(M[k:, k:] != 0) for M in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +315,7 @@ def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Spectral
     A = to_float(a)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(1, None)
-    sym_defect = rel_residual(A, A.T)
-    if sym_defect > tol.identity_tol:
-        raise NotSymmetric(1, sym_defect)
+    check_symmetric([A], tol)
     S = (A + A.T) / 2.0
     try:
         w, v = np.linalg.eigh(S)

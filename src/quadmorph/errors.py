@@ -76,15 +76,22 @@ class OddDimension(VerificationError):
         super().__init__(f"ambient dimension {size} is odd; these systems live in even dimension")
 
 
-class AnticommutationViolated(VerificationError):
+class _PairViolation(VerificationError):
+    """Members i and j (equal for a diagonal term) fail a pairwise relation;
+    subclasses name the members and the relation in ``template``."""
+
     def __init__(self, i, j, residual, note=""):
         self.i = i
         self.j = j
         self.residual = residual
-        msg = f"members {i} and {j} violate the anticommutation relation (residual {residual:.3e})"
+        msg = self.template.format(i=i, j=j) + f" (residual {residual:.3e})"
         if note:
             msg += "; " + note
         super().__init__(msg)
+
+
+class AnticommutationViolated(_PairViolation):
+    template = "members {i} and {j} violate the anticommutation relation"
 
 
 class NotOrthogonal(VerificationError):
@@ -94,15 +101,8 @@ class NotOrthogonal(VerificationError):
         super().__init__(f"member {index} is not orthogonal (residual {residual:.3e})")
 
 
-class NotNormPreserving(VerificationError):
-    def __init__(self, i, j, residual, note=""):
-        self.i = i
-        self.j = j
-        self.residual = residual
-        msg = f"slices {i} and {j} break norm preservation (residual {residual:.3e})"
-        if note:
-            msg += "; " + note
-        super().__init__(msg)
+class NotNormPreserving(_PairViolation):
+    template = "slices {i} and {j} break norm preservation"
 
 
 class UnbalancedEigenspaces(VerificationError):
@@ -116,16 +116,10 @@ class NotHarmonic(VerificationError):
         super().__init__(f"component {alpha} has nonzero trace {trace}; the map is not harmonic")
 
 
-class NotHorizontallyConformal(VerificationError):
-    def __init__(self, alpha, beta, residual, note=""):
-        self.alpha = alpha
-        self.beta = beta
-        self.residual = residual
-        msg = (f"components {alpha} and {beta} break horizontal conformality "
-               f"(residual {residual:.3e})")
-        if note:
-            msg += "; " + note
-        super().__init__(msg)
+class NotHorizontallyConformal(_PairViolation):
+    template = "components {i} and {j} break horizontal conformality"
+    alpha = property(lambda self: self.i)
+    beta = property(lambda self: self.j)
 
 
 class ZeroMap(VerificationError):

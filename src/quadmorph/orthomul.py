@@ -23,10 +23,11 @@ from .core import (
     TolerancePolicy,
     as_matrix,
     common_mode,
-    frobenius,
+    identity_matrix,
     is_exact,
-    rel_residual,
+    pairwise_relation,
     sample_points,
+    symmetric_off_diagonal,
     to_float,
 )
 from .errors import DimensionMismatch, NotNormPreserving, NotSquare, ShapeMismatch, UnsupportedDimension
@@ -36,6 +37,7 @@ __all__ = [
     "OrthogonalMultiplication",
     "MultiplicationReport",
     "verify_orthomul",
+    "check_orthomul",
     "multiply",
     "from_osystem",
     "to_osystem",
@@ -78,14 +80,10 @@ def multiply(mu: OrthogonalMultiplication, x, y) -> np.ndarray:
     return out
 
 
-def verify_orthomul(candidate_slices, samples: int = 64, seed: int = 0,
-                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OrthogonalMultiplication:
-    """Validate coefficient slices as a norm-preserving multiplication.
-
-    Exact square slices are checked through the identities s_i^T s_i = I and
-    s_i^T s_j + s_j^T s_i = 0; otherwise |mu(x,y)| is compared against
-    |x| |y| at seeded sample pairs.
-    """
+def check_orthomul(candidate_slices, samples: int = 64, seed: int = 0,
+                   tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """The checks of verify_orthomul; returns (multiplication, worst
+    residuals), the residuals as {"max_norm_defect": ...}."""
     mats = [as_matrix(s) for s in candidate_slices]
     if not mats:
         raise ShapeMismatch("a multiplication needs at least one slice")
@@ -94,40 +92,36 @@ def verify_orthomul(candidate_slices, samples: int = 64, seed: int = 0,
         if s.ndim != 2 or s.shape != (d, q):
             raise ShapeMismatch("all slices must share one shape")
     mats = list(common_mode(*mats))
-    p = len(mats)
-    exact = is_exact(mats[0]) and d == q
-    if exact:
-        eye = np.eye(d, dtype=np.int64)
-        for i, s in enumerate(mats):
-            gram = s.T @ s
-            if not np.array_equal(to_float(gram), to_float(eye)):
-                raise NotNormPreserving(i + 1, i + 1, frobenius(gram - eye))
-        for i in range(p):
-            for j in range(i + 1, p):
-                mix = mats[i].T @ mats[j] + mats[j].T @ mats[i]
-                if np.any(to_float(mix)):
-                    raise NotNormPreserving(i + 1, j + 1, frobenius(mix))
-        return OrthogonalMultiplication(p=p, q=q, n_out=d, slices=tuple(mats))
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    floats = np.stack([to_float(s) for s in mats])
-    X = sample_points(p, samples, seed)
-    Y = sample_points(q, samples, seed + 1)
-    prods = np.einsum("pi,idq,pq->pd", X, floats, Y)
-    lhs = np.sqrt(np.sum(prods * prods, axis=1))
-    rhs = np.sqrt(np.sum(X * X, axis=1) * np.sum(Y * Y, axis=1))
-    defects = np.abs(lhs - rhs) / np.maximum(1.0, rhs)
-    worst_idx = int(np.argmax(defects))
-    worst = float(defects[worst_idx])
-    if worst > tol.identity_tol:
-        raise NotNormPreserving(worst_idx + 1, worst_idx + 1, worst,
-                                note="norm defect at a sample pair")
-    return OrthogonalMultiplication(p=p, q=q, n_out=d, slices=tuple(mats))
+    mu = OrthogonalMultiplication(p=len(mats), q=q, n_out=d, slices=tuple(mats))
+    if is_exact(mats[0]) and d == q:
+        worst, failure = pairwise_relation(mats, identity_matrix(d), transpose=True, tol=tol)
+        if failure:
+            raise NotNormPreserving(*failure)
+    else:
+        report = measure(mu, samples=samples, seed=seed, tol=tol)
+        worst = report.max_defect
+        if not report.norm_preserving:
+            raise NotNormPreserving(1, mu.p, worst,
+                                    note=f"worst norm defect over {samples} sample pairs")
+    return mu, {"max_norm_defect": worst}
+
+
+def verify_orthomul(candidate_slices, samples: int = 64, seed: int = 0,
+                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OrthogonalMultiplication:
+    """Validate coefficient slices as a norm-preserving multiplication.
+
+    Exact square slices are checked through the identities s_i^T s_i = I and
+    s_i^T s_j + s_j^T s_i = 0; otherwise |mu(x,y)| is compared against
+    |x| |y| at seeded sample pairs.
+    """
+    return check_orthomul(candidate_slices, samples, seed, tol)[0]
 
 
 def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
             tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MultiplicationReport:
     """Norm-preservation report without raising."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     floats = np.stack([to_float(s) for s in mu.slices])
     X = sample_points(mu.p, samples, seed)
     Y = sample_points(mu.q, samples, seed + 1)
@@ -142,7 +136,7 @@ def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
 
 def from_osystem(os) -> OrthogonalMultiplication:
     """Members of an orthogonal tuple become the coefficient slices."""
-    return OrthogonalMultiplication(p=os.n, q=os.m, n_out=os.m, slices=tuple(os.matrices))
+    return verify_orthomul(os.matrices)
 
 
 def to_osystem(mu: OrthogonalMultiplication,
@@ -177,22 +171,8 @@ def hopf_construction(mu: OrthogonalMultiplication,
     if mu.p != mu.q:
         raise ShapeMismatch(
             f"the doubled map needs equal factor dimensions, got {mu.p} and {mu.q}")
-    p, q, d = mu.p, mu.q, mu.n_out
-    mats = list(common_mode(*[as_matrix(s) for s in mu.slices]))
-    dtype = mats[0].dtype
-    size = p + q
-    first = np.zeros((size, size), dtype=dtype)
-    for i in range(p):
-        first[i, i] = 1
-    for i in range(q):
-        first[p + i, p + i] = -1
-    components = [first]
-    for k in range(d):
-        N = np.zeros((p, q), dtype=dtype)
-        for i in range(p):
-            N[i, :] = mats[i][k, :]
-        comp = np.zeros((size, size), dtype=dtype)
-        comp[:p, p:] = N
-        comp[p:, :p] = N.T
-        components.append(comp)
-    return _qhm.verify_qhm(components, tol)
+    stack = np.stack(common_mode(*[as_matrix(s) for s in mu.slices]))
+    first = np.diag([1] * mu.p + [-1] * mu.q).astype(stack.dtype)
+    # component k + 1 couples x and y through the p x q matrix of mu(., .)_k
+    later = [symmetric_off_diagonal(stack[:, k, :]) for k in range(mu.n_out)]
+    return _qhm.verify_qhm([first] + later, tol)

@@ -16,34 +16,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .clifford import CliffordSystem, to_standard_representation, verify_clifford
 from .core import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
-    as_matrix,
     block_diag2,
-    common_mode,
-    frobenius,
     identity_matrix,
     is_exact,
-    is_exactly_zero,
-    rel_residual,
+    pairwise_relation,
+    square_matrices,
+    symmetric_off_diagonal,
 )
-from .errors import (
-    AnticommutationViolated,
-    ArityMismatch,
-    BadIndices,
-    NotOrthogonal,
-    ShapeMismatch,
-)
+from .errors import AnticommutationViolated, ArityMismatch, BadIndices, NotOrthogonal
 from .generators import skew_anticommuting_family
 
 __all__ = [
     "OSystem",
     "SigmaDecomposition",
     "verify_osystem",
+    "check_osystem",
     "hurwitz_radon",
     "construct_range_maximal",
     "from_clifford",
@@ -76,41 +67,29 @@ class SigmaDecomposition:
 # verification
 
 
+def check_osystem(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """The checks of verify_osystem; returns (system, worst residuals), the
+    residuals as {"max_relation_residual": ...}."""
+    mats = square_matrices(candidate, "members")
+    size = mats[0].shape[0]
+    eye = identity_matrix(size, exact=is_exact(mats[0]))
+    worst, failure = pairwise_relation(mats, eye, transpose=True, tol=tol)
+    if failure:
+        i, j, resid = failure
+        if i == j:
+            raise NotOrthogonal(i, resid)
+        note = ""
+        if size % 2 == 1:
+            note = (f"no O-system with two or more members exists on an "
+                    f"odd-dimensional space (m={size})")
+        raise AnticommutationViolated(i, j, resid, note=note)
+    system = OSystem(m=size, n=len(mats), matrices=tuple(mats))
+    return system, {"max_relation_residual": worst}
+
+
 def verify_osystem(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OSystem:
     """Check orthogonality and pairwise transpose-anticommutation."""
-    mats = [as_matrix(M) for M in candidate]
-    if not mats:
-        raise ShapeMismatch("a system needs at least one matrix")
-    size = mats[0].shape[0]
-    for M in mats:
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != size:
-            raise ShapeMismatch("all members must be square matrices of one size")
-    mats = list(common_mode(*mats))
-    exact = is_exact(mats[0])
-    eye = identity_matrix(size, exact=exact)
-    odd_note = ""
-    if size % 2 == 1 and len(mats) >= 2:
-        odd_note = (f"no O-system with two or more members exists on an "
-                    f"odd-dimensional space (m={size})")
-    for i in range(len(mats)):
-        gram = mats[i].T @ mats[i]
-        if exact:
-            if not np.array_equal(gram, eye):
-                raise NotOrthogonal(i + 1, frobenius(gram - eye))
-        else:
-            resid = rel_residual(gram, eye)
-            if resid > tol.identity_tol:
-                raise NotOrthogonal(i + 1, resid)
-        for j in range(i + 1, len(mats)):
-            anti = mats[i].T @ mats[j] + mats[j].T @ mats[i]
-            if exact:
-                if not is_exactly_zero(anti):
-                    raise AnticommutationViolated(i + 1, j + 1, frobenius(anti), note=odd_note)
-            else:
-                resid = frobenius(anti) / max(1.0, frobenius(mats[i]) * frobenius(mats[j]))
-                if resid > tol.identity_tol:
-                    raise AnticommutationViolated(i + 1, j + 1, resid, note=odd_note)
-    return OSystem(m=size, n=len(mats), matrices=tuple(mats))
+    return check_osystem(candidate, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +121,8 @@ def construct_range_maximal(m: int) -> OSystem:
 def to_clifford(os: OSystem) -> CliffordSystem:
     """Double the dimension: diag(I, -I) first, then each tau in an
     off-diagonal symmetric block.  One more member than the input."""
-    size = 2 * os.m
-    exact = is_exact(os.matrices[0])
-    first = identity_matrix(size, exact=exact)
-    first[os.m:, os.m:] *= -1
-    members = [first]
-    for tau in os.matrices:
-        P = np.zeros((size, size), dtype=tau.dtype)
-        P[: os.m, os.m:] = tau
-        P[os.m:, : os.m] = tau.T
-        members.append(P)
+    eye = identity_matrix(os.m, exact=is_exact(os.matrices[0]))
+    members = [block_diag2(eye, -eye)] + [symmetric_off_diagonal(tau) for tau in os.matrices]
     return verify_clifford(members)
 
 

@@ -30,16 +30,20 @@ from .core import (
     TolerancePolicy,
     as_matrix,
     block_diag2,
-    common_mode,
+    check_symmetric,
     eigenvalue_clusters,
     frobenius,
     identity_matrix,
     is_exact,
     is_exactly_zero,
     numeric_rank,
+    in_off_diagonal_form,
+    pairwise_relation,
     rel_residual,
     sample_points,
     spectral_decompose,
+    square_matrices,
+    symmetric_off_diagonal,
     to_float,
 )
 from .errors import (
@@ -50,13 +54,11 @@ from .errors import (
     NotExtendable,
     NotHarmonic,
     NotHorizontallyConformal,
-    NotSymmetric,
     NotUmbilical,
     OddRank,
     QSingular,
     RankMismatch,
     SampleDisagreement,
-    ShapeMismatch,
     SharedKernelViolated,
     ZeroMap,
 )
@@ -70,10 +72,12 @@ __all__ = [
     "IsoparametricReport",
     "SphereRestrictionReport",
     "verify_qhm",
+    "check_qhm",
     "sampled_check",
     "evaluate",
     "quadratic_form_value",
     "from_clifford",
+    "clifford_system",
     "direct_sum",
     "scale",
     "classify",
@@ -199,6 +203,24 @@ def _batch_values(mats_float, X):
 # verification
 
 
+def _central_differences(mats_float, X):
+    """Gradients (form, point, coordinate) and Laplacians (form, point) of the
+    forms x^T A x at the rows of X, by central differences with step 1/2,
+    which are exact for quadratics up to rounding."""
+    h = 0.5
+    shift = h * np.eye(X.shape[1])
+    Xp = X[:, None, :] + shift[None, :, :]
+    Xm = X[:, None, :] - shift[None, :, :]
+    grads, laps = [], []
+    for A in mats_float:
+        vals0 = np.einsum("pi,ij,pj->p", X, A, X)
+        vals_p = np.einsum("pki,ij,pkj->pk", Xp, A, Xp)
+        vals_m = np.einsum("pki,ij,pkj->pk", Xm, A, Xm)
+        grads.append((vals_p - vals_m) / (2 * h))
+        laps.append(np.sum(vals_p + vals_m - 2 * vals0[:, None], axis=1) / h**2)
+    return np.stack(grads), np.stack(laps)
+
+
 def sampled_check(candidate, samples: int = 64, seed: int = 0,
                   tol: TolerancePolicy = DEFAULT_TOLERANCES) -> SampleReport:
     """Finite-difference test of harmonicity and conformality at seeded points.
@@ -207,26 +229,16 @@ def sampled_check(candidate, samples: int = 64, seed: int = 0,
     to rounding: the Laplacian of each component must vanish, gradients of
     distinct components must be orthogonal, and all gradient norms must agree
     pointwise (their common value is the squared dilation at the point).
+    Defects reduce with NaN-propagating maxima, so a NaN never passes.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mats = [to_float(as_matrix(M)) for M in candidate]
-    m = mats[0].shape[0]
-    X = sample_points(m, samples, seed)
-    h = 0.5
-    shift = h * np.eye(m)
-    Xp = X[:, None, :] + shift[None, :, :]
-    Xm = X[:, None, :] - shift[None, :, :]
-    grads = []
-    max_harm = 0.0
-    for A in mats:
-        vals0 = np.einsum("pi,ij,pj->p", X, A, X)
-        vals_p = np.einsum("pki,ij,pkj->pk", Xp, A, Xp)
-        vals_m = np.einsum("pki,ij,pkj->pk", Xm, A, Xm)
-        grads.append((vals_p - vals_m) / (2 * h))
-        lap = np.sum(vals_p + vals_m - 2 * vals0[:, None], axis=1) / h**2
-        max_harm = max(max_harm, float(np.max(np.abs(lap))) / max(1.0, frobenius(A)))
-    G = np.einsum("api,bpi->pab", np.stack(grads), np.stack(grads))
+    X = sample_points(mats[0].shape[0], samples, seed)
+    grads, laps = _central_differences(mats, X)
+    scales = np.array([max(1.0, frobenius(A)) for A in mats])
+    max_harm = float(np.max(np.max(np.abs(laps), axis=1) / scales))
+    G = np.einsum("api,bpi->pab", grads, grads)
     diag = np.einsum("paa->pa", G)
     point_scale = np.maximum(1.0, np.max(diag, axis=1))
     n = len(mats)
@@ -244,60 +256,41 @@ def sampled_check(candidate, samples: int = 64, seed: int = 0,
                         passed=passed)
 
 
-def verify_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
-               samples: int = 64, seed: int = 0) -> QuadraticHarmonicMorphism:
-    """Validate a component tuple through both the matrix identities and the
-    sampled finite-difference oracle; both must accept."""
-    mats = [as_matrix(M) for M in candidate]
-    if not mats:
-        raise ShapeMismatch("a map needs at least one component")
-    size = mats[0].shape[0]
-    for M in mats:
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != size:
-            raise ShapeMismatch("all components must be square matrices of one size")
-    mats = list(common_mode(*mats))
+def check_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
+              samples: int = 64, seed: int = 0):
+    """The checks of verify_qhm; returns (map, worst residuals), the residuals
+    being the three defects of the sampled route."""
+    mats = square_matrices(candidate, "components")
+    check_symmetric(mats, tol)
     exact = is_exact(mats[0])
-    for i, M in enumerate(mats):
-        if exact:
-            if not np.array_equal(M, M.T):
-                raise NotSymmetric(i + 1)
-        else:
-            defect = rel_residual(M, M.T)
-            if defect > tol.identity_tol:
-                raise NotSymmetric(i + 1, defect)
     if all(is_exactly_zero(M) if exact else frobenius(M) <= tol.identity_tol for M in mats):
         raise ZeroMap("all components vanish")
     for i, M in enumerate(mats):
-        tr = sum(M[k, k] for k in range(size)) if exact else float(np.trace(M))
-        bad = (tr != 0) if exact else abs(tr) > tol.identity_tol * max(1.0, frobenius(M))
+        tr = sum(M.diagonal().tolist()) if exact else float(np.trace(M))
+        bad = (tr != 0) if exact else not (abs(tr) <= tol.identity_tol * max(1.0, frobenius(M)))
         if bad:
             raise NotHarmonic(i + 1, tr)
-    squares = [M @ M for M in mats]
-    for i in range(1, len(mats)):
-        if exact:
-            if not np.array_equal(squares[i], squares[0]):
-                raise NotHorizontallyConformal(1, i + 1, frobenius(squares[i] - squares[0]),
-                                               note="component squares differ")
-        else:
-            resid = rel_residual(squares[i], squares[0])
-            if resid > tol.identity_tol:
-                raise NotHorizontallyConformal(1, i + 1, resid, note="component squares differ")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            anti = mats[i] @ mats[j] + mats[j] @ mats[i]
-            if exact:
-                if not is_exactly_zero(anti):
-                    raise NotHorizontallyConformal(i + 1, j + 1, frobenius(anti))
-            else:
-                resid = frobenius(anti) / max(1.0, frobenius(mats[i]) * frobenius(mats[j]))
-                if resid > tol.identity_tol:
-                    raise NotHorizontallyConformal(i + 1, j + 1, resid)
-    phi = QuadraticHarmonicMorphism(m=size, n=len(mats), components=tuple(mats))
+    _, failure = pairwise_relation(mats, tol=tol)
+    if failure:
+        i, j, resid = failure
+        if i == j:
+            raise NotHorizontallyConformal(1, i, resid, note="component squares differ")
+        raise NotHorizontallyConformal(i, j, resid)
+    phi = QuadraticHarmonicMorphism(m=mats[0].shape[0], n=len(mats), components=tuple(mats))
     report = sampled_check(mats, samples=samples, seed=seed, tol=tol)
     if not report.passed:
         raise SampleDisagreement(
             f"matrix identities accept but the sampled check rejects: {report}")
-    return phi
+    return phi, {"max_harmonic_defect": report.max_harmonic_defect,
+                 "max_offdiagonal_defect": report.max_offdiagonal_defect,
+                 "max_diagonal_spread": report.max_diagonal_spread}
+
+
+def verify_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
+               samples: int = 64, seed: int = 0) -> QuadraticHarmonicMorphism:
+    """Validate a component tuple through both the matrix identities and the
+    sampled finite-difference oracle; both must accept."""
+    return check_qhm(candidate, tol, samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     core = phi
     if not is_nonsingular:
         projection, core = project_nonsingular(phi, tol)
-    nf = _normal_form_core(core, tol)
+    nf = _normal_form_core(core, tol, sd if projection is None else None)
     d = np.diag(to_float(nf.D))
     k = len(d)
     groups = [list(range(lo, hi)) for lo, hi in eigenvalue_clusters(d, tol.eig_pair_tol)]
@@ -397,13 +390,7 @@ def classify(phi: QuadraticHarmonicMorphism,
         lam = float(d[g[0]])
         kk = len(g)
         head = np.diag(np.concatenate([np.ones(kk), -np.ones(kk)]))
-        members = [head]
-        for B in bmats:
-            sub = B[np.ix_(g, g)] / lam
-            M = np.zeros((2 * kk, 2 * kk))
-            M[:kk, kk:] = sub
-            M[kk:, :kk] = sub.T
-            members.append(M)
+        members = [head] + [symmetric_off_diagonal(B[np.ix_(g, g)] / lam) for B in bmats]
         summand = QuadraticHarmonicMorphism(m=2 * kk, n=phi.n, components=tuple(members))
         splitting.append((lam, summand))
     return ClassificationReport(
@@ -482,21 +469,20 @@ def _is_exact_normal_layout(phi):
         return False
     d = np.diag(to_float(first))
     head, tail = d[:k], d[k:]
-    if not (np.all(head > 0) and np.all(head[:-1] >= head[1:]) and np.array_equal(tail, -head)):
-        return False
-    for M in phi.components[1:]:
-        if np.any(to_float(M[:k, :k])) or np.any(to_float(M[k:, k:])):
-            return False
-    return True
+    return bool(np.all(head > 0) and np.all(head[:-1] >= head[1:])
+                and np.array_equal(tail, -head) and in_off_diagonal_form(phi.components[1:], k))
 
 
-def _normal_form_core(phi, tol) -> NormalForm:
+def _normal_form_core(phi, tol, sd=None) -> NormalForm:
+    """Normal form of a full-rank map; sd, when given, is the spectral
+    decomposition of its first component."""
     k = phi.m // 2
     if _is_exact_normal_layout(phi):
         D = phi.components[0][:k, :k].copy()
         B = tuple(M[:k, k:].copy() for M in phi.components[1:])
         return NormalForm(change_of_coords=identity_matrix(phi.m), D=D, B=B)
-    sd = spectral_decompose(phi.components[0], tol)
+    if sd is None:
+        sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
     if int(np.sum(eigs > 0)) != k or int(np.sum(eigs < 0)) != k:
         raise RankMismatch("eigenvalues do not split evenly into positive and negative")
@@ -523,18 +509,16 @@ def _normal_form_core(phi, tol) -> NormalForm:
 
 def _check_block_relations(nf: NormalForm, tol):
     D = to_float(nf.D)
-    D2 = D @ D
-    for i, B in enumerate(nf.B):
-        Bf = to_float(B)
-        if rel_residual(D @ Bf, Bf @ D) > tol.identity_tol:
-            raise RankMismatch("eigenvalue matrix does not commute with a block")
-        if rel_residual(Bf.T @ Bf, D2) > tol.identity_tol:
-            raise RankMismatch("block gram matrix does not match the squared eigenvalues")
-        for j in range(i + 1, len(nf.B)):
-            Cf = to_float(nf.B[j])
-            anti = Bf.T @ Cf + Cf.T @ Bf
-            if frobenius(anti) / max(1.0, frobenius(Bf) * frobenius(Cf)) > tol.identity_tol:
-                raise RankMismatch("blocks fail the transpose anticommutation relation")
+    blocks = [to_float(B) for B in nf.B]
+    if not blocks:
+        return
+    if any(not rel_residual(D @ B, B @ D) <= tol.identity_tol for B in blocks):
+        raise RankMismatch("eigenvalue matrix does not commute with a block")
+    _, failure = pairwise_relation(blocks, D @ D, transpose=True, tol=tol)
+    if failure:
+        raise RankMismatch("block gram matrix does not match the squared eigenvalues"
+                           if failure[0] == failure[1] else
+                           "blocks fail the transpose anticommutation relation")
 
 
 def normal_form(phi: QuadraticHarmonicMorphism,
@@ -552,18 +536,9 @@ def normal_form(phi: QuadraticHarmonicMorphism,
 def assemble_normal_form(nf: NormalForm):
     """Rebuild component matrices from (G, D, B); inverse of normal_form."""
     D = to_float(nf.D)
-    k = D.shape[0]
     G = to_float(nf.change_of_coords)
-    first = np.zeros((2 * k, 2 * k))
-    first[:k, :k] = D
-    first[k:, k:] = -D
-    out = [G.T @ first @ G]
-    for B in nf.B:
-        M = np.zeros((2 * k, 2 * k))
-        M[:k, k:] = to_float(B)
-        M[k:, :k] = to_float(B).T
-        out.append(G.T @ M @ G)
-    return out
+    blocks = [block_diag2(D, -D)] + [symmetric_off_diagonal(to_float(B)) for B in nf.B]
+    return [G.T @ M @ G for M in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +558,15 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     """
     if numeric_rank(phi.components[0], tol) != phi.m:
         raise QSingular("components are rank-deficient; project the kernel away first")
-    nf = _normal_form_core(phi, tol)
+    first = spectral_decompose(phi.components[0], tol)
+    nf = _normal_form_core(phi, tol, first)
     d = np.diag(to_float(nf.D))
     k = len(d)
     MF = np.diag(np.concatenate([d, -d]))
     # eigencolumns of MF in descending eigenvalue order form this permutation
-    E = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        E[i, i] = 1.0
-    for t in range(k):
-        E[2 * k - 1 - t, k + t] = 1.0
-    transforms = []
-    for A in phi.components:
-        sd = spectral_decompose(A, tol)
-        transforms.append(E @ sd.eigenvectors.T)
+    E = block_diag2(np.eye(k), np.eye(k)[::-1])
+    spectra = [first] + [spectral_decompose(A, tol) for A in phi.components[1:]]
+    transforms = [E @ sd.eigenvectors.T for sd in spectra]
     groups = eigenvalue_clusters(d, tol.eig_pair_tol)
     scales = tuple(float(d[lo]) for lo, _ in groups)
     block_sizes = tuple(hi - lo for lo, hi in groups)
@@ -618,9 +588,18 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
 # range extension
 
 
-def _normalized_products(taus):
-    first = to_float(taus[0])
-    return [to_float(t) @ first.T for t in taus[1:]]
+def clifford_system(phi: QuadraticHarmonicMorphism, report: ClassificationReport,
+                    tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """The Clifford system phi / lambda of an umbilical map, lambda being its
+    common positive eigenvalue; report is classify(phi)."""
+    if not report.is_umbilical:
+        raise NotUmbilical("only umbilical maps scale to a system")
+    lam = report.positive_eigenvalues[0]
+    if is_exact(phi.components[0]) and lam == 1.0:
+        mats = phi.components
+    else:
+        mats = [to_float(A) / lam for A in phi.components]
+    return _clifford.verify_clifford(mats, tol)
 
 
 def range_extend(phi: QuadraticHarmonicMorphism,
@@ -639,11 +618,7 @@ def range_extend(phi: QuadraticHarmonicMorphism,
     if not report.is_umbilical:
         raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
     lam = report.positive_eigenvalues[0]
-    if is_exact(phi.components[0]) and lam == 1.0:
-        system_mats = list(phi.components)
-    else:
-        system_mats = [to_float(A) / lam for A in phi.components]
-    cs = _clifford.verify_clifford(system_mats, tol)
+    cs = clifford_system(phi, report, tol)
     if phi.n == 1:
         if phi.m != 2:
             raise NotDomainMinimal(
@@ -667,8 +642,8 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         targets = [to_float(t) for t in canon.matrices[: phi.n - 1]]
         if flip_last:
             targets[-1] = -targets[-1]
-        prods_ours = _normalized_products(ours)
-        prods_canon = _normalized_products(targets)
+        prods_ours = _clifford._normalized_products(ours)
+        prods_canon = _clifford._normalized_products(targets)
         if prods_ours:
             R = _clifford.find_orthogonal_intertwiner(prods_ours, prods_canon, tol, seed)
         else:
@@ -686,10 +661,7 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         coords_f = to_float(coords)
         new_components = []
         for j in range(phi.n - 1, sigma):
-            tau_new = R @ to_float(canon.matrices[j]) @ right
-            block = np.zeros((phi.m, phi.m))
-            block[:m_half, m_half:] = tau_new
-            block[m_half:, :m_half] = tau_new.T
+            block = symmetric_off_diagonal(R @ to_float(canon.matrices[j]) @ right)
             new_components.append(lam * (coords_f.T @ block @ coords_f))
         extended = [to_float(A) for A in phi.components] + new_components
         return verify_qhm(extended, tol)
@@ -716,27 +688,17 @@ def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
                          tol: TolerancePolicy = DEFAULT_TOLERANCES) -> IsoparametricReport:
     """Sample check that F(x) = x^T M x has gradient norm 4*scale^2*|x|^2 and
     constant Laplacian; scale^2 is estimated as trace(M^2)/m."""
-    M = as_matrix(f_matrix)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeMismatch("the function matrix must be square")
+    M = square_matrices([f_matrix], "function matrices")[0]
+    check_symmetric([M], tol)
     Mf = to_float(M)
-    if rel_residual(Mf, Mf.T) > tol.identity_tol:
-        raise NotSymmetric(1, rel_residual(Mf, Mf.T))
     m = Mf.shape[0]
     if samples < 1:
         raise ValueError("samples must be >= 1")
     scale_sq = float(np.trace(Mf @ Mf)) / m
     c = 2.0 * float(np.trace(Mf))
     X = sample_points(m, samples, seed)
-    h = 0.5
-    shift = h * np.eye(m)
-    Xp = X[:, None, :] + shift[None, :, :]
-    Xm = X[:, None, :] - shift[None, :, :]
-    vals0 = np.einsum("pi,ij,pj->p", X, Mf, X)
-    vals_p = np.einsum("pki,ij,pkj->pk", Xp, Mf, Xp)
-    vals_m = np.einsum("pki,ij,pkj->pk", Xm, Mf, Xm)
-    grad = (vals_p - vals_m) / (2 * h)
-    lap = np.sum(vals_p + vals_m - 2 * vals0[:, None], axis=1) / h**2
+    grads, laps = _central_differences([Mf], X)
+    grad, lap = grads[0], laps[0]
     grad_sq = np.sum(grad * grad, axis=1)
     target = 4.0 * scale_sq * np.sum(X * X, axis=1)
     grad_defect = float(np.max(np.abs(grad_sq - target) / np.maximum(1.0, target)))

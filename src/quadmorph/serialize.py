@@ -106,9 +106,9 @@ def _decode_matrix(rows, scalars: str, pos: int):
                          f"matrix {pos}: float entries must be numbers")
     try:
         if scalars == "float":
-            return np.array(rows, dtype=np.float64)
+            return as_matrix(np.array(rows, dtype=np.float64))
         return as_matrix(rows)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DocumentFormatError(f"matrix {pos}: {exc}") from exc
 
 
@@ -164,8 +164,13 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _reject_constant(name):
+    raise DocumentFormatError(f"non-finite number {name} in the document")
+
+
 def loads(text: str) -> dict:
+    """Parse a document; NaN and Infinity tokens raise DocumentFormatError."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"invalid JSON: {exc}") from exc

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from quadmorph import osystem, qhm, serialize
+from quadmorph import clifford, orthomul, osystem, qhm, serialize
 from quadmorph.cli import run
+from quadmorph.core import random_orthogonal, to_float
 from quadmorph.osystem import OSystem
 
 from conftest import eight_dim_triple
@@ -93,6 +94,36 @@ class TestConstructVerify:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run(["verify", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+class TestOnePass:
+    def test_verify_runs_the_sampled_route_once(self, triple_doc, monkeypatch, capsys):
+        calls = []
+        original = qhm.sampled_check
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qhm, "sampled_check", counting)
+        assert run(["verify", triple_doc, "--samples", "8", "--seed", "3"]) == 0
+        assert len(calls) == 1
+        payload = json.loads(capsys.readouterr().out)
+        _, residuals = qhm.check_qhm(eight_dim_triple(), samples=8, seed=3)
+        assert payload["residuals"] == residuals
+
+    def test_verify_prints_the_verifier_residuals(self, tmp_path, capsys):
+        g = random_orthogonal(8, 4)
+        mats = [g @ to_float(P) @ g.T for P in clifford.construct_irreducible(3).matrices]
+        path = write_doc(tmp_path, "cs.json", clifford.verify_clifford(mats))
+        assert run(["verify", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        _, residuals = clifford.check_clifford(mats)
+        assert payload["residuals"] == residuals
+        assert 0 < residuals["max_relation_residual"] <= 1e-9
+        path = write_doc(tmp_path, "mu.json", orthomul.standard_multiplication(4))
+        assert run(["verify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["residuals"] == {"max_norm_defect": 0.0}
 
 
 class TestClassifySplit:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmorph import core
@@ -36,6 +36,15 @@ class TestAsMatrix:
         m = core.as_matrix([[big]])
         assert m.dtype == object
         assert m[0, 0] == big
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        with pytest.raises(ValueError):
+            core.as_matrix([[1.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError):
+            core.as_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            core.as_matrix(np.array([[bad]], dtype=np.float32))
 
     def test_mode_promotion_is_one_way(self):
         exact = core.as_matrix([[1, 0], [0, 1]])
@@ -159,3 +168,82 @@ def test_random_orthogonal_is_orthogonal_and_deterministic():
 def test_eigenvalue_clusters_gaps():
     groups = core.eigenvalue_clusters(np.array([3.0, 3.0 - 1e-12, 2.0, 1.0, 1.0]), 1e-8)
     assert groups == [(0, 2), (2, 3), (3, 5)]
+
+
+class TestPairwiseRelation:
+    def test_reports_worst_residual_and_first_failing_pair(self):
+        a = np.diag([1.0, -1.0])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        worst, failure = core.pairwise_relation([a, b], np.eye(2))
+        assert worst == 0.0 and failure is None
+        worst, failure = core.pairwise_relation([a, b + 1e-6 * a], np.eye(2))
+        assert failure[:2] == (1, 2) and failure[2] > core.DEFAULT_TOLERANCES.identity_tol
+        assert worst < 1e-12
+
+    def test_nan_never_reads_as_a_residual_of_zero(self):
+        nan = np.full((2, 2), np.nan)
+        _, failure = core.pairwise_relation([nan], np.eye(2))
+        assert failure is not None and np.isnan(failure[2])
+
+    def test_exact_products_do_not_wrap_around(self):
+        # a^2 + b^2 = 2^64 + 1, which int64 arithmetic reads as 1
+        wrap = np.array([[1438793759, 4046803256], [4046803256, -1438793759]], dtype=np.int64)
+        _, failure = core.pairwise_relation([wrap], np.eye(2, dtype=np.int64))
+        assert failure is not None and failure[:2] == (1, 1)
+        assert core.pairwise_relation([wrap])[1] is None  # one member agrees with itself
+
+
+def _python_relation_holds(rows, transpose, identity):
+    """L(M_i) M_j + L(M_j) M_i = 2 delta_ij T in unbounded Python integers."""
+    n = len(rows[0])
+
+    def mul(a, b):
+        return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+    left = [[list(col) for col in zip(*M)] if transpose else M for M in rows]
+    target = ([[int(r == c) for c in range(n)] for r in range(n)] if identity
+              else mul(left[0], rows[0]))
+    zero = [[0] * n for _ in range(n)]
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            if i == j:
+                value, expected = mul(left[i], rows[i]), target
+            else:
+                p, q = mul(left[i], rows[j]), mul(left[j], rows[i])
+                value = [[x + y for x, y in zip(r, s)] for r, s in zip(p, q)]
+                expected = zero
+            if value != expected:
+                return False
+    return True
+
+
+entry = st.one_of(st.integers(-1, 1), st.integers(-2**40, 2**40))
+
+
+@st.composite
+def integer_members(draw):
+    """2 to 4 square integer members of one size, either free or the pair
+    [[a, b], [b, -a]], [[-b, a], [a, b]] (equal squares, anticommuting),
+    optionally with one entry shifted."""
+    count = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 4))
+        square = st.lists(st.lists(entry, min_size=size, max_size=size),
+                          min_size=size, max_size=size)
+        return draw(st.lists(square, min_size=count, max_size=count))
+    a, b = draw(entry), draw(entry)
+    rows = [[[a, b], [b, -a]], [[-b, a], [a, b]]][: min(count, 2)]
+    if draw(st.booleans()):
+        rows[-1][0][0] += draw(st.sampled_from([1, 2**32, 2**40]))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_members(), st.booleans(), st.booleans())
+@example([[[1438793759, 4046803256], [4046803256, -1438793759]]] * 2, False, True)
+def test_exact_relation_verdict_matches_python_integers(rows, transpose, identity):
+    mats = [np.array(M, dtype=np.int64) for M in rows]
+    size = mats[0].shape[0]
+    target = np.eye(size, dtype=np.int64) if identity else None
+    _, failure = core.pairwise_relation(mats, target, transpose)
+    assert (failure is None) == _python_relation_holds(rows, transpose, identity)

@@ -90,6 +90,11 @@ class TestOSystemCorrespondence:
         mu2 = orthomul.from_osystem(back)
         assert all(np.array_equal(a, b) for a, b in zip(mu2.slices, mu.slices))
 
+    def test_from_osystem_verifies_its_result(self):
+        eye = np.eye(2, dtype=np.int64)
+        with pytest.raises(NotNormPreserving):
+            orthomul.from_osystem(osystem.OSystem(m=2, n=2, matrices=(eye, eye)))
+
     def test_to_osystem_requires_square_slices(self):
         mu = orthomul.verify_orthomul([np.array([[1.0], [0.0]])])
         with pytest.raises(NotSquare):

@@ -529,3 +529,21 @@ def test_spheres_map_to_spheres():
 def test_sphere_check_needs_one_scale(split_scale_map):
     with pytest.raises(NotUmbilical):
         qhm.sphere_restriction_check(split_scale_map)
+
+
+def test_component_one_is_decomposed_once(monkeypatch):
+    calls = []
+    original = qhm.spectral_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    g = random_orthogonal(8, 11)
+    phi = qhm.verify_qhm([g @ to_float(a) @ g.T for a in hopf(4).components])
+    monkeypatch.setattr(qhm, "spectral_decompose", counting)
+    qhm.classify(phi)
+    assert len(calls) == phi.n
+    calls.clear()
+    qhm.single_function_representation(phi)
+    assert len(calls) == phi.n
