@@ -7,16 +7,16 @@ A system is n symmetric matrices P_1..P_n on an even-dimensional space with
 This module verifies the relation, constructs irreducible systems at the
 minimal dimensions, reduces a system to the eigenspace-split block form
 (P_1 diagonal +/-I, the rest off-diagonal with orthogonal blocks), tests
-irreducibility through the symmetric commutant, and decides algebraic
-equivalence partially, producing an explicit conjugating certificate when
-it succeeds.
+irreducibility through the closed-form symmetric commutant, and decides
+algebraic equivalence from dimension and the trace of the ordered member
+product, with an orthogonal conjugating certificate for equivalent systems.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -24,9 +24,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
-    as_matrix,
     check_symmetric,
-    common_mode,
     frobenius,
     identity_matrix,
     is_exact,
@@ -36,8 +34,6 @@ from .core import (
     rel_residual,
     spectral_decompose,
     square_matrices,
-    symmetric_pair_index,
-    nullspace_dimension_exact,
     to_float,
 )
 from .errors import (
@@ -199,112 +195,77 @@ def to_standard_representation(cs: CliffordSystem, tol: TolerancePolicy = DEFAUL
 # irreducibility via the symmetric commutant
 
 
+def _ordered_product_trace(mats) -> float:
+    prod = mats[0]
+    for P in mats[1:]:
+        prod = prod @ P
+    return float(np.trace(to_float(prod)))
+
+
+def _commutant_dimension(cs: CliffordSystem, trace: float) -> int:
+    """Symmetric commutant dimension of a verified system of n members on
+    R^s whose ordered member product has the given trace t:
+
+        (s^2 + t^2 + s * sum_k C(n, k) (-1)^(k(k-1)/2)) / 2^(n+1).
+
+    This averages the character of Sym^2 R^s over the group of signed member
+    products +-P_I; P_I squares to (-1)^(k(k-1)/2) I for |I| = k, and
+    anticommutation makes every P_I traceless except I and P_1...P_n.
+    """
+    s, n, t = cs.two_m, cs.n, round(trace)
+    signs = sum(math.comb(n, k) * (-1) ** (k * (k - 1) // 2) for k in range(n + 1))
+    return (s * s + t * t + s * signs) // 2 ** (n + 1)
+
+
 def symmetric_commutant_dimension(matrices, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     """Dimension of {S symmetric : S P = P S for every member P}.
 
-    Exact inputs go through sparse rational elimination; float inputs through
-    a dense nullspace by singular values.  For symmetric P the commutator
-    S P - P S is skew, so only the strictly upper equations are generated.
+    The members must form a Clifford system: they are verified first, so
+    other input raises the verifier's VerificationError, and the dimension
+    then follows in closed form from the member count, the size and the
+    trace of the ordered member product.
     """
-    mats = list(common_mode(*[as_matrix(M) for M in matrices]))
-    size = mats[0].shape[0]
-    index = symmetric_pair_index(size)
-    if is_exact(mats[0]):
-        rows = []
-        for P in mats:
-            for i in range(size):
-                for j in range(i + 1, size):
-                    row = {}
-                    for a in range(size):
-                        pa = P[a, j]
-                        if pa:
-                            k = index[(min(i, a), max(i, a))]
-                            row[k] = row.get(k, 0) + Fraction(pa)
-                        pb = P[i, a]
-                        if pb:
-                            k = index[(min(a, j), max(a, j))]
-                            row[k] = row.get(k, 0) - Fraction(pb)
-                    if row:
-                        rows.append(row)
-        return nullspace_dimension_exact(rows, len(index))
-    rows = []
-    for P in mats:
-        Pf = to_float(P)
-        for i in range(size):
-            for j in range(i + 1, size):
-                row = np.zeros(len(index))
-                for a in range(size):
-                    row[index[(min(i, a), max(i, a))]] += Pf[a, j]
-                    row[index[(min(a, j), max(a, j))]] -= Pf[i, a]
-                rows.append(row)
-    system = np.array(rows)
-    s = np.linalg.svd(system, compute_uv=False)
-    rank = int(np.sum(s > tol.rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return len(index) - rank
+    cs = verify_clifford(matrices, tol)
+    return _commutant_dimension(cs, _ordered_product_trace(cs.matrices))
 
 
 def is_irreducible(cs: CliffordSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     """True iff only scalar multiples of I commute symmetrically with all members."""
-    return symmetric_commutant_dimension(cs.matrices, tol) == 1
+    return _commutant_dimension(cs, _ordered_product_trace(cs.matrices)) == 1
 
 
 # ---------------------------------------------------------------------------
 # equivalence
 
 
-def _ordered_product_trace(cs: CliffordSystem) -> float:
-    prod = cs.matrices[0]
-    for P in cs.matrices[1:]:
-        prod = prod @ P
-    return float(np.trace(to_float(prod)))
-
-
 def find_orthogonal_intertwiner(targets, sources, tol: TolerancePolicy = DEFAULT_TOLERANCES,
-                                seed: int = 0, attempts: int = 8) -> Optional[np.ndarray]:
-    """Search for orthogonal R with targets[i] @ R = R @ sources[i] for all i.
+                                seed: int = 0) -> Optional[np.ndarray]:
+    """Orthogonal R with targets[i] @ R = R @ sources[i] for all i, or None.
 
-    Computes the full intertwiner space {X : T X = X S} as an SVD nullspace,
-    then takes the orthogonal polar factor of the projection of the identity
-    onto that space, falling back to seeded random combinations.  Returns None
-    when no verified orthogonal intertwiner is found (including the provably
-    empty case, where none exists).  Both lists must be the same nonzero
-    length; an unconstrained search (no relations) is the caller's case.
+    Both lists hold the members of Clifford systems of one size, so the maps
+    X -> T_i X S_i are commuting self-adjoint involutions and the product of
+    the (I + (X -> T_i X S_i)) / 2 projects orthogonally onto the
+    intertwiners.  That projection of one seeded Gaussian matrix is
+    invertible whenever the systems are equivalent (almost surely), and its
+    orthogonal polar factor intertwines as well.  Returns None when the
+    result fails verification, which it always does for inequivalent
+    systems.  Both lists must be the same nonzero length; an unconstrained
+    search (no relations) is the caller's case.
     """
     if not targets or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
-    m = sources[0].shape[0]
-    blocks = [np.kron(np.eye(m), to_float(T)) - np.kron(to_float(S).T, np.eye(m))
-              for T, S in zip(targets, sources)]
-    stacked = np.vstack(blocks)
-    _, svals, vt = np.linalg.svd(stacked)
-    cutoff = max(1.0, svals[0]) * 1e-10 if svals.size else 0.0
-    rank = int(np.sum(svals > cutoff))
-    null = vt[rank:]
-    if null.shape[0] == 0:
-        return None
-    # rows of null are an orthonormal basis of vec'd intertwiners
-    basis = [null[k].reshape((m, m), order="F") for k in range(null.shape[0])]
-    eye_flat = np.eye(m).flatten(order="F")
-    candidates = [sum((null[k] @ eye_flat) * basis[k] for k in range(len(basis)))]
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        coeffs = rng.standard_normal(len(basis))
-        candidates.append(sum(c * B for c, B in zip(coeffs, basis)))
-    for X in candidates:
-        u, s, vtx = np.linalg.svd(X)
-        if s.size == 0 or s[-1] <= 1e-10 * max(1.0, s[0]):
-            continue  # not invertible enough to trust the polar factor
-        R = u @ vtx
-        ok = all(rel_residual(to_float(T) @ R, R @ to_float(S)) <= tol.eig_pair_tol
-                 for T, S in zip(targets, sources))
-        if ok:
-            return R
+    pairs = [(to_float(T), to_float(S)) for T, S in zip(targets, sources)]
+    m = pairs[0][1].shape[0]
+    X = np.random.default_rng(seed).standard_normal((m, m))
+    for T, S in pairs:
+        X = (X + T @ X @ S) / 2
+    u, s, vt = np.linalg.svd(X)
+    if s[-1] <= 1e-10 * max(1.0, s[0]):
+        return None  # not invertible enough to trust the polar factor
+    R = u @ vt
+    if all(rel_residual(T @ R, R @ S) <= tol.eig_pair_tol for T, S in pairs):
+        return R
     return None
-
-
-def _normalized_products(taus):
-    first = to_float(taus[0])
-    return [to_float(t) @ first.T for t in taus[1:]]
 
 
 def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
@@ -312,69 +273,34 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
                              seed: int = 0) -> EquivalenceVerdict:
     """Three-valued equivalence check with an explicit certificate on success.
 
-    Cheap conjugation invariants (symmetric commutant dimension, trace of the
-    ordered member product) decide the negative direction.  The positive
-    direction reduces both systems to block form, cancels the two-sided
-    freedom of that reduction by passing to the products tau_i tau_1^T, and
-    searches for an orthogonal intertwiner, which lifts to a full conjugation.
-    Anything unresolved is reported as unknown, never guessed.
+    Dimension, member count and the trace of the ordered member product fix
+    the class of a system, so differing symmetric commutant dimensions or
+    product traces decide NOT_EQUIVALENT and agreeing ones mean the systems
+    are equivalent.  The certificate is the orthogonal intertwiner of the
+    members; UNKNOWN is reported only when it fails numerically.
     """
     if a.two_m != b.two_m or a.n != b.n:
         raise ShapeMismatch("systems must share dimension and member count")
-    dim_a = symmetric_commutant_dimension(a.matrices, tol)
-    dim_b = symmetric_commutant_dimension(b.matrices, tol)
+    trace_a = _ordered_product_trace(a.matrices)
+    trace_b = _ordered_product_trace(b.matrices)
+    dim_a = _commutant_dimension(a, trace_a)
+    dim_b = _commutant_dimension(b, trace_b)
     if dim_a != dim_b:
         return EquivalenceVerdict(
             EquivalenceStatus.NOT_EQUIVALENT, None,
             f"symmetric commutant dimensions differ ({dim_a} vs {dim_b})")
-    trace_a = _ordered_product_trace(a)
-    trace_b = _ordered_product_trace(b)
     if abs(trace_a - trace_b) > tol.identity_tol * max(1.0, abs(trace_a), abs(trace_b)):
         return EquivalenceVerdict(
             EquivalenceStatus.NOT_EQUIVALENT, None,
             f"ordered product traces differ ({trace_a:g} vs {trace_b:g})")
-    if a.n == 1:
-        sd_a = spectral_decompose(a.matrices[0], tol)
-        sd_b = spectral_decompose(b.matrices[0], tol)
-        cert = sd_b.eigenvectors @ sd_a.eigenvectors.T
-        return _certified(a, b, cert, tol, "eigenvalue multiplicities match")
-    coords_a, os_a = to_standard_representation(a, tol)
-    coords_b, os_b = to_standard_representation(b, tol)
-    sources = _normalized_products(os_a.matrices)
-    targets = _normalized_products(os_b.matrices)
-    if sources:
-        R = find_orthogonal_intertwiner(targets, sources, tol, seed)
-        if R is None:
-            # distinguish a provably empty intertwiner space from search failure
-            stacked = np.vstack([np.kron(np.eye(os_a.m), T) - np.kron(S.T, np.eye(os_a.m))
-                                 for T, S in zip(targets, sources)])
-            svals = np.linalg.svd(stacked, compute_uv=False)
-            nullity = int(np.sum(svals <= max(1.0, svals[0]) * 1e-10)) + stacked.shape[1] - len(svals)
-            if nullity == 0:
-                return EquivalenceVerdict(
-                    EquivalenceStatus.NOT_EQUIVALENT, None,
-                    "normalized reductions admit no intertwiner")
-            return EquivalenceVerdict(
-                EquivalenceStatus.UNKNOWN, None,
-                "no orthogonal intertwiner found in the candidate search")
-    else:
-        R = np.eye(os_a.m)
-    t1 = to_float(os_a.matrices[0])
-    s1 = to_float(os_b.matrices[0])
-    right = t1.T @ R.T @ s1  # the S^T of the two-sided move tau -> R tau S^T
-    block = np.zeros((a.two_m, a.two_m))
-    mhalf = a.two_m // 2
-    block[:mhalf, :mhalf] = R
-    block[mhalf:, mhalf:] = right.T
-    cert = to_float(coords_b).T @ block @ to_float(coords_a)
-    return _certified(a, b, cert, tol, "aligned through block-form reduction")
-
-
-def _certified(a, b, cert, tol, how) -> EquivalenceVerdict:
-    worst = max(rel_residual(cert @ to_float(P) @ cert.T, to_float(Q))
+    R = find_orthogonal_intertwiner(b.matrices, a.matrices, tol, seed)
+    if R is None:
+        return EquivalenceVerdict(EquivalenceStatus.UNKNOWN, None,
+                                  "the projected intertwiner failed verification")
+    worst = max(rel_residual(R @ to_float(P) @ R.T, to_float(Q))
                 for P, Q in zip(a.matrices, b.matrices))
     if worst <= tol.identity_tol:
-        return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, cert,
-                                  f"{how}; certificate residual {worst:.3e}")
+        return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, R,
+                                  f"projected onto the intertwiners; certificate residual {worst:.3e}")
     return EquivalenceVerdict(EquivalenceStatus.UNKNOWN, None,
                               f"candidate conjugation failed verification ({worst:.3e})")

@@ -44,8 +44,6 @@ __all__ = [
     "exact_rank",
     "random_orthogonal",
     "sample_points",
-    "nullspace_dimension_exact",
-    "symmetric_pair_index",
 ]
 
 from .errors import NoConvergence, NotSymmetric, ShapeMismatch
@@ -134,9 +132,14 @@ def is_exact(a) -> bool:
 
 
 def to_float(a) -> np.ndarray:
+    """The matrix in float64; ValueError, as for non-finite input, when exact
+    entries lie beyond the float64 range."""
     if a.dtype == np.float64:
         return a
-    return a.astype(np.float64)
+    try:
+        return a.astype(np.float64)
+    except OverflowError:
+        raise ValueError("matrix entries must be finite numbers") from None
 
 
 def common_mode(*arrays):
@@ -176,7 +179,7 @@ def symmetric_off_diagonal(tau):
 def frobenius(a) -> float:
     try:
         return float(np.linalg.norm(to_float(a)))
-    except OverflowError:  # python integers beyond the float64 range
+    except ValueError:  # exact entries beyond the float64 range
         return math.inf
 
 
@@ -412,43 +415,3 @@ def sample_points(dim: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((count, dim))
 
-
-# ---------------------------------------------------------------------------
-# sparse exact linear algebra (for commutant computations)
-
-
-def symmetric_pair_index(n):
-    """Index map (i<=j) -> position for unknowns ranging over symmetric matrices."""
-    idx = {}
-    for i in range(n):
-        for j in range(i, n):
-            idx[(i, j)] = len(idx)
-    return idx
-
-
-def nullspace_dimension_exact(rows, n_unknowns: int) -> int:
-    """Nullity of a sparse rational system given as dicts {column: coefficient}.
-
-    Incremental row reduction keyed by pivot column; suited to the very
-    sparse systems produced by signed-permutation matrices.
-    """
-    pivots = {}
-    for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v != 0}
-        while row:
-            col = min(row)
-            if col in pivots:
-                factor = row.pop(col)
-                for c, v in pivots[col].items():
-                    if c == col:
-                        continue
-                    newv = row.get(c, Fraction(0)) - factor * v
-                    if newv:
-                        row[c] = newv
-                    else:
-                        row.pop(c, None)
-            else:
-                piv = row[col]
-                pivots[col] = {c: v / piv for c, v in row.items()}
-                break
-    return n_unknowns - len(pivots)

@@ -365,7 +365,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     projection = None
     core = phi
     if not is_nonsingular:
-        projection, core = project_nonsingular(phi, tol)
+        projection, core = _project_nonsingular(phi, tol, sd)
     nf = _normal_form_core(core, tol, sd if projection is None else None)
     d = np.diag(to_float(nf.D))
     k = len(d)
@@ -414,6 +414,12 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
     phi(X) = core(projection @ X).  Rejects inputs whose later components do
     not annihilate the kernel of the first.
     """
+    return _project_nonsingular(phi, tol)
+
+
+def _project_nonsingular(phi, tol, sd=None):
+    """project_nonsingular; sd, when given, is the spectral decomposition of
+    the first component."""
     q_rank = numeric_rank(phi.components[0], tol)
     if q_rank >= phi.m:
         raise ValueError("map already has full rank; nothing to project")
@@ -436,7 +442,8 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
             proj[row, col] = 1
         core_mats = [M[np.ix_(keep, keep)] for M in phi.components]
         return proj, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
-    sd = spectral_decompose(phi.components[0], tol)
+    if sd is None:
+        sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
     cutoff = tol.rank_tol * max(1.0, float(np.max(np.abs(eigs))))
     keep_mask = np.abs(eigs) > cutoff
@@ -607,10 +614,11 @@ def range_extend(phi: QuadraticHarmonicMorphism,
                  seed: int = 0) -> QuadraticHarmonicMorphism:
     """Append components to a domain-minimal map up to the Radon-Hurwitz bound.
 
-    The scaled components form a system whose block reduction yields an
-    orthogonal tuple; that tuple is aligned (two-sidedly) with the canonical
-    range-maximal family and the missing members are pulled back.  Raises
-    rather than guessing when the profile or the alignment fails.
+    The scaled components form an irreducible system, which an orthogonal
+    certificate C conjugates onto the leading members of the canonical
+    range-maximal system; each missing canonical member P adds the
+    component lambda * C P C^T.  Raises rather than guessing when the
+    profile or the certificate fails.
     """
     report = classify(phi, tol)
     if not report.is_q_nonsingular:
@@ -634,38 +642,15 @@ def range_extend(phi: QuadraticHarmonicMorphism,
             f"{phi.n} components is the maximum for domain dimension {phi.m}")
     if not _clifford.is_irreducible(cs, tol):
         raise NotDomainMinimal("the associated system splits; the map is not domain-minimal")
-    coords, os = _clifford.to_standard_representation(cs, tol)
-    canon = _osystem.construct_range_maximal(m_half)
-    ours = [to_float(t) for t in os.matrices]
-    failures = []
-    for flip_last in (False, True):
-        targets = [to_float(t) for t in canon.matrices[: phi.n - 1]]
-        if flip_last:
-            targets[-1] = -targets[-1]
-        prods_ours = _clifford._normalized_products(ours)
-        prods_canon = _clifford._normalized_products(targets)
-        if prods_ours:
-            R = _clifford.find_orthogonal_intertwiner(prods_ours, prods_canon, tol, seed)
-        else:
-            R = np.eye(m_half)
-        if R is None:
-            failures.append("no orthogonal intertwiner"
-                            + (" (last member negated)" if flip_last else ""))
-            continue
-        right = targets[0].T @ R.T @ ours[0]
-        align = max(rel_residual(R @ t @ right, o) for t, o in zip(targets, ours))
-        if align > tol.eig_pair_tol:
-            failures.append(f"alignment residual {align:.3e}"
-                            + (" (last member negated)" if flip_last else ""))
-            continue
-        coords_f = to_float(coords)
-        new_components = []
-        for j in range(phi.n - 1, sigma):
-            block = symmetric_off_diagonal(R @ to_float(canon.matrices[j]) @ right)
-            new_components.append(lam * (coords_f.T @ block @ coords_f))
-        extended = [to_float(A) for A in phi.components] + new_components
-        return verify_qhm(extended, tol)
-    raise NotExtendable("canonical alignment failed: " + "; ".join(failures))
+    # Only 4j + 1 members have two irreducible classes (told apart by the
+    # product trace), and on their minimal domain sigma = 4j already; so
+    # here the class is unique and the canonical prefix needs no sign choice.
+    canon = _osystem.to_clifford(_osystem.construct_range_maximal(m_half)).matrices
+    C = _clifford.find_orthogonal_intertwiner(cs.matrices, canon[: phi.n], tol, seed)
+    if C is None:
+        raise NotExtendable("no orthogonal intertwiner onto the canonical system")
+    new_components = [lam * (C @ P @ C.T) for P in canon[phi.n:]]
+    return verify_qhm([to_float(A) for A in phi.components] + new_components, tol)
 
 
 # ---------------------------------------------------------------------------

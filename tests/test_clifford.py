@@ -10,6 +10,7 @@ from quadmorph.errors import (
     NotSymmetric,
     OddDimension,
     ShapeMismatch,
+    VerificationError,
 )
 
 
@@ -149,6 +150,60 @@ class TestCommutant:
         assert clifford.symmetric_commutant_dimension(ds.matrices) == 3
 
 
+def commutant_nullity(mats) -> int:
+    """Reference count: the nullity, by singular values, of the linear map
+    S -> (S P_i - P_i S)_i on the symmetric matrices S."""
+    size = mats[0].shape[0]
+    members = [to_float(P) for P in mats]
+    columns = []
+    for i in range(size):
+        for j in range(i, size):
+            E = np.zeros((size, size))
+            E[i, j] = E[j, i] = 1.0
+            columns.append(np.concatenate([(E @ P - P @ E).ravel() for P in members]))
+    s = np.linalg.svd(np.column_stack(columns), compute_uv=False)
+    return len(columns) - int(np.sum(s > 1e-9 * s[0]))
+
+
+def with_last_negated(cs):
+    return clifford.verify_clifford(list(cs.matrices[:-1]) + [-cs.matrices[-1]])
+
+
+def commutant_cases():
+    irreducible = {n: clifford.construct_irreducible(n) for n in range(1, 8)}
+    cases = {f"irreducible-{n}": cs for n, cs in irreducible.items()}
+    for n in range(1, 5):  # the doubles that stay within two_m = 16
+        cases[f"double-{n}"] = clifford.direct_sum(irreducible[n], irreducible[n])
+    cases["mixed-4"] = clifford.direct_sum(irreducible[4], with_last_negated(irreducible[4]))
+    c2 = irreducible[2]
+    cases["triple-2"] = clifford.direct_sum(clifford.direct_sum(c2, with_last_negated(c2)), c2)
+    return cases
+
+
+COMMUTANT_CASES = commutant_cases()
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
+def test_commutant_formula_matches_the_nullity(name):
+    cs = COMMUTANT_CASES[name]
+    g = random_orthogonal(cs.two_m, 31)
+    conj = [g @ to_float(P) @ g.T for P in cs.matrices]
+    reference = commutant_nullity(cs.matrices)
+    assert commutant_nullity(conj) == reference
+    assert clifford.symmetric_commutant_dimension(cs.matrices) == reference
+    assert clifford.symmetric_commutant_dimension(conj) == reference
+    assert clifford.is_irreducible(cs) == (reference == 1) == name.startswith("irreducible")
+
+
+def test_commutant_requires_a_clifford_system():
+    a = np.diag([1, 1, -1, -1]).astype(np.int64)
+    b = np.diag([1, -1, 1, -1]).astype(np.int64)
+    with pytest.raises(VerificationError):
+        clifford.symmetric_commutant_dimension([a, b])
+    with pytest.raises(VerificationError):
+        clifford.symmetric_commutant_dimension([2 * a])
+
+
 class TestEquivalence:
     def test_conjugated_copies_are_equivalent_with_certificate(self, c85):
         for seed in range(10):
@@ -198,6 +253,30 @@ class TestEquivalence:
         right = clifford.direct_sum(c22, clifford.direct_sum(c22, c22))
         verdict = clifford.algebraically_equivalent(left, right)
         assert verdict.status is EquivalenceStatus.EQUIVALENT
+
+
+@pytest.mark.parametrize("n, negate_last, status", [
+    (11, False, EquivalenceStatus.EQUIVALENT),
+    (12, True, EquivalenceStatus.NOT_EQUIVALENT),
+])
+def test_equivalence_is_decided_at_two_m_128(n, negate_last, status):
+    cs = clifford.construct_irreducible(n)
+    assert cs.two_m == 128
+    mats = [to_float(P) for P in cs.matrices]
+    if negate_last:
+        mats[-1] = -mats[-1]
+    g = random_orthogonal(cs.two_m, 60 + n)
+    conj = clifford.verify_clifford([g @ P @ g.T for P in mats])
+    verdict = clifford.algebraically_equivalent(cs, conj, seed=n)
+    assert verdict.status is status
+    if status is EquivalenceStatus.EQUIVALENT:
+        R = verdict.certificate
+        worst = max(rel_residual(R @ to_float(P) @ R.T, Q)
+                    for P, Q in zip(cs.matrices, conj.matrices))
+        assert worst <= 1e-8
+        again = clifford.algebraically_equivalent(cs, conj, seed=n)
+        assert np.array_equal(again.certificate, R)
+    assert clifford.is_irreducible(cs) and clifford.is_irreducible(conj)
 
 
 def test_intertwiner_rejects_mismatched_lists():

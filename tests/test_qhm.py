@@ -461,6 +461,27 @@ def test_extension_of_scaled_rotated_prefix():
     assert report.positive_eigenvalues == pytest.approx((1.5,) * 4)
 
 
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_extension_sweep_keeps_the_input_components(n):
+    exact = clifford.construct_irreducible(n).matrices
+    g = random_orthogonal(exact[0].shape[0], 70 + n)
+    for mats in (exact, [2.0 * (g @ to_float(P) @ g.T) for P in exact]):
+        phi = qhm.verify_qhm(mats)
+        extended = qhm.range_extend(phi, seed=n)
+        assert extended.n == osystem.hurwitz_radon(phi.m // 2).sigma + 1
+        for a, b in zip(extended.components, phi.components):
+            assert np.array_equal(to_float(a), to_float(b))
+
+
+def test_two_class_member_counts_are_never_extended():
+    # 4j + 1 members are the only count with two irreducible classes; their
+    # minimal domain already carries sigma = 4j, so extension never meets them
+    for k in range(4, 41, 4):
+        assert osystem.hurwitz_radon(clifford.minimal_domain_dimension(k)).sigma == k
+    with pytest.raises(AlreadyRangeMaximal):
+        qhm.range_extend(qhm.from_clifford(clifford.construct_irreducible(4)))
+
+
 def test_short_prefix_is_not_domain_minimal():
     # three components on the eight-dimensional domain fit on half of it
     prefix = qhm.verify_qhm(hopf(4).components[:3])
@@ -547,3 +568,20 @@ def test_component_one_is_decomposed_once(monkeypatch):
     calls.clear()
     qhm.single_function_representation(phi)
     assert len(calls) == phi.n
+
+
+def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
+    calls = []
+    original = qhm.spectral_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    padded = [np.pad(to_float(P), (0, 2)) for P in clifford.construct_irreducible(3).matrices]
+    g = random_orthogonal(10, 13)
+    phi = qhm.verify_qhm([g @ M @ g.T for M in padded])
+    monkeypatch.setattr(qhm, "spectral_decompose", counting)
+    report = qhm.classify(phi)
+    assert report.zero_count == 2 and phi.n == 4
+    assert len(calls) == 5  # four components, then the normal form of the core

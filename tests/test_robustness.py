@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadmorph import clifford, orthomul, osystem, qhm, serialize
 from quadmorph.cli import run
+from quadmorph.core import as_matrix, spectral_decompose
 from quadmorph.errors import AnticommutationViolated, DocumentFormatError
 
 NAN = float("nan")
@@ -73,6 +74,18 @@ def test_exact_failures_beyond_the_float_range_are_still_rejected():
     with pytest.raises(AnticommutationViolated) as err:
         clifford.verify_clifford([[[huge, 0], [0, -huge]]])
     assert err.value.residual == float("inf")
+
+
+def test_exact_entries_beyond_the_float_range_are_a_value_error(tmp_path):
+    huge = [[10**400, 0], [0, -10**400]]
+    # the exact identities hold, but the sampled and spectral routes need floats
+    for route in (qhm.verify_qhm, qhm.sampled_check,
+                  lambda mats: spectral_decompose(as_matrix(mats[0]))):
+        with pytest.raises(ValueError):
+            route([huge])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(document("qhm", huge, "rational")))
+    assert cli(["verify", str(path)]) == (2, "")
 
 
 # ---------------------------------------------------------------------------
