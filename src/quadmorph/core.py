@@ -27,6 +27,7 @@ __all__ = [
     "as_matrix",
     "is_exact",
     "to_float",
+    "to_point",
     "common_mode",
     "identity_matrix",
     "block_diag2",
@@ -142,6 +143,12 @@ def to_float(a) -> np.ndarray:
         raise ValueError("matrix entries must be finite numbers") from None
 
 
+def to_point(x) -> np.ndarray:
+    """A point as a flat float64 vector, with the ValueError of to_float for
+    coordinates that are not finite or lie beyond the float64 range."""
+    return _finite(to_float(np.asarray(x).reshape(-1)))
+
+
 def common_mode(*arrays):
     """Promote a group of matrices to a shared mode (exact -> approx only)."""
     if any(a.dtype == np.float64 for a in arrays):
@@ -242,10 +249,20 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
     """
     exact = is_exact(mats[0])
     if exact and mats[0].dtype != object:
-        # int64 products stay exact while no entry can exceed 2^62; a sum of
-        # two of them lies within +-2^63, where a wraparound never gives 0
+        # Every partial sum of a product is bounded by size * peak^2.  Up to
+        # 2^53 it is an integer float64 holds exactly, so BLAS computes the
+        # products exactly, and a nonzero integer sum of two of them never
+        # rounds to 0.  Up to 2^62 int64 holds them, and a sum of two lies
+        # within +-2^63, where a wraparound never gives 0.
         peak = max(max(abs(int(M.max())), abs(int(M.min()))) for M in mats)
-        if mats[0].shape[0] * peak * peak > 2**62:
+        bound = mats[0].shape[0] * peak * peak
+        if target is not None and np.issubdtype(target.dtype, np.integer):
+            bound = max(bound, abs(int(target.max())), abs(int(target.min())))
+        if bound <= 2**53:
+            mats = [M.astype(np.float64) for M in mats]
+            if target is not None:
+                target = target.astype(np.float64)
+        elif bound > 2**62:
             mats = [M.astype(object) for M in mats]
     left = [M.T for M in mats] if transpose else mats
     if target is None:

@@ -29,6 +29,7 @@ from .core import (
     sample_points,
     symmetric_off_diagonal,
     to_float,
+    to_point,
 )
 from .errors import DimensionMismatch, NotNormPreserving, NotSquare, ShapeMismatch, UnsupportedDimension
 from .generators import left_multiplication_matrix
@@ -68,8 +69,7 @@ class MultiplicationReport:
 
 
 def multiply(mu: OrthogonalMultiplication, x, y) -> np.ndarray:
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+    xv, yv = to_point(x), to_point(y)
     if xv.shape[0] != mu.p or yv.shape[0] != mu.q:
         raise DimensionMismatch(
             f"expected factors of dimension {mu.p} and {mu.q}, "
@@ -125,7 +125,10 @@ def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
     floats = np.stack([to_float(s) for s in mu.slices])
     X = sample_points(mu.p, samples, seed)
     Y = sample_points(mu.q, samples, seed + 1)
-    prods = np.einsum("pi,idq,pq->pd", X, floats, Y)
+    # mu(x, y)_d = sum_q (sum_i x_i slices[i])_dq y_q, the sum over i as one product
+    prods = (X @ floats.reshape(mu.p, -1)).reshape(samples, mu.n_out, mu.q)
+    prods *= Y[:, None, :]
+    prods = prods.sum(axis=-1)
     lhs = np.sqrt(np.sum(prods * prods, axis=1))
     rhs = np.sqrt(np.sum(X * X, axis=1) * np.sum(Y * Y, axis=1))
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))

@@ -192,9 +192,19 @@ class TestPairwiseRelation:
         assert failure is not None and failure[:2] == (1, 1)
         assert core.pairwise_relation([wrap])[1] is None  # one member agrees with itself
 
+    def test_integer_target_counts_toward_the_float64_bound(self):
+        # the square is 2^53 everywhere, within the float64 bound, but float64
+        # would round the target's 2^53 + 1 onto it
+        member = np.full((2, 2), 2**26, dtype=np.int64)
+        target = np.full((2, 2), 2**53, dtype=np.int64)
+        assert core.pairwise_relation([member], target)[1] is None
+        target[0, 0] += 1
+        assert core.pairwise_relation([member], target)[1] == (1, 1, 1.0)
 
-def _python_relation_holds(rows, transpose, identity):
-    """L(M_i) M_j + L(M_j) M_i = 2 delta_ij T in unbounded Python integers."""
+
+def _python_first_failure(rows, transpose, identity):
+    """The first pair (i, j, Frobenius residual) failing L(M_i) M_j + L(M_j) M_i
+    = 2 delta_ij T in unbounded Python integers, or None."""
     n = len(rows[0])
 
     def mul(a, b):
@@ -203,21 +213,23 @@ def _python_relation_holds(rows, transpose, identity):
     left = [[list(col) for col in zip(*M)] if transpose else M for M in rows]
     target = ([[int(r == c) for c in range(n)] for r in range(n)] if identity
               else mul(left[0], rows[0]))
-    zero = [[0] * n for _ in range(n)]
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             if i == j:
-                value, expected = mul(left[i], rows[i]), target
+                value = mul(left[i], rows[i])
+                diff = [[x - t for x, t in zip(r, s)] for r, s in zip(value, target)]
             else:
                 p, q = mul(left[i], rows[j]), mul(left[j], rows[i])
-                value = [[x + y for x, y in zip(r, s)] for r, s in zip(p, q)]
-                expected = zero
-            if value != expected:
-                return False
-    return True
+                diff = [[x + y for x, y in zip(r, s)] for r, s in zip(p, q)]
+            if any(any(row) for row in diff):
+                return i + 1, j + 1, float(np.linalg.norm(np.array(diff, dtype=np.float64)))
+    return None
 
 
-entry = st.one_of(st.integers(-1, 1), st.integers(-2**40, 2**40))
+# small entries, entries around the float64 (2^53) and int64 (2^62) product
+# bounds of pairwise_relation, and entries beyond both
+entry = st.one_of(st.integers(-1, 1), st.integers(2**25, 2**31), st.integers(-2**31, -2**25),
+                  st.integers(-2**40, 2**40))
 
 
 @st.composite
@@ -238,12 +250,23 @@ def integer_members(draw):
     return rows
 
 
+A26, B26 = 2**26, 2**26 + 1  # 2 * A26^2 = 2^53; A26^2 + B26^2 = 2^53 + 2^27 + 1 is odd
+
+
 @settings(max_examples=200, deadline=None)
 @given(integer_members(), st.booleans(), st.booleans())
 @example([[[1438793759, 4046803256], [4046803256, -1438793759]]] * 2, False, True)
+# size * peak^2 = 2^53 exactly: the largest members that take the float64 route
+@example([[[A26, 0], [0, -A26]], [[0, A26], [A26, 0]]], False, False)
+@example([[[A26, 0], [0, -A26]], [[0, A26], [A26, 1]]], True, False)
+@example([[[A26, A26], [A26, A26]]], False, True)
+# size * peak^2 = 2^53 + 2^28 + 2, just past it: products and sums beyond 2^53
+@example([[[A26, B26], [B26, -A26]], [[-B26, A26], [A26, B26]]], False, False)
+@example([[[A26, B26], [B26, -A26]]], False, True)
+@example([[[A26, B26], [B26, -A26]], [[-B26 + 1, A26], [A26, B26]]], True, False)
 def test_exact_relation_verdict_matches_python_integers(rows, transpose, identity):
     mats = [np.array(M, dtype=np.int64) for M in rows]
     size = mats[0].shape[0]
     target = np.eye(size, dtype=np.int64) if identity else None
     _, failure = core.pairwise_relation(mats, target, transpose)
-    assert (failure is None) == _python_relation_holds(rows, transpose, identity)
+    assert failure == _python_first_failure(rows, transpose, identity)

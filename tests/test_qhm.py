@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadmorph import clifford, orthomul, osystem, qhm
-from quadmorph.core import random_orthogonal, sample_points, to_float
+from quadmorph.core import DEFAULT_TOLERANCES, random_orthogonal, sample_points, to_float
 from quadmorph.errors import (
     AlreadyRangeMaximal,
     ArityMismatch,
@@ -13,6 +13,7 @@ from quadmorph.errors import (
     NotSymmetric,
     NotUmbilical,
     QSingular,
+    SampleDisagreement,
     ShapeMismatch,
     SharedKernelViolated,
     VerificationError,
@@ -112,6 +113,53 @@ def test_sampled_check_passes_on_triple(split_scale_map):
     assert rep.max_diagonal_spread < 1e-10
     with pytest.raises(ValueError):
         qhm.sampled_check(split_scale_map.components, samples=0)
+
+
+@pytest.mark.parametrize("m", [3, 16, 64])
+def test_form_values_match_a_per_point_loop(m):
+    A = random_symmetric(m, m)
+    X = sample_points(m, 9, m)
+    shifted = X[:, None, :] + 0.5 * np.eye(m)[None, :, :]
+    for P in (X, shifted):
+        got = qhm._form_values(A, P)
+        assert got.shape == P.shape[:-1]
+        flat = P.reshape(-1, m)
+        want = np.array([x @ A @ x for x in flat]).reshape(P.shape[:-1])
+        scale = np.linalg.norm(A) * np.max(np.sum(flat * flat, axis=1))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _closed_form_defects(mats, samples, seed):
+    """The three defects of sampled_check from the exact gradients 2 A x and
+    Laplacians 2 tr A at the same seeded points."""
+    mats = [to_float(np.asarray(M)) for M in mats]
+    X = sample_points(mats[0].shape[0], samples, seed)
+    harm = max(abs(2 * np.trace(A)) / max(1.0, np.linalg.norm(A)) for A in mats)
+    grads = np.stack([2 * X @ A for A in mats])
+    G = np.einsum("api,bpi->pab", grads, grads)
+    diag = np.einsum("paa->pa", G)
+    scale = np.maximum(1.0, diag.max(axis=1))
+    off = ~np.eye(len(mats), dtype=bool)
+    return (harm, np.max(np.abs(G[:, off]) / scale[:, None]),
+            np.max((diag.max(axis=1) - diag.min(axis=1)) / scale))
+
+
+@pytest.mark.parametrize("mats, broken", [
+    ([np.diag([1.5, -0.5]), np.array([[0.0, 1.0], [1.0, 0.0]])], 0),  # trace 1
+    ([np.diag([1.0, -1.0]), np.array([[0.3, 1.0], [1.0, -0.3]])], 1),  # not orthogonal
+    ([np.diag([1.0, -1.0]), np.array([[0.0, 2.0], [2.0, 0.0]])], 2),  # squares differ
+], ids=["harmonic", "offdiagonal", "spread"])
+def test_sampled_check_reports_closed_form_defects(mats, broken):
+    rep = qhm.sampled_check(mats, samples=16, seed=3)
+    got = (rep.max_harmonic_defect, rep.max_offdiagonal_defect, rep.max_diagonal_spread)
+    assert got == pytest.approx(_closed_form_defects(mats, 16, 3), rel=1e-9, abs=1e-12)
+    assert got[broken] > DEFAULT_TOLERANCES.identity_tol
+    assert not rep.passed
+
+
+def test_default_sampled_route_accepts_at_two_m_128():
+    phi = qhm.verify_qhm(clifford.construct_irreducible(11).matrices)
+    assert phi.m == 128 and phi.n == 12
 
 
 def test_matrix_and_sampled_paths_agree_on_valid_maps():
@@ -395,6 +443,17 @@ def test_single_function_for_two_scale_map(split_scale_map):
         assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct)))
 
 
+def test_single_function_defect_is_never_a_nan_read_as_zero(monkeypatch, split_scale_map):
+    def nan_points(dim, count, seed):
+        X = sample_points(dim, count, seed)
+        X[0, 0] = np.nan
+        return X
+
+    monkeypatch.setattr(qhm, "sample_points", nan_points)
+    with pytest.raises(SampleDisagreement):
+        qhm.single_function_representation(split_scale_map)
+
+
 def test_single_function_requires_full_rank():
     with pytest.raises(QSingular):
         qhm.single_function_representation(qhm.verify_qhm(padded_triple()))
@@ -585,3 +644,14 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
     assert len(calls) == 5  # four components, then the normal form of the core
+
+
+@pytest.mark.slow
+def test_verify_and_classify_at_two_m_256():
+    cs = clifford.construct_irreducible(13)
+    phi = qhm.verify_qhm(cs.matrices)
+    assert (phi.m, phi.n) == (256, 14)
+    g = random_orthogonal(256, 256)
+    conj = qhm.verify_qhm([g @ to_float(P) @ g.T for P in cs.matrices])
+    report = qhm.classify(conj)
+    assert report.is_umbilical and report.q_rank == 256

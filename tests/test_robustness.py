@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -86,6 +87,36 @@ def test_exact_entries_beyond_the_float_range_are_a_value_error(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(document("qhm", huge, "rational")))
     assert cli(["verify", str(path)]) == (2, "")
+
+
+@pytest.mark.parametrize("bad", [10**400, NAN, float("inf")])
+def test_points_must_be_finite(bad):
+    phi = qhm.from_clifford(clifford.construct_irreducible(3))
+    mu = orthomul.standard_multiplication(2)
+    calls = [lambda: qhm.evaluate(phi, [bad] + [0] * 7),
+             lambda: qhm.quadratic_form_value(phi.components[0], [0] * 7 + [bad]),
+             lambda: orthomul.multiply(mu, [bad, 0], [1, 0]),
+             lambda: orthomul.multiply(mu, [1, 0], [0, bad])]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "qhm", "--hopf", "2"], ["construct", "orthomul", "--n", "2"]])
+def test_eval_rejects_non_finite_points(argv, tmp_path, capsys):
+    path = str(tmp_path / "doc.json")
+    assert run(argv + ["--out", path]) == 0
+    flags = (["--point", "nan,0,0,0"] if "qhm" in argv else
+             ["--x", "1,0", "--y", "0,inf"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entries must be finite numbers\n"
 
 
 # ---------------------------------------------------------------------------
