@@ -6,10 +6,11 @@ A system is n symmetric matrices P_1..P_n on an even-dimensional space with
 
 This module verifies the relation, constructs irreducible systems at the
 minimal dimensions, reduces a system to the eigenspace-split block form
-(P_1 diagonal +/-I, the rest off-diagonal with orthogonal blocks), tests
-irreducibility through the closed-form symmetric commutant, and decides
-algebraic equivalence from dimension and the trace of the ordered member
-product, with an orthogonal conjugating certificate for equivalent systems.
+(P_1 diagonal +/-I, the rest off-diagonal with orthogonal blocks), which is
+core.eigenspace_split with D = I, tests irreducibility through the
+closed-form symmetric commutant, and decides algebraic equivalence from
+dimension and the trace of the ordered member product, with an orthogonal
+conjugating certificate for equivalent systems.
 """
 
 from __future__ import annotations
@@ -24,25 +25,17 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     TolerancePolicy,
+    block_diag2,
     check_symmetric,
-    frobenius,
+    eigenspace_split,
     identity_matrix,
     is_exact,
-    block_diag2,
-    in_off_diagonal_form,
     pairwise_relation,
     rel_residual,
-    spectral_decompose,
     square_matrices,
     to_float,
 )
-from .errors import (
-    AnticommutationViolated,
-    ArityMismatch,
-    OddDimension,
-    ShapeMismatch,
-    UnbalancedEigenspaces,
-)
+from .errors import AnticommutationViolated, ArityMismatch, OddDimension, ShapeMismatch
 
 __all__ = [
     "CliffordSystem",
@@ -150,44 +143,24 @@ def direct_sum(a: CliffordSystem, b: CliffordSystem) -> CliffordSystem:
 # standard representation
 
 
-def _is_standard_form(mats) -> bool:
-    eye = identity_matrix(mats[0].shape[0] // 2)
-    return (np.array_equal(to_float(mats[0]), to_float(block_diag2(eye, -eye)))
-            and in_off_diagonal_form(mats[1:], eye.shape[0]))
-
-
 def to_standard_representation(cs: CliffordSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES):
     """Orthogonal A with A P_1 A^T = diag(I, -I) and the other members in
     off-diagonal block form; returns (A, the orthogonal block tuple as a
     validated O-system).
 
-    Inputs already in that shape pass through with A = I and exact blocks.
+    This is core.eigenspace_split with D = I: inputs already in that shape
+    pass through with A = I in their own mode.
     """
     from .osystem import verify_osystem
 
     if cs.n < 2:
         raise ValueError("need at least two members to split eigenspaces against")
-    size = cs.two_m
-    m = size // 2
-    if _is_standard_form(cs.matrices):
-        taus = [M[:m, m:].copy() for M in cs.matrices[1:]]
-        A = identity_matrix(size, exact=is_exact(cs.matrices[0]))
-        return A, verify_osystem(taus, tol)
-    sd = spectral_decompose(cs.matrices[0], tol)
-    if np.sum(sd.eigenvalues > 0) != m or np.sum(sd.eigenvalues < 0) != m:
-        raise UnbalancedEigenspaces(
-            f"eigenvalue signs split {int(np.sum(sd.eigenvalues > 0))}/{int(np.sum(sd.eigenvalues < 0))}"
-        )
-    A = sd.eigenvectors.T
-    taus = []
-    for idx, P in enumerate(cs.matrices[1:], start=2):
-        M = A @ to_float(P) @ A.T
-        diag_defect = max(frobenius(M[:m, :m]), frobenius(M[m:, m:])) / max(1.0, frobenius(M))
-        if diag_defect > 100 * tol.identity_tol:
+    A, _, taus, defects = eigenspace_split(cs.matrices, tol)
+    for idx, defect in enumerate(defects, start=2):
+        if not defect <= 100 * tol.identity_tol:
             raise AnticommutationViolated(
-                1, idx, diag_defect,
+                1, idx, defect,
                 note="member does not anticommute with the first; cannot reach block form")
-        taus.append(M[:m, m:])
     return A, verify_osystem(taus, tol)
 
 
@@ -229,7 +202,7 @@ def symmetric_commutant_dimension(matrices, tol: TolerancePolicy = DEFAULT_TOLER
     return _commutant_dimension(cs, _ordered_product_trace(cs.matrices))
 
 
-def is_irreducible(cs: CliffordSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
+def is_irreducible(cs: CliffordSystem) -> bool:
     """True iff only scalar multiples of I commute symmetrically with all members."""
     return _commutant_dimension(cs, _ordered_product_trace(cs.matrices)) == 1
 

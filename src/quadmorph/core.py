@@ -39,15 +39,15 @@ __all__ = [
     "square_matrices",
     "check_symmetric",
     "pairwise_relation",
-    "in_off_diagonal_form",
     "spectral_decompose",
+    "eigenspace_split",
     "numeric_rank",
     "exact_rank",
     "random_orthogonal",
     "sample_points",
 ]
 
-from .errors import NoConvergence, NotSymmetric, ShapeMismatch
+from .errors import NoConvergence, NotSymmetric, RankMismatch, ShapeMismatch, UnbalancedEigenspaces
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +289,6 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
     return worst, None
 
 
-def in_off_diagonal_form(mats, k: int) -> bool:
-    """True when every matrix vanishes on its leading k x k diagonal block and
-    on the trailing diagonal block."""
-    return not any(np.any(M[:k, :k] != 0) or np.any(M[k:, k:] != 0) for M in mats)
-
-
 # ---------------------------------------------------------------------------
 # spectral decomposition with deterministic tie-breaking
 
@@ -366,6 +360,47 @@ def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Spectral
     if recon > tol.identity_tol:  # pragma: no cover - defensive
         raise NoConvergence(f"reconstruction residual {recon:.3e} exceeds tolerance")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def eigenspace_split(mats, tol: TolerancePolicy = DEFAULT_TOLERANCES, sd=None):
+    """Split along the eigenspaces of the first member: (G, D, blocks, defects)
+    with G orthogonal, G M_1 G^T = diag(D, -D) and D positive descending, the
+    negative eigenvectors taken in reverse order so that -D mirrors D.
+
+    blocks[i] is the upper-right k x k block of G M_(i+2) G^T, and defects[i]
+    the larger Frobenius norm of its two diagonal blocks relative to
+    max(1, |G M_(i+2) G^T|), which the split drops and the caller bounds.
+    Input already in that layout, later members with exactly vanishing
+    diagonal blocks, passes through with G = I in its own mode.  Raises
+    UnbalancedEigenspaces for an uneven +/- split of M_1 and RankMismatch when
+    its spectrum does not come in +/- pairs; sd, when given, is the spectral
+    decomposition of M_1.
+    """
+    first, size = mats[0], mats[0].shape[0]
+    k = size // 2
+    d = np.diag(first)
+    head = d[:k]
+    if (np.array_equal(first, np.diag(d)) and np.all(head > 0) and np.all(head[:-1] >= head[1:])
+            and np.array_equal(d[k:], -head)
+            and all(is_exactly_zero(M[:k, :k]) and is_exactly_zero(M[k:, k:]) for M in mats[1:])):
+        return (identity_matrix(size, exact=is_exact(first)), first[:k, :k].copy(),
+                tuple(M[:k, k:].copy() for M in mats[1:]), (0.0,) * (len(mats) - 1))
+    if sd is None:
+        sd = spectral_decompose(first, tol)
+    eigs = sd.eigenvalues
+    pos, neg = int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+    if 2 * pos != size or 2 * neg != size:
+        raise UnbalancedEigenspaces(f"eigenvalue signs split {pos}/{neg}")
+    d = eigs[:k]
+    if np.max(np.abs(d + eigs[k:][::-1])) > tol.eig_pair_tol * max(1.0, float(d[0])):
+        raise RankMismatch("spectrum does not come in +/- pairs")
+    G = np.column_stack([sd.eigenvectors[:, :k], sd.eigenvectors[:, k:][:, ::-1]]).T
+    blocks, defects = [], []
+    for P in mats[1:]:
+        M = G @ to_float(P) @ G.T
+        blocks.append(M[:k, k:])
+        defects.append(max(frobenius(M[:k, :k]), frobenius(M[k:, k:])) / max(1.0, frobenius(M)))
+    return G, np.diag(d), tuple(blocks), tuple(defects)
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,6 @@ class NotNormPreserving(_PairViolation):
     template = "slices {i} and {j} break norm preservation"
 
 
-class UnbalancedEigenspaces(VerificationError):
-    """The +1 and -1 eigenspaces of the leading member differ in dimension."""
-
-
 class NotHarmonic(VerificationError):
     def __init__(self, alpha, trace):
         self.alpha = alpha
@@ -128,6 +124,11 @@ class ZeroMap(VerificationError):
 
 class RankMismatch(VerificationError):
     """Component ranks or spectra disagree; the input was not a valid map."""
+
+
+class UnbalancedEigenspaces(RankMismatch):
+    """The positive and negative eigenspaces of the leading member differ in
+    dimension."""
 
 
 class OddRank(VerificationError):

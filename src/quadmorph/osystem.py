@@ -129,8 +129,6 @@ def to_clifford(os: OSystem) -> CliffordSystem:
 def from_clifford(cs: CliffordSystem) -> OSystem:
     """Inverse direction: split off the first member's eigenspaces and read
     the orthogonal blocks.  Needs at least two members."""
-    if cs.n < 2:
-        raise ValueError("need at least two members; a lone member carries no blocks")
     _, os = to_standard_representation(cs)
     return os
 

@@ -12,7 +12,9 @@ of full-rank maps, kernel projection for rank-deficient ones, splitting into
 scaled umbilical summands, representation of all components as one quadratic
 function composed with orthogonal maps, extension of domain-minimal maps
 with additional components up to the Radon-Hurwitz bound, counting of sign
-classes, and sphere-restriction / isoparametric sample checks.
+classes, and sphere-restriction / isoparametric sample checks.  The normal
+form and the single-function transforms both come from
+core.eigenspace_split.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from .core import (
     as_matrix,
     block_diag2,
     check_symmetric,
+    eigenspace_split,
     eigenvalue_clusters,
     frobenius,
-    identity_matrix,
     is_exact,
     is_exactly_zero,
     numeric_rank,
-    in_off_diagonal_form,
     pairwise_relation,
     rel_residual,
     sample_points,
@@ -363,9 +364,6 @@ def classify(phi: QuadraticHarmonicMorphism,
     zero_count = phi.m - len(pos) - len(neg)
     if len(pos) != q_rank // 2 or len(neg) != q_rank // 2:
         raise RankMismatch("spectrum inconsistent with component rank")
-    mirrored = -neg[::-1]  # descending magnitudes of the negative side
-    if np.max(np.abs(pos - mirrored)) > tol.eig_pair_tol * max(1.0, float(pos[0])):
-        raise RankMismatch("spectrum does not come in +/- pairs")
     is_nonsingular = q_rank == phi.m
     projection = None
     core = phi
@@ -470,51 +468,15 @@ def _project_nonsingular(phi, tol, sd=None):
 # normal form
 
 
-def _is_exact_normal_layout(phi):
-    """Exact inputs already shaped as diag(D, -D) with D positive descending
-    and off-diagonal later components pass through unchanged."""
-    first = phi.components[0]
-    if not is_exact(first) or phi.m % 2 != 0:
-        return False
-    k = phi.m // 2
-    if np.any(to_float(first) != np.diag(np.diag(to_float(first)))):
-        return False
-    d = np.diag(to_float(first))
-    head, tail = d[:k], d[k:]
-    return bool(np.all(head > 0) and np.all(head[:-1] >= head[1:])
-                and np.array_equal(tail, -head) and in_off_diagonal_form(phi.components[1:], k))
-
-
 def _normal_form_core(phi, tol, sd=None) -> NormalForm:
     """Normal form of a full-rank map; sd, when given, is the spectral
     decomposition of its first component."""
-    k = phi.m // 2
-    if _is_exact_normal_layout(phi):
-        D = phi.components[0][:k, :k].copy()
-        B = tuple(M[:k, k:].copy() for M in phi.components[1:])
-        return NormalForm(change_of_coords=identity_matrix(phi.m), D=D, B=B)
-    if sd is None:
-        sd = spectral_decompose(phi.components[0], tol)
-    eigs = sd.eigenvalues
-    if int(np.sum(eigs > 0)) != k or int(np.sum(eigs < 0)) != k:
-        raise RankMismatch("eigenvalues do not split evenly into positive and negative")
-    vpos = sd.eigenvectors[:, :k]
-    vneg = sd.eigenvectors[:, k:][:, ::-1]  # most negative first pairs with largest positive
-    G = np.column_stack([vpos, vneg]).T
-    d = eigs[:k]
-    mirrored = -eigs[k:][::-1]
-    if np.max(np.abs(d - mirrored)) > tol.eig_pair_tol * max(1.0, float(d[0])):
-        raise RankMismatch("spectrum does not come in +/- pairs")
-    D = np.diag(d)
-    B = []
-    for idx, A in enumerate(phi.components[1:], start=2):
-        M = G @ to_float(A) @ G.T
-        corner = max(frobenius(M[:k, :k]), frobenius(M[k:, k:])) / max(1.0, frobenius(M))
-        if corner > 1e3 * tol.identity_tol:
+    G, D, B, corners = eigenspace_split(phi.components, tol, sd)
+    for idx, corner in enumerate(corners, start=2):
+        if not corner <= 1e3 * tol.identity_tol:
             raise NotHorizontallyConformal(
                 1, idx, corner, note="component does not reach off-diagonal block form")
-        B.append(M[:k, k:])
-    nf = NormalForm(change_of_coords=G, D=D, B=tuple(B))
+    nf = NormalForm(change_of_coords=G, D=D, B=B)
     _check_block_relations(nf, tol)
     return nf
 
@@ -563,22 +525,18 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
                                    seed: int = 0) -> SingleFunctionRepresentation:
     """Express every component as F composed with an orthogonal map.
 
-    F's matrix is diag(D, -D) from the normal form; each transform aligns the
-    spectral decomposition of a component with that of F (components share
-    one spectrum, so they are orthogonally congruent).  The identity
-    phi^alpha(X) = F(transform_alpha @ X) is verified at seeded points.
+    F's matrix is diag(D, -D) from the eigenspace split of component 1, and
+    transform_alpha is the split of component alpha, which carries it to the
+    same diag(D, -D) (components share one spectrum, so they are
+    orthogonally congruent).  The identity phi^alpha(X) =
+    F(transform_alpha @ X) is verified at seeded points.
     """
     if numeric_rank(phi.components[0], tol) != phi.m:
         raise QSingular("components are rank-deficient; project the kernel away first")
-    first = spectral_decompose(phi.components[0], tol)
-    nf = _normal_form_core(phi, tol, first)
-    d = np.diag(to_float(nf.D))
-    k = len(d)
+    splits = [eigenspace_split([A], tol) for A in phi.components]
+    d = np.diag(to_float(splits[0][1]))
     MF = np.diag(np.concatenate([d, -d]))
-    # eigencolumns of MF in descending eigenvalue order form this permutation
-    E = block_diag2(np.eye(k), np.eye(k)[::-1])
-    spectra = [first] + [spectral_decompose(A, tol) for A in phi.components[1:]]
-    transforms = [E @ sd.eigenvectors.T for sd in spectra]
+    transforms = [to_float(G) for G, *_ in splits]
     groups = eigenvalue_clusters(d, tol.eig_pair_tol)
     scales = tuple(float(d[lo]) for lo, _ in groups)
     block_sizes = tuple(hi - lo for lo, hi in groups)
@@ -645,7 +603,7 @@ def range_extend(phi: QuadraticHarmonicMorphism,
     if phi.n - 1 >= sigma:
         raise AlreadyRangeMaximal(
             f"{phi.n} components is the maximum for domain dimension {phi.m}")
-    if not _clifford.is_irreducible(cs, tol):
+    if not _clifford.is_irreducible(cs):
         raise NotDomainMinimal("the associated system splits; the map is not domain-minimal")
     # Only 4j + 1 members have two irreducible classes (told apart by the
     # product trace), and on their minimal domain sigma = 4j already; so

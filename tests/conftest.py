@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadmorph import qhm
+from quadmorph.core import random_orthogonal
 
 
 def eight_dim_triple():
@@ -28,6 +29,18 @@ def eight_dim_triple():
 def split_scale_map():
     """The verified two-scale map built from eight_dim_triple()."""
     return qhm.verify_qhm(eight_dim_triple())
+
+
+def leaky_pair(seed: int = 17):
+    """Two 4x4 float members, rotated by a seeded orthogonal matrix: P_1 with
+    eigenvalues (1, 1, -1, -1), and a second member whose diagonal blocks in
+    P_1's eigenbasis carry relative mass 1e-3, so it cannot reach
+    off-diagonal block form."""
+    g = random_orthogonal(4, seed)
+    second = np.zeros((4, 4))
+    second[:2, 2:] = second[2:, :2] = np.eye(2)
+    second[:2, :2] = np.sqrt(2.0) * 1e-3 * np.diag([1.0, -1.0])
+    return g @ np.diag([1.0, 1.0, -1.0, -1.0]) @ g.T, g @ second @ g.T
 
 
 def random_symmetric(size: int, seed: int) -> np.ndarray:

@@ -9,9 +9,13 @@ from quadmorph.errors import (
     ArityMismatch,
     NotSymmetric,
     OddDimension,
+    RankMismatch,
     ShapeMismatch,
+    UnbalancedEigenspaces,
     VerificationError,
 )
+
+from conftest import leaky_pair
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,22 @@ class TestStandardRepresentation:
             assert rel_residual(coords @ P @ coords.T, block) < 1e-9
         first = np.diag([1.0] * m + [-1.0] * m)
         assert rel_residual(coords @ conj.matrices[0] @ coords.T, first) < 1e-9
+
+    def test_dropped_diagonal_blocks_are_bounded(self):
+        cs = clifford.CliffordSystem(two_m=4, n=2, matrices=leaky_pair())  # deliberately unverified
+        with pytest.raises(AnticommutationViolated) as err:
+            clifford.to_standard_representation(cs)
+        assert (err.value.i, err.value.j) == (1, 2)
+        assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
+
+    def test_uneven_sign_split_is_unbalanced_and_a_rank_mismatch(self):
+        second = np.zeros((4, 4), dtype=np.int64)
+        second[0, 3] = second[3, 0] = 1
+        mats = (np.diag([1, 1, 1, -1]).astype(np.int64), second)
+        cs = clifford.CliffordSystem(two_m=4, n=2, matrices=mats)  # deliberately unverified
+        with pytest.raises(UnbalancedEigenspaces, match="split 3/1"):
+            clifford.to_standard_representation(cs)
+        assert issubclass(UnbalancedEigenspaces, RankMismatch)
 
     def test_single_member_is_rejected(self):
         cs = clifford.verify_clifford([np.diag([1, -1]).astype(np.int64)])

@@ -109,6 +109,14 @@ class TestCliffordCorrespondence:
         for a, b in zip(os_.matrices, back.matrices):
             assert np.array_equal(a, b)
 
+    def test_float_round_trip_is_bit_identical(self):
+        os_ = osystem.construct_range_maximal(4)
+        u, v = random_orthogonal(4, 3), random_orthogonal(4, 4)
+        floats = osystem.verify_osystem([u @ to_float(t) @ v for t in os_.matrices])
+        back = osystem.from_clifford(osystem.to_clifford(floats))
+        for a, b in zip(floats.matrices, back.matrices):
+            assert b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
     def test_doubled_system_shape(self):
         os_ = osystem.construct_range_maximal(4)
         cs = osystem.to_clifford(os_)

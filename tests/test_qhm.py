@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadmorph import clifford, orthomul, osystem, qhm
+from quadmorph import clifford, core, orthomul, osystem, qhm
 from quadmorph.core import DEFAULT_TOLERANCES, random_orthogonal, sample_points, to_float
 from quadmorph.errors import (
     AlreadyRangeMaximal,
@@ -13,6 +13,7 @@ from quadmorph.errors import (
     NotSymmetric,
     NotUmbilical,
     QSingular,
+    RankMismatch,
     SampleDisagreement,
     ShapeMismatch,
     SharedKernelViolated,
@@ -20,7 +21,7 @@ from quadmorph.errors import (
     ZeroMap,
 )
 
-from conftest import eight_dim_triple, random_symmetric
+from conftest import eight_dim_triple, leaky_pair, random_symmetric
 
 AGREEMENT_TRIALS = 250  # per branch: valid and broken
 NORMAL_FORM_TRIALS = 200
@@ -387,6 +388,31 @@ def test_normal_form_exact_fast_path():
         assert np.max(np.abs(r - to_float(a))) < 1e-12
 
 
+def test_normal_form_float_layout_passes_through():
+    perm = [2, 3, 0, 1, 6, 7, 4, 5]  # eight_dim_triple with D = diag(3, 3, 2, 2)
+    phi = qhm.verify_qhm([to_float(a)[np.ix_(perm, perm)] for a in eight_dim_triple()])
+    nf = qhm.normal_form(phi)
+    assert nf.change_of_coords.dtype == np.float64
+    assert np.array_equal(nf.change_of_coords, np.eye(8))
+    assert np.array_equal(nf.D, np.diag([3.0, 3.0, 2.0, 2.0]))
+    for a, b in zip(phi.components[1:], nf.B):
+        assert np.array_equal(b, a[:4, 4:])
+
+
+def test_normal_form_bounds_the_dropped_diagonal_blocks():
+    phi = qhm.QuadraticHarmonicMorphism(m=4, n=2, components=leaky_pair())  # deliberately unverified
+    with pytest.raises(NotHorizontallyConformal) as err:
+        qhm.normal_form(phi)
+    assert (err.value.i, err.value.j) == (1, 2)
+    assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_uneven_sign_split_is_a_rank_mismatch():
+    phi = qhm.verify_qhm([np.diag([3, -1, -1, -1]).astype(np.int64)])
+    with pytest.raises(RankMismatch):
+        qhm.single_function_representation(phi)
+
+
 def test_normal_form_gates():
     one_comp = qhm.verify_qhm([np.diag([1, -1]).astype(np.int64)])
     with pytest.raises(ValueError):
@@ -611,17 +637,25 @@ def test_sphere_check_needs_one_scale(split_scale_map):
         qhm.sphere_restriction_check(split_scale_map)
 
 
-def test_component_one_is_decomposed_once(monkeypatch):
+def count_spectral_calls(monkeypatch):
+    """A list that grows by one per spectral_decompose call through either
+    binding, qhm's or core's (which eigenspace_split uses)."""
     calls = []
-    original = qhm.spectral_decompose
+    original = core.spectral_decompose
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    for module in (qhm, core):
+        monkeypatch.setattr(module, "spectral_decompose", counting)
+    return calls
+
+
+def test_component_one_is_decomposed_once(monkeypatch):
     g = random_orthogonal(8, 11)
     phi = qhm.verify_qhm([g @ to_float(a) @ g.T for a in hopf(4).components])
-    monkeypatch.setattr(qhm, "spectral_decompose", counting)
+    calls = count_spectral_calls(monkeypatch)
     qhm.classify(phi)
     assert len(calls) == phi.n
     calls.clear()
@@ -630,17 +664,10 @@ def test_component_one_is_decomposed_once(monkeypatch):
 
 
 def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
-    calls = []
-    original = qhm.spectral_decompose
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
     padded = [np.pad(to_float(P), (0, 2)) for P in clifford.construct_irreducible(3).matrices]
     g = random_orthogonal(10, 13)
     phi = qhm.verify_qhm([g @ M @ g.T for M in padded])
-    monkeypatch.setattr(qhm, "spectral_decompose", counting)
+    calls = count_spectral_calls(monkeypatch)
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
     assert len(calls) == 5  # four components, then the normal form of the core

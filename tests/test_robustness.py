@@ -4,6 +4,7 @@ import io
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,3 +192,74 @@ def test_fuzzed_documents_end_in_an_exit_code(doc, fuzz_dir):
         assert json.loads(out)["valid"] is True
         entries = [x for M in doc["matrices"] for row in M for x in row]
         assert all(isinstance(x, str) or np.isfinite(float(x)) for x in entries)
+        bound = Fraction(0) if doc["scalars"] == "rational" else Fraction(1e-9) ** 2
+        worst = max(DEFINING_DEFECTS[doc["kind"]](
+            [[[Fraction(x) for x in row] for row in M] for M in doc["matrices"]]))
+        assert worst <= bound, f"{doc['kind']} accepted with squared defect {float(worst):.3e}"
+
+
+# ---------------------------------------------------------------------------
+# the defining identities recomputed in Fraction arithmetic, independently of
+# the package: each defect is relative with the verifier's max(1, scale) floor
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _plus(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def _sq_norm(a):
+    return sum(x * x for row in a for x in row)
+
+
+def _defect(value, target, scale_sq):
+    """The square of |value - target| / max(1, scale), given scale^2: squares
+    keep it exact, and it is 0 exactly when value == target."""
+    return _sq_norm(_plus(value, target, -1)) / max(Fraction(1), scale_sq)
+
+
+def _relation_defects(mats, transpose):
+    """Defects of L(M_i) M_j + L(M_j) M_i = 2 delta_ij I over the pairs i <= j,
+    relative as in the relation kernel: the diagonal terms to |I|, the others
+    to |M_i| |M_j|."""
+    left = [_transpose(M) if transpose else M for M in mats]
+    size = len(mats[0][0])
+    eye = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    zero = [[0] * size for _ in range(size)]
+    for i, (Li, Mi) in enumerate(zip(left, mats)):
+        yield _defect(_product(Li, Mi), eye, _sq_norm(eye))
+        for Lj, Mj in zip(left[i + 1:], mats[i + 1:]):
+            value = _plus(_product(Li, Mj), _product(Lj, Mi))
+            yield _defect(value, zero, _sq_norm(Mi) * _sq_norm(Mj))
+
+
+def _symmetry_defects(mats):
+    return (_defect(M, _transpose(M), _sq_norm(M)) for M in mats)
+
+
+def _qhm_defects(mats):
+    """Symmetric, traceless, anticommuting components with equal squares."""
+    yield from _symmetry_defects(mats)
+    yield from (sum(M[i][i] for i in range(len(M))) ** 2 / max(Fraction(1), _sq_norm(M))
+                for M in mats)
+    square = _product(mats[0], mats[0])
+    for i, Mi in enumerate(mats):
+        yield _defect(_product(Mi, Mi), square, _sq_norm(square))
+        for Mj in mats[i + 1:]:
+            value = _plus(_product(Mi, Mj), _product(Mj, Mi))
+            yield _defect(value, [[0] * len(Mi) for _ in Mi], _sq_norm(Mi) * _sq_norm(Mj))
+
+
+DEFINING_DEFECTS = {
+    "clifford": lambda mats: [*_symmetry_defects(mats), *_relation_defects(mats, False)],
+    "osystem": lambda mats: list(_relation_defects(mats, True)),
+    "orthomul": lambda mats: list(_relation_defects(mats, True)),
+    "qhm": lambda mats: list(_qhm_defects(mats)),
+}
