@@ -4,8 +4,11 @@ Everything here is exact int64 with entries in {0, +1, -1}.
 
 Division-algebra products come from Cayley-Dickson doubling with the
 convention (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c)) and conjugation
-(a,b)* = (a*, -b); left-multiplication by a basis unit is then a signed
-permutation matrix.
+(a,b)* = (a*, -b).  The product of two basis units is a signed unit; one
+table of those signs and indices, built by applying the rule to the units
+of each half, gives every left multiplication by a unit as a signed
+permutation matrix.  cayley_dickson_multiply is the general product of
+coefficient tuples, and the reference the table is tested against.
 
 The maximal families of mutually anticommuting skew orthogonal matrices
 follow the classical period-8 pattern: complex, quaternion and octonion
@@ -45,16 +48,41 @@ def cayley_dickson_multiply(x, y):
     return left + right
 
 
+def _unit_table(dim: int):
+    """Index and sign of every unit product: e_i * e_j = sgn[i, j] e_idx[i, j].
+
+    Built by doubling from the one-dimensional table.  Writing the units of
+    the doubled algebra as (e_i, 0) and (0, e_i), the product rule and
+    conj(e_j) = c_j e_j (c_0 = 1, else -1) give
+
+        (e_i, 0)(e_j, 0) = (e_i e_j, 0)        (e_i, 0)(0, e_j) = (0, e_j e_i)
+        (0, e_i)(e_j, 0) = (0, c_j e_i e_j)    (0, e_i)(0, e_j) = (-c_j e_j e_i, 0)
+    """
+    idx = np.zeros((dim, dim), dtype=np.intp)
+    sgn = np.ones((dim, dim), dtype=np.int64)
+    h = 1
+    while h < dim:
+        T, S = idx[:h, :h], sgn[:h, :h]
+        conj = np.full(h, -1, dtype=np.int64)
+        conj[0] = 1
+        idx[:h, h:2 * h] = T.T + h
+        idx[h:2 * h, :h] = T + h
+        idx[h:2 * h, h:2 * h] = T.T
+        sgn[:h, h:2 * h] = S.T
+        sgn[h:2 * h, :h] = S * conj
+        sgn[h:2 * h, h:2 * h] = -S.T * conj
+        h *= 2
+    return idx, sgn
+
+
 def left_multiplication_matrix(dim: int, i: int) -> np.ndarray:
     """Matrix of y -> e_i * y in the dim-dimensional Cayley-Dickson algebra."""
     if dim not in (1, 2, 4, 8):
         raise ValueError("dim must be one of 1, 2, 4, 8")
-    ei = tuple(1 if k == i else 0 for k in range(dim))
-    cols = []
-    for j in range(dim):
-        ej = tuple(1 if k == j else 0 for k in range(dim))
-        cols.append(cayley_dickson_multiply(ei, ej))
-    return np.array(cols, dtype=np.int64).T
+    idx, sgn = _unit_table(dim)
+    M = np.zeros((dim, dim), dtype=np.int64)
+    M[idx[i], np.arange(dim)] = sgn[i]
+    return M
 
 
 def _doubling_family_16():

@@ -208,11 +208,28 @@ def _form_values(A, P):
 # verification
 
 
+# Byte budget for one block of the sampled route: the points x + e_k/2 and
+# x - e_k/2 of the block's samples and one form's products at them.  A block
+# holds at least one sample, whatever its size.
+_SAMPLE_BLOCK_BYTES = 4 << 20
+
+
 def _central_differences(mats_float, X):
     """Gradients (form, point, coordinate) and Laplacians (form, point) of the
     forms x^T A x at the rows of X, by central differences with step 1/2,
     which are exact for quadratics up to rounding.  Each form is evaluated
-    at every shifted point x +- e_k / 2."""
+    at every shifted point x +- e_k / 2, for blocks of whole samples sized by
+    _SAMPLE_BLOCK_BYTES; every sample's values come from its own rows, so the
+    blocking changes no value."""
+    m = X.shape[1]
+    step = max(1, _SAMPLE_BLOCK_BYTES // (3 * m * m * X.itemsize))
+    blocks = [_central_differences_block(mats_float, X[lo:lo + step])
+              for lo in range(0, X.shape[0], step)]
+    return (np.concatenate([g for g, _ in blocks], axis=1),
+            np.concatenate([lap for _, lap in blocks], axis=1))
+
+
+def _central_differences_block(mats_float, X):
     h = 0.5
     shift = h * np.eye(X.shape[1])
     Xp = X[:, None, :] + shift[None, :, :]
@@ -368,7 +385,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     projection = None
     core = phi
     if not is_nonsingular:
-        projection, core = _project_nonsingular(phi, tol, sd)
+        projection, core = _project_nonsingular(phi, tol, q_rank, sd)
     nf = _normal_form_core(core, tol, sd if projection is None else None)
     d = np.diag(to_float(nf.D))
     k = len(d)
@@ -417,27 +434,25 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
     phi(X) = core(projection @ X).  Rejects inputs whose later components do
     not annihilate the kernel of the first.
     """
-    return _project_nonsingular(phi, tol)
+    return _project_nonsingular(phi, tol, numeric_rank(phi.components[0], tol))
 
 
-def _project_nonsingular(phi, tol, sd=None):
-    """project_nonsingular; sd, when given, is the spectral decomposition of
-    the first component."""
-    q_rank = numeric_rank(phi.components[0], tol)
+def _project_nonsingular(phi, tol, q_rank, sd=None):
+    """project_nonsingular; q_rank is the rank of the components and sd,
+    when given, the spectral decomposition of the first component."""
     if q_rank >= phi.m:
         raise ValueError("map already has full rank; nothing to project")
     exact = is_exact(phi.components[0])
     # axis-aligned fast path: rows that vanish in every component
     zero_rows = []
+    if not exact:
+        row_tol = tol.rank_tol * max(1.0, max(frobenius(M) for M in phi.components))
     for i in range(phi.m):
         if exact:
             if all(is_exactly_zero(M[i, :]) for M in phi.components):
                 zero_rows.append(i)
-        else:
-            scale_row = max(frobenius(M) for M in phi.components)
-            if all(np.max(np.abs(to_float(M[i, :]))) <= tol.rank_tol * max(1.0, scale_row)
-                   for M in phi.components):
-                zero_rows.append(i)
+        elif all(np.max(np.abs(to_float(M[i, :]))) <= row_tol for M in phi.components):
+            zero_rows.append(i)
     if len(zero_rows) == phi.m - q_rank:
         keep = [i for i in range(phi.m) if i not in zero_rows]
         proj = np.zeros((q_rank, phi.m), dtype=np.int64 if exact else np.float64)

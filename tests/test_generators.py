@@ -1,10 +1,84 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmorph import generators
+from quadmorph.cli import run
 from quadmorph.osystem import hurwitz_radon
+
+# SHA-256 of each `construct` document (stdout, --seed 0, version 0.1.0) as
+# the tuple-recursive product built them; the doubling table must keep them.
+CONSTRUCT_DIGESTS = {
+    "clifford --n 1":
+        "94ee9a2e505d5601d2f0a5a8ddaefd0c0a30134786affe52d87ef781a3c3947e",
+    "clifford --n 2":
+        "921999f53075642a02f0123892336e4f8fa2f4057bc12853540c837a4b1b096d",
+    "clifford --n 3":
+        "c6f2a6a626b8bb674e489ed489928ac58bf0c72af5583b9b78b5dd774067aff6",
+    "clifford --n 4":
+        "b52789c483c4c29e06093811b147f316238a66e9ece617967bd3d74aaf330cf2",
+    "clifford --n 5":
+        "ff704300c1c880555439627cca9eab0162d208f64d1be45d1de92338061a5e8f",
+    "clifford --n 6":
+        "ab28ccef31474ba10ccd506787c0bfd2bb662846c14b290c7d260740c509f2fd",
+    "clifford --n 7":
+        "9e2696044b7d6d4329102fe8955676e9acad78a6924568b21e689c8cb9b4e661",
+    "clifford --n 8":
+        "649e0ed743f51b3eca9cf737c920880fc10e286211243351e57f62af47ca959e",
+    "clifford --n 9":
+        "4ecbc7664b92f623c0222df3764d215b3d98dee7d8568ef0dc03da9d0f796687",
+    "clifford --n 10":
+        "08b5a5a3fff1e147b063436b94178fb2982431ac298b8703ebc881b14461c513",
+    "clifford --n 11":
+        "2270b199e3eeaaed24352d4891e224ce7940a6bdfd9e62fecb3f852f46ca2191",
+    "clifford --n 12":
+        "bb2f8c093f2af557b0e15178f4b66fcefc4df60347f48a888a444c83f4080043",
+    "clifford --n 13":
+        "ee13677c74b59e9105d9a6d54487779f12fc8392c50f086dbe580af028a84679",
+    "osystem --m 1":
+        "9f88b92baeeb2cfb9c7f7660d7d12dc3e6a4148a05b6b85ba0fc6d0e08892e12",
+    "osystem --m 2":
+        "dbb15d812e96a33492836ed887dc42724f7aafe6fe9b553c8861b22ccf82d963",
+    "osystem --m 3":
+        "af028b5375fc234d1b54527fd8aed595171be2811268addcaac6136eca4645c2",
+    "osystem --m 4":
+        "2f524ebbf6669ba0e4da94123c538e0f77eab09659581b0fdf0f60f6d084aaae",
+    "osystem --m 6":
+        "793b6db288adfb1a1158306346f86bc911bc54677963f8d426c533bc9c1dcf19",
+    "osystem --m 8":
+        "e8e83b09265b112907169e0b81fc8cd4528b0b35d7de543183f9edc1017e911d",
+    "osystem --m 12":
+        "8db7551fcb78970f1b83eb5ac2d01bae072be631f1493d792aa14b84c3cf2c84",
+    "osystem --m 16":
+        "cf01bc8a3931e461b88d23b41f2fa03ae663a4aeaf140544ae9e639a493ebd11",
+    "osystem --m 24":
+        "b119aa103d34c6f8b74de5a92b3cc7bf69afff9f7375292c70b1bc58cb2fcab0",
+    "osystem --m 32":
+        "88fd434fa624f35f8c94ca4ae2e308454d73a69702a81ca7b362bd9ceedc0390",
+    "osystem --m 64":
+        "82084a0102693b794b4790ef502b6c2f5e7be7c06b1fc445352d57bb2e68e21a",
+    "osystem --m 128":
+        "882e8b4bb73b04784ef41131c4d838c94634d3745bcac7b5bbf2b67ac9bcc6de",
+    "orthomul --n 1":
+        "316beb1cd937d53de1593a92d8dbcbb631a380adf990977fd59ccf70281dad0a",
+    "orthomul --n 2":
+        "2f9b710679cdd20cc8e5d6932c0568e934e385ba586bdeb0d4c8f06c0c391f65",
+    "orthomul --n 4":
+        "0f4010dc8b2bed2ebe39f320ebdea0268746f97c1db6e5393796a3ff6598d0ab",
+    "orthomul --n 8":
+        "826b37ef9b61bbe87f763d68e437a8ad5cbeb3d32f366d466923c304f6f887e1",
+    "qhm --hopf 1":
+        "59fcb80ab06829a1217607c3ac2a926d1dcf342d0b2a00c917a1b1bbbe6f0d94",
+    "qhm --hopf 2":
+        "1a5eccbea03dbfc7ca3bb767f0157af2da2a24ec6c8726244a06524471d580e3",
+    "qhm --hopf 4":
+        "47d6712ead1d5b79c097222b79b781570ca14eca690b1194d02e9b9e6f5ffbf6",
+    "qhm --hopf 8":
+        "16c1ad1c501a6ec699b1360f86560f00000a63ab9d747258ef4e8d38af81bf5e",
+}
 
 
 def _norm_sq(x):
@@ -42,6 +116,23 @@ class TestCayleyDickson:
             x = tuple(int(v) for v in rng.integers(-3, 4, dim))
             y = tuple(int(v) for v in rng.integers(-3, 4, dim))
             assert conj(mul(x, y)) == mul(conj(y), conj(x))
+
+
+class TestUnitTable:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_every_unit_product_matches_the_reference(self, dim):
+        idx, sgn = generators._unit_table(dim)
+        units = [tuple(int(t == s) for t in range(dim)) for s in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                want = tuple(sgn[i, j] * v for v in units[idx[i, j]])
+                assert generators.cayley_dickson_multiply(units[i], units[j]) == want
+
+    @pytest.mark.parametrize("command", sorted(CONSTRUCT_DIGESTS))
+    def test_construct_documents_are_unchanged(self, command, capsys):
+        assert run(["construct", *command.split(), "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == CONSTRUCT_DIGESTS[command]
 
 
 class TestLeftMultiplication:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -668,9 +670,18 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     g = random_orthogonal(10, 13)
     phi = qhm.verify_qhm([g @ M @ g.T for M in padded])
     calls = count_spectral_calls(monkeypatch)
+    ranks = []
+    original_rank = qhm.numeric_rank
+
+    def counting_rank(*args, **kwargs):
+        ranks.append(1)
+        return original_rank(*args, **kwargs)
+
+    monkeypatch.setattr(qhm, "numeric_rank", counting_rank)
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
     assert len(calls) == 5  # four components, then the normal form of the core
+    assert len(ranks) == phi.n  # the projection reuses classify's rank
 
 
 @pytest.mark.slow
@@ -682,3 +693,48 @@ def test_verify_and_classify_at_two_m_256():
     conj = qhm.verify_qhm([g @ to_float(P) @ g.T for P in cs.matrices])
     report = qhm.classify(conj)
     assert report.is_umbilical and report.q_rank == 256
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """(result, peak MB of memory traced while fn runs)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_route_in_blocks_matches_one_block(monkeypatch):
+    mats = [to_float(P) for P in clifford.construct_irreducible(11).matrices]
+    X = sample_points(128, 64, 5)
+    monkeypatch.setattr(qhm, "_SAMPLE_BLOCK_BYTES", 3 * 64 * 128 * 128 * 8)
+    whole = qhm._central_differences(mats, X)
+    monkeypatch.setattr(qhm, "_SAMPLE_BLOCK_BYTES", 3 * 5 * 128 * 128 * 8)
+    blocked = qhm._central_differences(mats, X)  # 12 blocks of 5 samples, one of 4
+    for a, b in zip(whole, blocked):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_sampled_route_memory_is_bounded_at_two_m_128():
+    cs = clifford.construct_irreducible(11)
+    report, peak = traced_peak_mb(qhm.sampled_check, cs.matrices, samples=64, seed=1)
+    assert report.passed
+    assert peak <= 8.0, f"sampled route peaked at {peak:.1f} MB"
+
+
+@pytest.mark.slow
+def test_verify_at_two_m_512():
+    """construct_irreducible(17) and check_qhm at 8 samples take ~7.5 s on a
+    2-core machine with BLAS at one thread.  On float input the sampled route
+    holds one block of shifted points and products, not the three arrays of
+    samples * m^2 floats (~50 MB at 8 samples) of evaluating every point at
+    once."""
+    cs = clifford.construct_irreducible(17)
+    phi, residuals = qhm.check_qhm(cs.matrices, samples=8)
+    assert (phi.m, phi.n) == (512, 18)
+    assert max(residuals.values()) <= DEFAULT_TOLERANCES.identity_tol
+    floats = [to_float(P) for P in cs.matrices]
+    report, peak = traced_peak_mb(qhm.sampled_check, floats, samples=8, seed=2)
+    assert report.passed
+    assert peak <= 20.0, f"sampled route peaked at {peak:.1f} MB"

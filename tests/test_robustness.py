@@ -199,6 +199,69 @@ def test_fuzzed_documents_end_in_an_exit_code(doc, fuzz_dir):
 
 
 # ---------------------------------------------------------------------------
+# valid exact documents, half of them broken by one entry: verify accepts
+# exactly those whose defining identities hold
+
+
+def _hopf(n):
+    return orthomul.hopf_construction(orthomul.standard_multiplication(n)).components
+
+
+VALID = {
+    kind: [[np.asarray(M) for M in mats] for mats in family if len(mats[0]) <= 8]
+    for kind, family in {
+        "clifford": [clifford.construct_irreducible(n).matrices for n in range(1, 5)],
+        "osystem": [osystem.construct_range_maximal(m).matrices for m in range(1, 9)],
+        "orthomul": [orthomul.standard_multiplication(n).slices for n in (1, 2, 4, 8)],
+        "qhm": [_hopf(n) for n in (1, 2, 4)]
+               + [qhm.from_clifford(clifford.construct_irreducible(n)).components
+                  for n in range(1, 5)],
+    }.items()
+}
+
+
+def _signed_permutation(draw, size):
+    P = np.zeros((size, size), dtype=np.int64)
+    P[np.arange(size), draw(st.permutations(range(size)))] = draw(
+        st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    return P
+
+
+@st.composite
+def exact_documents(draw):
+    """A construct output with two_m <= 8, its members negated, reordered
+    and conjugated by signed permutations (P M P^T for the symmetric kinds,
+    P M Q otherwise), which keeps every defining identity; then, half of the
+    time, one entry moved by +-1."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    mats = draw(st.sampled_from(VALID[kind]))
+    rows, cols = mats[0].shape
+    P = _signed_permutation(draw, rows)
+    Q = P.T if kind in ("clifford", "qhm") else _signed_permutation(draw, cols)
+    order = draw(st.permutations(range(len(mats))))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(mats), max_size=len(mats)))
+    mats = [sign * (P @ mats[k] @ Q) for k, sign in zip(order, signs)]
+    if draw(st.booleans()):
+        member = draw(st.sampled_from(mats))
+        member[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += draw(
+            st.sampled_from([1, -1]))
+    lists = [M.tolist() for M in mats]
+    return {"kind": kind, "dims": _dims(kind, lists), "scalars": "rational",
+            "matrices": lists}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=exact_documents())
+def test_verify_accepts_exactly_the_valid_rational_documents(doc, fuzz_dir):
+    path = fuzz_dir / "exact.json"
+    path.write_text(json.dumps(doc))
+    code, _ = cli(["verify", str(path)])
+    worst = max(DEFINING_DEFECTS[doc["kind"]](
+        [[[Fraction(x) for x in row] for row in M] for M in doc["matrices"]]))
+    assert code == (0 if worst == 0 else 1), f"{doc['kind']} exit {code}, defect {worst}"
+
+
+# ---------------------------------------------------------------------------
 # the defining identities recomputed in Fraction arithmetic, independently of
 # the package: each defect is relative with the verifier's max(1, scale) floor
 
