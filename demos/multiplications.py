@@ -33,7 +33,7 @@ back = orthomul.from_osystem(os_)
 print("round trip identical:",
       all(np.array_equal(a, b) for a, b in zip(back.slices, mu.slices)))
 
-# rectangular slices work too, checked by sampled norms
+# rectangular slices work too, checked by the same slice identities
 rect = orthomul.verify_orthomul([np.array([[1.0], [0.0]])])
 print(f"padding product: R^{rect.p} x R^{rect.q} -> R^{rect.n_out}, "
       f"mu(2, 3) = {orthomul.multiply(rect, [2.0], [3.0])}")

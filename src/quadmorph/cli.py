@@ -63,7 +63,7 @@ def _verify_object(obj, args):
     if isinstance(obj, _osystem.OSystem):
         return _osystem.check_osystem(obj.matrices, tol)
     if isinstance(obj, _orthomul.OrthogonalMultiplication):
-        return _orthomul.check_orthomul(obj.slices, samples=args.samples, seed=args.seed, tol=tol)
+        return _orthomul.check_orthomul(obj.slices, tol)
     return _qhm.check_qhm(obj.components, tol, samples=args.samples, seed=args.seed)
 
 
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
     common.add_argument("--seed", type=int, default=_default_seed(),
                         help="seed for sampled checks and searches (env QHM_SEED overrides the default)")
-    common.add_argument("--samples", type=int, default=64, help="sample count for numeric checks")
+    common.add_argument("--samples", type=int, default=64, help="sample count for the sampled route of qhm documents")
     common.add_argument("--tol", type=float, default=1e-9, help="identity tolerance for float checks")
     common.add_argument("--format", choices=["json"], default=None,
                         help="force JSON output (sigma prints a text line by default)")

@@ -36,6 +36,7 @@ from .core import (
     to_float,
 )
 from .errors import AnticommutationViolated, ArityMismatch, OddDimension, ShapeMismatch
+from .generators import skew_anticommuting_family
 
 __all__ = [
     "CliffordSystem",
@@ -122,14 +123,15 @@ def minimal_domain_dimension(n: int) -> int:
 def construct_irreducible(n: int) -> CliffordSystem:
     """An irreducible system of n+1 members on dimension 2*m(n), exact entries.
 
-    Built from the first n members of the maximal anticommuting family on the
-    minimal space; minimality of the dimension forces irreducibility.
+    The first n canonical members on the minimal space (identity, then the
+    maximal skew family), doubled by osystem.to_clifford, whose one relation
+    check covers theirs; minimality of the dimension forces irreducibility.
     """
-    from .osystem import construct_range_maximal, sub_system, to_clifford
+    from .osystem import OSystem, to_clifford
 
     m = minimal_domain_dimension(n)
-    family = construct_range_maximal(m)
-    return to_clifford(sub_system(family, range(n)))
+    members = ([identity_matrix(m)] + skew_anticommuting_family(m))[:n]
+    return to_clifford(OSystem(m=m, n=n, matrices=tuple(members)))
 
 
 def direct_sum(a: CliffordSystem, b: CliffordSystem) -> CliffordSystem:

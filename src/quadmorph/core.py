@@ -248,7 +248,7 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
     or None); an exact failure reports its absolute Frobenius residual.
     """
     exact = is_exact(mats[0])
-    if exact and mats[0].dtype != object:
+    if exact and mats[0].dtype != object and mats[0].size:
         # Every partial sum of a product is bounded by size * peak^2.  Up to
         # 2^53 it is an integer float64 holds exactly, so BLAS computes the
         # products exactly, and a nonzero integer sum of two of them never

@@ -623,7 +623,9 @@ def range_extend(phi: QuadraticHarmonicMorphism,
     # Only 4j + 1 members have two irreducible classes (told apart by the
     # product trace), and on their minimal domain sigma = 4j already; so
     # here the class is unique and the canonical prefix needs no sign choice.
-    canon = _osystem.to_clifford(_osystem.construct_range_maximal(m_half)).matrices
+    # Irreducibility makes m_half minimal, a power of two, so this is the
+    # doubled canonical range-maximal system on R^m_half.
+    canon = _clifford.construct_irreducible(sigma).matrices
     C = _clifford.find_orthogonal_intertwiner(cs.matrices, canon[: phi.n], tol, seed)
     if C is None:
         raise NotExtendable("no orthogonal intertwiner onto the canonical system")

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def random_symmetric(size: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((size, size))
     return (g + g.T) / 2
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one per call of module.name through every binding
+    of that function in the quadmorph modules."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("quadmorph") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadmorph import clifford, osystem
+from quadmorph import clifford, core, osystem
 from quadmorph.clifford import EquivalenceStatus
 from quadmorph.core import identity_matrix, random_orthogonal, rel_residual, to_float
 from quadmorph.errors import (
@@ -15,7 +15,7 @@ from quadmorph.errors import (
     VerificationError,
 )
 
-from conftest import leaky_pair
+from conftest import count_calls, leaky_pair
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,12 @@ class TestConstruction:
     def test_irreducibility_sweep(self):
         for n in range(1, 10):
             assert clifford.is_irreducible(clifford.construct_irreducible(n))
+
+    @pytest.mark.parametrize("n", [1, 5, 11])
+    def test_construction_checks_its_family_once(self, n, monkeypatch):
+        calls = count_calls(monkeypatch, core, "pairwise_relation")
+        clifford.construct_irreducible(n)
+        assert len(calls) == 1
 
     def test_direct_sum_requires_matching_arity(self, c85):
         c22 = clifford.construct_irreducible(1)

@@ -1,15 +1,24 @@
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 
-from quadmorph import orthomul, osystem, qhm
+from quadmorph import core, orthomul, osystem, qhm, serialize
+from quadmorph.cli import run
 from quadmorph.core import random_orthogonal, to_float
 from quadmorph.errors import (
+    AnticommutationViolated,
     DimensionMismatch,
     NotNormPreserving,
+    NotOrthogonal,
     NotSquare,
     ShapeMismatch,
     UnsupportedDimension,
 )
+
+from conftest import count_calls
 
 
 class TestStandardMultiplication:
@@ -74,9 +83,94 @@ class TestVerify:
         assert (mu.p, mu.q, mu.n_out) == (1, 1, 2)
         assert np.allclose(orthomul.multiply(mu, [2.0], [3.0]), [6.0, 0.0])
 
+    def test_empty_slices(self):
+        # R^1 x R^0 -> R^2 multiplies norms vacuously, R^1 x R^2 -> R^0 does not
+        mu = orthomul.verify_orthomul([np.zeros((2, 0), dtype=np.int64)])
+        assert (mu.p, mu.q, mu.n_out) == (1, 0, 2)
+        with pytest.raises(NotNormPreserving):
+            orthomul.verify_orthomul([np.zeros((0, 2), dtype=np.int64)])
+
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ShapeMismatch):
             orthomul.verify_orthomul([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
+
+
+def _outcome(check, mats):
+    """(None, worst residual) when check accepts, else (failing pair, residual)."""
+    try:
+        _, residuals = check(mats)
+    except NotOrthogonal as exc:
+        return (exc.index, exc.index), exc.residual
+    except (NotNormPreserving, AnticommutationViolated) as exc:
+        return (exc.i, exc.j), exc.residual
+    return None, next(iter(residuals.values()))
+
+
+def _moved(mats, k, delta):
+    """Float copies of mats with one entry of member k moved by delta."""
+    out = [to_float(s).copy() for s in mats]
+    out[k][k % out[k].shape[0], (k + 1) % out[k].shape[1]] += delta
+    return out
+
+
+class TestOneRoute:
+    """Square slices are orthogonal member tuples, and verify_orthomul decides
+    them exactly as verify_osystem does, for exact and float input alike."""
+
+    @pytest.mark.parametrize("slices", [
+        *(orthomul.standard_multiplication(n).slices for n in (1, 2, 4, 8)),
+        *(osystem.construct_range_maximal(m).matrices for m in (2, 3, 4, 16)),
+        [np.eye(2, dtype=np.int64), np.array([[0, 2], [-2, 0]], dtype=np.int64)],
+        [np.eye(2, dtype=np.int64), np.diag([1, -1]).astype(np.int64)],
+    ])
+    def test_exact_sets(self, slices):
+        assert _outcome(orthomul.check_orthomul, slices) == _outcome(
+            osystem.check_osystem, slices)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("delta", [1e-10, 1e-9, 3e-9, 1e-8])
+    def test_rotated_quaternions_with_one_entry_moved(self, seed, delta):
+        g, h = random_orthogonal(4, seed), random_orthogonal(4, seed + 10)
+        rotated = [g @ to_float(s) @ h for s in orthomul.standard_multiplication(4).slices]
+        k = seed + 1
+        moved = _moved(rotated, k, delta)
+        pair, resid = _outcome(orthomul.check_orthomul, moved)
+        assert (pair, resid) == _outcome(osystem.check_osystem, moved)
+        if delta <= 1e-10:
+            assert pair is None
+        if delta >= 3e-9:
+            assert pair is not None
+        if pair is not None:
+            assert k + 1 in pair, f"slice {k + 1} was moved, {pair} was named"
+
+
+def _verify_document(mu, tmp_path, *options):
+    path = tmp_path / "mu.json"
+    path.write_text(serialize.dumps(serialize.encode(mu)))
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = run(["verify", str(path), *options])
+    return code, out.getvalue()
+
+
+class TestVerifyDocument:
+    @pytest.mark.parametrize("slices", [
+        [random_orthogonal(4, 3) @ to_float(s) for s in orthomul.standard_multiplication(4).slices],
+        [np.array([[1.0], [0.0]])],
+        [np.vstack([s, np.zeros((1, 2), dtype=np.int64)])
+         for s in orthomul.standard_multiplication(2).slices],
+    ])
+    def test_float_or_rectangular_slices_take_the_identity_route(self, slices, tmp_path,
+                                                                 monkeypatch):
+        mu = orthomul.verify_orthomul(slices)
+        sampled = count_calls(monkeypatch, orthomul, "measure")
+        relation = count_calls(monkeypatch, core, "pairwise_relation")
+        code, out = _verify_document(mu, tmp_path)
+        assert code == 0 and json.loads(out)["valid"] is True
+        assert (len(sampled), len(relation)) == (0, 1)
+
+    def test_samples_are_not_consulted(self, tmp_path):
+        mu = orthomul.verify_orthomul([np.array([[1.0], [0.0]])])
+        assert _verify_document(mu, tmp_path, "--samples", "0")[0] == 0
 
 
 class TestOSystemCorrespondence:

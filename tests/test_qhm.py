@@ -23,7 +23,7 @@ from quadmorph.errors import (
     ZeroMap,
 )
 
-from conftest import eight_dim_triple, leaky_pair, random_symmetric
+from conftest import count_calls, eight_dim_triple, leaky_pair, random_symmetric
 
 AGREEMENT_TRIALS = 250  # per branch: valid and broken
 NORMAL_FORM_TRIALS = 200
@@ -560,6 +560,18 @@ def test_extension_sweep_keeps_the_input_components(n):
             assert np.array_equal(to_float(a), to_float(b))
 
 
+def test_extension_checks_the_canonical_system_once(monkeypatch):
+    # the normal form, the associated system, the canonical system and the result
+    exact = clifford.construct_irreducible(5).matrices
+    g = random_orthogonal(exact[0].shape[0], 5)
+    calls = count_calls(monkeypatch, core, "pairwise_relation")
+    for mats in (exact, [g @ to_float(P) @ g.T for P in exact]):
+        phi = qhm.verify_qhm(mats)
+        calls.clear()
+        qhm.range_extend(phi)
+        assert len(calls) <= 4
+
+
 def test_two_class_member_counts_are_never_extended():
     # 4j + 1 members are the only count with two irreducible classes; their
     # minimal domain already carries sigma = 4j, so extension never meets them
@@ -639,25 +651,10 @@ def test_sphere_check_needs_one_scale(split_scale_map):
         qhm.sphere_restriction_check(split_scale_map)
 
 
-def count_spectral_calls(monkeypatch):
-    """A list that grows by one per spectral_decompose call through either
-    binding, qhm's or core's (which eigenspace_split uses)."""
-    calls = []
-    original = core.spectral_decompose
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (qhm, core):
-        monkeypatch.setattr(module, "spectral_decompose", counting)
-    return calls
-
-
 def test_component_one_is_decomposed_once(monkeypatch):
     g = random_orthogonal(8, 11)
     phi = qhm.verify_qhm([g @ to_float(a) @ g.T for a in hopf(4).components])
-    calls = count_spectral_calls(monkeypatch)
+    calls = count_calls(monkeypatch, core, "spectral_decompose")
     qhm.classify(phi)
     assert len(calls) == phi.n
     calls.clear()
@@ -669,15 +666,8 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     padded = [np.pad(to_float(P), (0, 2)) for P in clifford.construct_irreducible(3).matrices]
     g = random_orthogonal(10, 13)
     phi = qhm.verify_qhm([g @ M @ g.T for M in padded])
-    calls = count_spectral_calls(monkeypatch)
-    ranks = []
-    original_rank = qhm.numeric_rank
-
-    def counting_rank(*args, **kwargs):
-        ranks.append(1)
-        return original_rank(*args, **kwargs)
-
-    monkeypatch.setattr(qhm, "numeric_rank", counting_rank)
+    calls = count_calls(monkeypatch, core, "spectral_decompose")
+    ranks = count_calls(monkeypatch, core, "numeric_rank")
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
     assert len(calls) == 5  # four components, then the normal form of the core

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from quadmorph import clifford, orthomul, osystem, qhm, serialize
 from quadmorph.cli import run
 from quadmorph.core import as_matrix, spectral_decompose
-from quadmorph.errors import AnticommutationViolated, DocumentFormatError
+from quadmorph.errors import AnticommutationViolated, DocumentFormatError, NotNormPreserving
 
 NAN = float("nan")
 WRAP = [[1438793759, 4046803256], [4046803256, -1438793759]]  # a^2 + b^2 = 2^64 + 1
@@ -207,12 +207,20 @@ def _hopf(n):
     return orthomul.hopf_construction(orthomul.standard_multiplication(n)).components
 
 
+def _padded(slices, rows):
+    """Slices with zero rows appended up to the given count: R^p x R^q -> R^rows."""
+    return [np.vstack([s, np.zeros((rows - len(s), s.shape[1]), dtype=s.dtype)])
+            for s in slices]
+
+
 VALID = {
     kind: [[np.asarray(M) for M in mats] for mats in family if len(mats[0]) <= 8]
     for kind, family in {
         "clifford": [clifford.construct_irreducible(n).matrices for n in range(1, 5)],
         "osystem": [osystem.construct_range_maximal(m).matrices for m in range(1, 9)],
-        "orthomul": [orthomul.standard_multiplication(n).slices for n in (1, 2, 4, 8)],
+        "orthomul": [orthomul.standard_multiplication(n).slices for n in (1, 2, 4, 8)]
+                    + [_padded(orthomul.standard_multiplication(n).slices, rows)
+                       for n in (1, 2, 4) for rows in range(n + 1, 9)],
         "qhm": [_hopf(n) for n in (1, 2, 4)]
                + [qhm.from_clifford(clifford.construct_irreducible(n)).components
                   for n in range(1, 5)],
@@ -232,7 +240,8 @@ def exact_documents(draw):
     """A construct output with two_m <= 8, its members negated, reordered
     and conjugated by signed permutations (P M P^T for the symmetric kinds,
     P M Q otherwise), which keeps every defining identity; then, half of the
-    time, one entry moved by +-1."""
+    time, one entry moved by +-1 or by +-1/10^6 (written as a rational
+    string)."""
     kind = draw(st.sampled_from(sorted(VALID)))
     mats = draw(st.sampled_from(VALID[kind]))
     rows, cols = mats[0].shape
@@ -240,12 +249,12 @@ def exact_documents(draw):
     Q = P.T if kind in ("clifford", "qhm") else _signed_permutation(draw, cols)
     order = draw(st.permutations(range(len(mats))))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(mats), max_size=len(mats)))
-    mats = [sign * (P @ mats[k] @ Q) for k, sign in zip(order, signs)]
+    lists = [(sign * (P @ mats[k] @ Q)).tolist() for k, sign in zip(order, signs)]
     if draw(st.booleans()):
-        member = draw(st.sampled_from(mats))
-        member[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += draw(
-            st.sampled_from([1, -1]))
-    lists = [M.tolist() for M in mats]
+        row = draw(st.sampled_from(lists))[draw(st.integers(0, rows - 1))]
+        col = draw(st.integers(0, cols - 1))
+        moved = row[col] + draw(st.sampled_from([1, -1, Fraction(1, 10**6), Fraction(-1, 10**6)]))
+        row[col] = int(moved) if moved.denominator == 1 else str(moved)
     return {"kind": kind, "dims": _dims(kind, lists), "scalars": "rational",
             "matrices": lists}
 
@@ -259,6 +268,24 @@ def test_verify_accepts_exactly_the_valid_rational_documents(doc, fuzz_dir):
     worst = max(DEFINING_DEFECTS[doc["kind"]](
         [[[Fraction(x) for x in row] for row in M] for M in doc["matrices"]]))
     assert code == (0 if worst == 0 else 1), f"{doc['kind']} exit {code}, defect {worst}"
+
+
+@pytest.mark.parametrize("doc", [
+    # s^T s = 1 + 10^-12
+    {"kind": "orthomul", "dims": {"p": 1, "q": 1, "n_out": 2}, "scalars": "rational",
+     "matrices": [[[1], ["1/1000000"]]]},
+    # slice 1 has s^T s = diag(1, 1 + 10^-12); slice 2 is exact
+    {"kind": "orthomul", "dims": {"p": 2, "q": 2, "n_out": 3}, "scalars": "rational",
+     "matrices": [[[1, 0], [0, 1], [0, "1/1000000"]], [[0, -1], [1, 0], [0, 0]]]},
+])
+def test_rectangular_slices_off_by_a_millionth_are_rejected(doc, tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc))
+    code, out = cli(["verify", str(path)])
+    assert (code, out) == (1, "")
+    with pytest.raises(NotNormPreserving) as info:
+        orthomul.verify_orthomul(serialize.decode(doc).slices)
+    assert (info.value.i, info.value.j) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
