@@ -164,9 +164,9 @@ def _cmd_convert(args) -> int:
     elif src == "clifford" and to == "osystem":
         _, result = _clifford.to_standard_representation(obj, tol)
     elif src == "osystem" and to == "clifford":
-        result = _osystem.to_clifford(obj)
+        result = _osystem.to_clifford(obj, tol)
     elif src == "osystem" and to == "orthomul":
-        result = _orthomul.from_osystem(obj)
+        result = _orthomul.from_osystem(obj, tol)
     elif src == "orthomul" and to == "osystem":
         result = _orthomul.to_osystem(obj, tol)
     else:

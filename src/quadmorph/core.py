@@ -321,10 +321,12 @@ def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Spectral
     """Eigendecomposition of a symmetric matrix, descending, deterministic.
 
     Within an eigenvalue cluster (relative gap below eig_pair_tol) the
-    eigenvector columns are rebuilt by Gram-Schmidt on the projections of the
-    standard basis vectors taken in index order, then sign-normalized.  That
-    makes repeated-eigenvalue output reproducible and, for exactly diagonal
-    input, a signed permutation.
+    eigenvector columns are rebuilt from the cluster projector P: its columns
+    P e_i are taken in index order, each minus its projection onto the basis
+    chosen so far (one product pair per column), and kept, normalized and
+    sign-normalized, when that residual exceeds 1e-6.  That makes
+    repeated-eigenvalue output reproducible and, for exactly diagonal input,
+    a signed permutation.
     """
     A = to_float(a)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -343,19 +345,19 @@ def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Spectral
             v[:, lo] = _sign_normalize(v[:, lo])
             continue
         proj = v[:, lo:hi] @ v[:, lo:hi].T
-        basis = []
+        basis, r = np.empty((n, hi - lo)), 0
         for i in range(n):
-            cand = proj[:, i].copy()
-            for b in basis:
-                cand -= (b @ cand) * b
+            chosen = basis[:, :r]
+            cand = proj[:, i] - chosen @ (chosen.T @ proj[:, i])
             nrm = np.linalg.norm(cand)
             # a rank-(hi-lo) projector always leaves some column with
-            # residual norm >= sqrt((hi-lo-len(basis))/n) > 1e-6
+            # residual norm >= sqrt((hi-lo-r)/n) > 1e-6
             if nrm > 1e-6:
-                basis.append(_sign_normalize(cand / nrm))
-            if len(basis) == hi - lo:
-                break
-        v[:, lo:hi] = np.column_stack(basis)
+                basis[:, r] = _sign_normalize(cand / nrm)
+                r += 1
+                if r == hi - lo:
+                    break
+        v[:, lo:hi] = basis
     recon = rel_residual(v @ np.diag(w) @ v.T, S)
     if recon > tol.identity_tol:  # pragma: no cover - defensive
         raise NoConvergence(f"reconstruction residual {recon:.3e} exceeds tolerance")

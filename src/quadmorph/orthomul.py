@@ -127,9 +127,9 @@ def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
                                 max_defect=worst, exact=exact, samples=samples)
 
 
-def from_osystem(os) -> OrthogonalMultiplication:
+def from_osystem(os, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OrthogonalMultiplication:
     """Members of an orthogonal tuple become the coefficient slices."""
-    return verify_orthomul(os.matrices)
+    return verify_orthomul(os.matrices, tol)
 
 
 def to_osystem(mu: OrthogonalMultiplication,

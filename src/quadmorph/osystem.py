@@ -118,12 +118,12 @@ def construct_range_maximal(m: int) -> OSystem:
     return verify_osystem(members)
 
 
-def to_clifford(os: OSystem) -> CliffordSystem:
+def to_clifford(os: OSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CliffordSystem:
     """Double the dimension: diag(I, -I) first, then each tau in an
     off-diagonal symmetric block.  One more member than the input."""
     eye = identity_matrix(os.m, exact=is_exact(os.matrices[0]))
     members = [block_diag2(eye, -eye)] + [symmetric_off_diagonal(tau) for tau in os.matrices]
-    return verify_clifford(members)
+    return verify_clifford(members, tol)
 
 
 def from_clifford(cs: CliffordSystem) -> OSystem:

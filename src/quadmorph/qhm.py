@@ -346,24 +346,16 @@ def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
 # rank, spectrum, projection
 
 
-def _component_spectra_checked(phi, tol):
-    """Common descending spectrum of all components, with pairing checks."""
-    first = spectral_decompose(phi.components[0], tol)
-    eigs = first.eigenvalues
-    for idx, A in enumerate(phi.components[1:], start=2):
-        other = spectral_decompose(A, tol).eigenvalues
-        if np.max(np.abs(other - eigs)) > tol.eig_pair_tol * max(1.0, float(np.max(np.abs(eigs)))):
-            raise RankMismatch(f"component {idx} has a different spectrum than component 1")
-    return first
-
-
 def classify(phi: QuadraticHarmonicMorphism,
              tol: TolerancePolicy = DEFAULT_TOLERANCES) -> ClassificationReport:
     """Rank and spectrum facts plus the splitting into scaled umbilical pieces.
 
     Rank-deficient maps are first projected onto the shared non-kernel
     subspace; the splitting then regroups block-form coordinates by distinct
-    positive eigenvalue.
+    positive eigenvalue.  Of the components only the first is decomposed
+    (the projected core once more): A_i^2 = A_1^2 and anticommutation give
+    every component the spectrum of A_1, and the normal form's corner bound
+    and block relations re-check every later component.
     """
     ranks = [numeric_rank(A, tol) for A in phi.components]
     if len(set(ranks)) != 1:
@@ -373,7 +365,7 @@ def classify(phi: QuadraticHarmonicMorphism,
         raise RankMismatch("all components are zero")
     if q_rank % 2 != 0:
         raise OddRank(q_rank)
-    sd = _component_spectra_checked(phi, tol)
+    sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
     cutoff = tol.rank_tol * max(1.0, float(np.max(np.abs(eigs))))
     pos = eigs[eigs > cutoff]

@@ -178,6 +178,16 @@ class TestConvert:
         assert run(["convert", triple_doc, "--to", "clifford"]) == 1
         assert "rejected" in capsys.readouterr().err
 
+    def test_osystem_conversions_use_the_tolerance(self, tmp_path, capsys):
+        mats = [to_float(M) for M in osystem.construct_range_maximal(4).matrices]
+        mats[1] = mats[1] + 1e-7 * np.random.default_rng(0).standard_normal((4, 4))
+        src = write_doc(tmp_path, "noisy.json", OSystem(m=4, n=len(mats), matrices=tuple(mats)))
+        commands = (["verify", src], ["convert", src, "--to", "clifford"],
+                    ["convert", src, "--to", "orthomul"])
+        assert [run(argv + ["--tol", "1e-5"]) for argv in commands] == [0, 0, 0]
+        assert [run(argv) for argv in commands] == [1, 1, 1]
+        capsys.readouterr()
+
     def test_unsupported_direction(self, tmp_path, capsys):
         src = write_doc(tmp_path, "os.json", osystem.construct_range_maximal(2))
         assert run(["convert", src, "--to", "qhm"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmorph import core
+from quadmorph.clifford import construct_irreducible
 from conftest import random_symmetric
 
 
@@ -123,6 +124,85 @@ class TestSpectralDecompose:
             a = np.diag(vals)
             g = core.random_orthogonal(size, seed + 100)
             assert core.numeric_rank(g @ a @ g.T) == core.numeric_rank(a) == rank
+
+
+def _gram_schmidt_decompose(a, tol=core.DEFAULT_TOLERANCES):
+    """spectral_decompose with the modified Gram-Schmidt cluster loop it had
+    before each column became one product pair: (eigenvalues, eigenvectors,
+    the candidate columns chosen in each cluster)."""
+    A = core.to_float(a)
+    w, v = np.linalg.eigh((A + A.T) / 2.0)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    chosen = []
+    for lo, hi in core.eigenvalue_clusters(w, tol.eig_pair_tol):
+        if hi - lo == 1:
+            v[:, lo] = core._sign_normalize(v[:, lo])
+            continue
+        proj = v[:, lo:hi] @ v[:, lo:hi].T
+        basis, picks = [], []
+        for i in range(len(w)):
+            cand = proj[:, i].copy()
+            for b in basis:
+                cand -= (b @ cand) * b
+            nrm = np.linalg.norm(cand)
+            if nrm > 1e-6:
+                basis.append(core._sign_normalize(cand / nrm))
+                picks.append(i)
+            if len(basis) == hi - lo:
+                break
+        v[:, lo:hi] = np.column_stack(basis)
+        chosen.append(picks)
+    return w, v, chosen
+
+
+def _chosen_columns(w, v, tol=core.DEFAULT_TOLERANCES):
+    """The candidate column behind each rebuilt cluster vector b_k: the first
+    index i with |b_k[i]| = |(P e_i) . b_k| > 1e-6, since every earlier
+    candidate was chosen before b_k or left a residual of at most 1e-6."""
+    return [[int(np.argmax(np.abs(v[:, k]) > 1e-6)) for k in range(lo, hi)]
+            for lo, hi in core.eigenvalue_clusters(w, tol.eig_pair_tol) if hi - lo > 1]
+
+
+def _basis_cases():
+    cases = []
+    for n in (3, 7, 11):
+        members = construct_irreducible(n).matrices
+        g = core.random_orthogonal(members[0].shape[0], 100 + n)
+        for idx in (0, 2):
+            cases.append((f"irreducible{n}-member{idx + 1}-exact", members[idx]))
+            cases.append((f"irreducible{n}-member{idx + 1}-float",
+                          g @ core.to_float(members[idx]) @ g.T))
+    paired = np.diag([3, 3, 2, 2, -2, -2, -3, -3]).astype(np.int64)
+    g = core.random_orthogonal(8, 77)
+    cases.append(("paired-clusters-exact", paired))
+    cases.append(("paired-clusters-float", g @ core.to_float(paired) @ g.T))
+    near = 1 - 0.9 * core.DEFAULT_TOLERANCES.eig_pair_tol
+    cases.append(("gap-below-eig-pair-tol",
+                  g @ np.diag([10.0, 10, 1, near, -near, -1, -10, -10]) @ g.T))
+    return cases
+
+
+BASIS_CASES = _basis_cases()
+
+
+class TestClusterBasisRegression:
+    """spectral_decompose keeps the basis the Gram-Schmidt loop built."""
+
+    @pytest.mark.parametrize("a", [a for _, a in BASIS_CASES], ids=[name for name, _ in BASIS_CASES])
+    def test_same_basis_as_the_gram_schmidt_loop(self, a):
+        w, v, chosen = _gram_schmidt_decompose(a)
+        sd = core.spectral_decompose(a)
+        assert np.array_equal(sd.eigenvalues, w)
+        assert np.max(np.abs(sd.eigenvectors - v)) <= 1e-12
+        assert chosen and _chosen_columns(w, v) == chosen
+        assert _chosen_columns(sd.eigenvalues, sd.eigenvectors) == chosen
+        if core.is_exact(a) and np.array_equal(a, np.diag(np.diag(a))):
+            assert np.array_equal(sd.eigenvectors, v)
+
+    def test_gap_case_is_one_cluster(self):
+        _, a = BASIS_CASES[-1]
+        w = core.spectral_decompose(a).eigenvalues
+        assert (2, 4) in core.eigenvalue_clusters(w, core.DEFAULT_TOLERANCES.eig_pair_tol)
 
 
 class TestExactRank:

@@ -80,6 +80,60 @@ CONSTRUCT_DIGESTS = {
         "16c1ad1c501a6ec699b1360f86560f00000a63ab9d747258ef4e8d38af81bf5e",
 }
 
+# SHA-256 of the stdout of classify, split and convert --to clifford (all
+# --seed 0) on the construct qhm documents above, as classify gave them when
+# it decomposed every component; one decomposition must keep them.
+DERIVED_DIGESTS = {
+    ("classify", "--hopf 1"):
+        "3a88466d837ddb7489a6a959f94ea1162b57cfb95d8fa5ad88afc29503e682b1",
+    ("split", "--hopf 1"):
+        "8b3a3ff15c52428ce40cdcac662f6b1112e6688e4235b6d6f08c09b84c6074eb",
+    ("convert --to clifford", "--hopf 1"):
+        "462afce99c39b79b9665ada1936a381b4eaf871e470b649c978053de5980f411",
+    ("classify", "--hopf 2"):
+        "68806e30bed8776192d2897cae4de628f186ec69b715dfa32dc12794173675eb",
+    ("split", "--hopf 2"):
+        "35a3088df33b5a5abef6bd6c063762708233bd9ccf0afd2af95e73112b6e93de",
+    ("convert --to clifford", "--hopf 2"):
+        "cdc80659194a5b15337120ddc08767a0317826dadf1261f6b0b01c6272cc96be",
+    ("classify", "--hopf 4"):
+        "2f292889d3b296983e0f63da32bac1c9c4b5cce41cd1dd42c77c319559fdf98b",
+    ("split", "--hopf 4"):
+        "a954c161ecde18f6dfeb98a4e1de9c505260f048f93b7ba0381e639808283453",
+    ("convert --to clifford", "--hopf 4"):
+        "c0f0969fbb5192965f397a0c72e141322d96ecb8e89f7877e977ff8c76993bca",
+    ("classify", "--hopf 8"):
+        "d94dae32f7e91ce4a4e551785c28630e43ef56cd4fdbe7dd6890f3482bf194bf",
+    ("split", "--hopf 8"):
+        "065810130f6fe4f87ac2fab3bb971a2dcc4c4fc2e98457f3e08c7643696aa8ce",
+    ("convert --to clifford", "--hopf 8"):
+        "7bf887db615095f4069bce6a4a4a6ad790d2c11e2178296a3f64248fddc1272e",
+    ("classify", "--n 3"):
+        "2f292889d3b296983e0f63da32bac1c9c4b5cce41cd1dd42c77c319559fdf98b",
+    ("split", "--n 3"):
+        "aa72048c2ea55215c05295078278fe7e9b96ed083e0e0934b71d19a6c90c6a8d",
+    ("convert --to clifford", "--n 3"):
+        "6ce5424cc717b8c661f5807e468125e9ff24eb1b9da172a832602138e2d29fa3",
+    ("classify", "--n 5"):
+        "d94dae32f7e91ce4a4e551785c28630e43ef56cd4fdbe7dd6890f3482bf194bf",
+    ("split", "--n 5"):
+        "4226fe1050232ea49d0a25a1845072939bca02be653a75cf2b2a35387975641c",
+    ("convert --to clifford", "--n 5"):
+        "2e60b24241ae9c55bbb7a168011e6265aa29fedfd03d1f1efae162d2ca3519cf",
+    ("classify", "--n 7"):
+        "d94dae32f7e91ce4a4e551785c28630e43ef56cd4fdbe7dd6890f3482bf194bf",
+    ("split", "--n 7"):
+        "d553df2f6bead2d2fc3959e380df4200560ca9743bd7da30d72a1969b8d57353",
+    ("convert --to clifford", "--n 7"):
+        "90bfb5281c71ec90af9d17a67845288ad04cf02815a3b2ee51d0d4fe07cc65f6",
+    ("classify", "--n 9"):
+        "efc7168a4634fb4c68aa3808023b59c7ea0fe879cca492dee073dc51380a74ef",
+    ("split", "--n 9"):
+        "875593a7e4d6016a15ce05477944e30bfb29ec9366cc69521011c91c970f041e",
+    ("convert --to clifford", "--n 9"):
+        "6ff04ab0c201600359b670f7285e15ea16daa5a46b922b0f89584b80044cb5ab",
+}
+
 
 def _norm_sq(x):
     return sum(v * v for v in x)
@@ -133,6 +187,17 @@ class TestUnitTable:
         assert run(["construct", *command.split(), "--seed", "0"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == CONSTRUCT_DIGESTS[command]
+
+    @pytest.mark.parametrize("command,source", sorted(DERIVED_DIGESTS))
+    def test_classify_split_and_convert_outputs_are_unchanged(self, command, source,
+                                                              tmp_path, capsys):
+        doc = tmp_path / "map.json"
+        assert run(["construct", "qhm", *source.split(), "--seed", "0",
+                    "--out", str(doc)]) == 0
+        name, *options = command.split()
+        assert run([name, str(doc), *options, "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == DERIVED_DIGESTS[command, source]
 
 
 class TestLeftMultiplication:

@@ -656,10 +656,18 @@ def test_component_one_is_decomposed_once(monkeypatch):
     phi = qhm.verify_qhm([g @ to_float(a) @ g.T for a in hopf(4).components])
     calls = count_calls(monkeypatch, core, "spectral_decompose")
     qhm.classify(phi)
-    assert len(calls) == phi.n
+    assert len(calls) == 1
     calls.clear()
     qhm.single_function_representation(phi)
     assert len(calls) == phi.n
+
+
+def test_exact_full_rank_classify_decomposes_once(monkeypatch):
+    phi = qhm.verify_qhm(clifford.construct_irreducible(5).matrices)
+    calls = count_calls(monkeypatch, core, "spectral_decompose")
+    report = qhm.classify(phi)
+    assert report.is_q_nonsingular and report.is_umbilical
+    assert len(calls) == 1
 
 
 def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
@@ -670,8 +678,33 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     ranks = count_calls(monkeypatch, core, "numeric_rank")
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
-    assert len(calls) == 5  # four components, then the normal form of the core
+    assert len(calls) == 2  # component 1, then the normal form of the core
     assert len(ranks) == phi.n  # the projection reuses classify's rank
+
+
+def two_scale_pair(drift):
+    """A_1 = diag(1, 1e-4, -1, -1e-4) and A_2 = [[0, B], [B^T, 0]] with
+    B = diag(1, 1e-4 + drift): A_2's small eigenvalues are off by drift."""
+    b = np.diag([1.0, 1e-4 + drift])
+    return [np.diag([1.0, 1e-4, -1.0, -1e-4]), core.symmetric_off_diagonal(b)]
+
+
+def test_squares_within_tolerance_classify_despite_spread_small_eigenvalues():
+    # The squares agree to ~2e-11, inside identity_tol, although the small
+    # eigenvalues differ by 1e-7, beyond eig_pair_tol: classify accepts what
+    # verify_qhm accepts instead of comparing the two spectra.
+    phi = qhm.verify_qhm(two_scale_pair(1e-7))
+    report = qhm.classify(phi)
+    assert tuple(lam for lam, _ in report.splitting) == (1.0, 1e-4)
+
+
+def test_block_relations_reject_a_component_with_another_spectrum():
+    mats = two_scale_pair(1e-3)
+    with pytest.raises(NotHorizontallyConformal):
+        qhm.verify_qhm(mats)
+    phi = qhm.QuadraticHarmonicMorphism(m=4, n=2, components=tuple(mats))  # deliberately unverified
+    with pytest.raises(RankMismatch, match="block gram matrix"):
+        qhm.classify(phi)
 
 
 @pytest.mark.slow
