@@ -237,6 +237,32 @@ def check_symmetric(mats, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> None:
                 raise NotSymmetric(i, defect)
 
 
+def _peak(M) -> int:
+    return max(abs(int(M.max())), abs(int(M.min())))
+
+
+def _product_dtype(mats, inner: int, target=None):
+    """The dtype in which products of the exact matrices mats over an inner
+    dimension of length inner, and sums of two such products, come out exact,
+    an integer target being compared with them.
+
+    Every partial sum of a product is bounded by inner * peak^2.  Up to 2^53
+    (the target's entries too) it is an integer float64 holds exactly, so
+    BLAS computes the products exactly, and a nonzero integer sum of two of
+    them never rounds to 0: float64.  Up to 2^62 int64 holds them, and a sum
+    of two lies within +-2^63, where a wraparound never gives 0: int64.
+    Beyond that, and for object members, object.
+    """
+    if mats[0].dtype == object or not mats[0].size:
+        return mats[0].dtype
+    bound = inner * max(_peak(M) for M in mats) ** 2
+    if target is not None and np.issubdtype(target.dtype, np.integer):
+        bound = max(bound, _peak(target))
+    if bound <= 2**53:
+        return np.float64
+    return np.int64 if bound <= 2**62 else object
+
+
 def pairwise_relation(mats, target=None, transpose: bool = False,
                       tol: TolerancePolicy = DEFAULT_TOLERANCES):
     """Check L(M_i) M_j + L(M_j) M_i = 2 delta_ij T over the pairs i <= j in
@@ -248,22 +274,11 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
     or None); an exact failure reports its absolute Frobenius residual.
     """
     exact = is_exact(mats[0])
-    if exact and mats[0].dtype != object and mats[0].size:
-        # Every partial sum of a product is bounded by size * peak^2.  Up to
-        # 2^53 it is an integer float64 holds exactly, so BLAS computes the
-        # products exactly, and a nonzero integer sum of two of them never
-        # rounds to 0.  Up to 2^62 int64 holds them, and a sum of two lies
-        # within +-2^63, where a wraparound never gives 0.
-        peak = max(max(abs(int(M.max())), abs(int(M.min()))) for M in mats)
-        bound = mats[0].shape[0] * peak * peak
-        if target is not None and np.issubdtype(target.dtype, np.integer):
-            bound = max(bound, abs(int(target.max())), abs(int(target.min())))
-        if bound <= 2**53:
-            mats = [M.astype(np.float64) for M in mats]
-            if target is not None:
-                target = target.astype(np.float64)
-        elif bound > 2**62:
-            mats = [M.astype(object) for M in mats]
+    if exact:
+        dtype = _product_dtype(mats, mats[0].shape[0], target)
+        mats = [M.astype(dtype, copy=False) for M in mats]
+        if target is not None and dtype == np.float64:
+            target = target.astype(np.float64)
     left = [M.T for M in mats] if transpose else mats
     if target is None:
         target = left[0] @ mats[0]
@@ -437,11 +452,22 @@ def exact_rank(a) -> int:
 
 
 def numeric_rank(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
-    """Rank: exact elimination in exact mode, singular values otherwise."""
+    """Rank of a matrix.
+
+    Exact mode reads it from the exact Gram matrix A A^T (A^2 for symmetric
+    A), which has the rank of A: when that is diagonal, the rows of A are
+    orthogonal and the rank is its count of nonzero diagonal entries;
+    otherwise one exact_rank elimination.  The product runs in the dtype of
+    _product_dtype, so int64 input never wraps around.  Approx mode counts
+    the singular values above rank_tol times the largest.
+    """
     if a.size == 0:
         return 0
     if is_exact(a):
-        return exact_rank(a)
+        M = a.astype(_product_dtype([a], a.shape[1]), copy=False)
+        gram = M @ M.T
+        nonzero = int(np.count_nonzero(np.diagonal(gram)))
+        return nonzero if np.count_nonzero(gram) == nonzero else exact_rank(a)
     s = np.linalg.svd(to_float(a), compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0

@@ -352,15 +352,13 @@ def classify(phi: QuadraticHarmonicMorphism,
 
     Rank-deficient maps are first projected onto the shared non-kernel
     subspace; the splitting then regroups block-form coordinates by distinct
-    positive eigenvalue.  Of the components only the first is decomposed
-    (the projected core once more): A_i^2 = A_1^2 and anticommutation give
-    every component the spectrum of A_1, and the normal form's corner bound
-    and block relations re-check every later component.
+    positive eigenvalue.  Of the components only the first is ranked and
+    decomposed (the projected core once more): A_i^2 = A_1^2 and
+    anticommutation give every component the rank and spectrum of A_1, and
+    the shared-kernel check, the normal form's corner bound and the block
+    relations re-check every later component.
     """
-    ranks = [numeric_rank(A, tol) for A in phi.components]
-    if len(set(ranks)) != 1:
-        raise RankMismatch(f"component ranks differ: {ranks}")
-    q_rank = ranks[0]
+    q_rank = numeric_rank(phi.components[0], tol)
     if q_rank == 0:
         raise RankMismatch("all components are zero")
     if q_rank % 2 != 0:

@@ -60,14 +60,22 @@ def _matrices_of(obj):
     return obj.matrices
 
 
-def _entry_to_json(v, exact: bool):
-    if not exact:
-        return float(v)
+def _rational_to_json(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
     raise DocumentFormatError(f"exact matrix holds a non-rational entry {v!r}")
+
+
+def _matrix_to_json(M, exact: bool):
+    """Nested lists of JSON numbers, and of rational strings in an exact
+    document; float and int64 matrices convert in one tolist()."""
+    if not exact:
+        return M.astype(np.float64, copy=False).tolist()
+    if M.dtype == np.int64:
+        return M.tolist()
+    return [[_rational_to_json(v) for v in row] for row in M.tolist()]
 
 
 def encode(obj, command: str = "library", seed=None, version: str = "") -> dict:
@@ -79,8 +87,7 @@ def encode(obj, command: str = "library", seed=None, version: str = "") -> dict:
         "kind": kind,
         "dims": {f: int(getattr(obj, f)) for f in _DIM_FIELDS[kind]},
         "scalars": "rational" if exact else "float",
-        "matrices": [[[_entry_to_json(v, exact) for v in row] for row in M.tolist()]
-                     for M in mats],
+        "matrices": [_matrix_to_json(M, exact) for M in mats],
         "meta": {"command": command, "seed": seed, "version": version},
     }
 

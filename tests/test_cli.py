@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from quadmorph import clifford, orthomul, osystem, qhm, serialize
+from quadmorph import clifford, core, orthomul, osystem, qhm, serialize
 from quadmorph.cli import run
 from quadmorph.core import random_orthogonal, to_float
 from quadmorph.osystem import OSystem
 
-from conftest import eight_dim_triple
+from conftest import count_calls, eight_dim_triple
 
 
 @pytest.fixture()
@@ -148,6 +148,16 @@ class TestClassifySplit:
         for sub in payload["summands"]:
             decoded = serialize.decode(sub)
             qhm.verify_qhm(decoded.components)
+
+    def test_classify_of_a_constructed_map_needs_no_elimination(self, tmp_path, capsys,
+                                                                monkeypatch):
+        path = str(tmp_path / "q11.json")
+        assert run(["construct", "qhm", "--n", "11", "--out", path]) == 0
+        calls = count_calls(monkeypatch, core, "exact_rank")
+        assert run(["classify", path, "--samples", "8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q_rank"] == 128 and payload["is_umbilical"] is True
+        assert calls == []
 
     def test_classify_needs_a_qhm_document(self, tmp_path, capsys):
         path = write_doc(tmp_path, "os.json", osystem.construct_range_maximal(4))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadmorph import core
 from quadmorph.clifford import construct_irreducible
-from conftest import random_symmetric
+from conftest import count_calls, random_symmetric
 
 
 class TestAsMatrix:
@@ -222,6 +222,41 @@ class TestExactRank:
         full = core.as_matrix([[Fraction(1, 2), Fraction(1, 3)],
                                [Fraction(1, 4), Fraction(1, 1)]])
         assert core.numeric_rank(full) == 2
+
+    def test_orthogonal_rows_need_no_elimination(self, monkeypatch):
+        calls = count_calls(monkeypatch, core, "exact_rank")
+        signed_perm = core.as_matrix([[0, -2, 0, 0], [0, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, 1]])
+        rational_rows = core.as_matrix([[Fraction(3, 5), Fraction(4, 5)],
+                                        [Fraction(-4, 5), Fraction(3, 5)]])
+        assert core.numeric_rank(signed_perm) == 3
+        assert core.numeric_rank(rational_rows) == 2
+        assert calls == []
+        assert core.numeric_rank(core.as_matrix([[1, 1], [1, 1]])) == 1
+        assert len(calls) == 1
+
+    def test_gram_matrix_does_not_wrap_around(self):
+        # every entry of (2^31 J_4)^2 is 4 * 2^62 = 2^64, which int64 reads as 0
+        a = np.full((4, 4), 2**31, dtype=np.int64)
+        assert not np.any(np.diagonal(a @ a))
+        assert core.numeric_rank(a) == 1
+
+
+def rank_test_matrices(peak):
+    entry = st.one_of(st.just(0), st.integers(-peak, peak))
+    return st.integers(1, 5).flatmap(lambda rows: st.integers(1, 5).flatmap(
+        lambda cols: st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 2**28, 2**31]).flatmap(rank_test_matrices))
+@example([[2**31] * 4] * 4)
+def test_exact_rank_from_the_gram_matrix_matches_elimination(rows):
+    # peaks 3, 2^28 and 2^31 put the Gram matrix in float64, int64 and object
+    a = core.as_matrix(rows)
+    assert core.numeric_rank(a) == core.exact_rank(a)
+    fractions = core.as_matrix([[Fraction(x, 7) for x in row] for row in rows])
+    assert core.numeric_rank(fractions) == core.exact_rank(a)
 
 
 small_fraction = st.fractions(

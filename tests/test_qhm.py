@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -679,7 +680,93 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
     assert len(calls) == 2  # component 1, then the normal form of the core
-    assert len(ranks) == phi.n  # the projection reuses classify's rank
+    assert len(ranks) == 1  # component 1 alone; the projection reuses it
+
+
+RANGE_MAXIMAL = {("irreducible", 4), ("hopf", 1), ("hopf", 2), ("hopf", 4), ("hopf", 8)}
+
+
+@pytest.mark.parametrize("family,k", [("irreducible", k) for k in range(3, 8)]
+                         + [("hopf", n) for n in (1, 2, 4, 8)])
+def test_constructed_maps_are_ranked_without_elimination(monkeypatch, family, k):
+    # A_1^2 is diagonal for every construction and Hopf map, so its count of
+    # nonzero diagonal entries is the rank
+    phi = qhm.from_clifford(clifford.construct_irreducible(k)) if family == "irreducible" else hopf(k)
+    calls = count_calls(monkeypatch, core, "exact_rank")
+    qhm.classify(phi)
+    qhm.normal_form(phi)
+    qhm.single_function_representation(phi)
+    if (family, k) in RANGE_MAXIMAL:
+        with pytest.raises(AlreadyRangeMaximal):
+            qhm.range_extend(phi)
+    else:
+        assert qhm.range_extend(phi).n > phi.n
+    assert calls == []
+
+
+def rotated_two_scale_sum():
+    """3 phi + 2 phi of construct_irreducible(3), conjugated by the rational
+    rotation with cosine 3/5 and sine 4/5 in every plane (x_i, x_(8+i)), which
+    mixes the two summands: an exact map whose A_1^2 is not diagonal."""
+    base = clifford.construct_irreducible(3).matrices
+    eye = np.eye(8, dtype=np.int64).astype(object)
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    rot = np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+    return qhm.verify_qhm([rot @ core.block_diag2(3 * P, 2 * P) @ rot.T for P in base])
+
+
+def test_exact_map_with_a_square_that_is_not_diagonal_is_eliminated_once(monkeypatch):
+    phi = rotated_two_scale_sum()
+    square = phi.components[0] @ phi.components[0]
+    assert np.count_nonzero(square) > np.count_nonzero(np.diagonal(square))
+    calls = count_calls(monkeypatch, core, "exact_rank")
+    report = qhm.classify(phi)
+    assert len(calls) == 1
+    assert report.q_rank == 16 and report.is_q_nonsingular
+    assert [lam for lam, _ in report.splitting] == pytest.approx([3.0, 2.0])
+    assert [summand.m for _, summand in report.splitting] == [8, 8]
+
+
+def rank_boundary_pair(s):
+    """A_1 = diag(1, 1e-8, -1, -1e-8) and A_2 = [[0, B], [B^T, 0]] with
+    B = diag(1, s): by singular values A_2 has rank 2 for s below rank_tol
+    (1e-9, relative to A_2's largest singular value 1) and rank 4 above it,
+    while A_1 has rank 4."""
+    return [np.diag([1.0, 1e-8, -1.0, -1e-8]), core.symmetric_off_diagonal(np.diag([1.0, s]))]
+
+
+@pytest.mark.parametrize("s", [1e-10, 5e-10])
+def test_classify_verdict_does_not_depend_on_the_side_of_rank_tol(s):
+    mats = rank_boundary_pair(s)
+    assert core.numeric_rank(mats[1]) == 2
+    report = qhm.classify(qhm.verify_qhm(mats))
+    above = qhm.classify(qhm.verify_qhm(rank_boundary_pair(2e-9)))
+    for r in (report, above):
+        assert (r.q_rank, r.zero_count, r.is_q_nonsingular, r.is_umbilical) == (4, 0, True, False)
+        assert [lam for lam, _ in r.splitting] == [1.0, 1e-8]
+        assert [summand.m for _, summand in r.splitting] == [2, 2]
+
+
+def half_rank_pair(size):
+    """diag(1, 1, -1, -1) with [[0, diag(1, 0)], [diag(1, 0), 0]], padded with
+    zeros to size x size: deliberately unverified, the second component has
+    rank 2."""
+    mats = [np.diag([1, 1, -1, -1]), core.symmetric_off_diagonal(np.diag([1, 0]))]
+    return qhm.QuadraticHarmonicMorphism(
+        m=size, n=2, components=tuple(np.pad(M, (0, size - 4)).astype(np.int64) for M in mats))
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_unverified_component_of_lower_rank_fails_the_block_gram(size):
+    with pytest.raises(RankMismatch, match="block gram matrix"):
+        qhm.classify(half_rank_pair(size))
+
+
+def test_unverified_component_off_the_kernel_violates_it():
+    mats = (np.diag([1, -1, 0, 0]).astype(np.int64),
+            core.symmetric_off_diagonal(np.eye(2, dtype=np.int64)))
+    with pytest.raises(SharedKernelViolated):
+        qhm.classify(qhm.QuadraticHarmonicMorphism(m=4, n=2, components=mats))
 
 
 def two_scale_pair(drift):
@@ -747,16 +834,21 @@ def test_sampled_route_memory_is_bounded_at_two_m_128():
 
 
 @pytest.mark.slow
-def test_verify_at_two_m_512():
+def test_verify_at_two_m_512(monkeypatch):
     """construct_irreducible(17) and check_qhm at 8 samples take ~7.5 s on a
-    2-core machine with BLAS at one thread.  On float input the sampled route
-    holds one block of shifted points and products, not the three arrays of
-    samples * m^2 floats (~50 MB at 8 samples) of evaluating every point at
-    once."""
+    2-core machine with BLAS at one thread, and exact classify ~0.5 s more:
+    A_1^2 is diagonal, so no component is ranked by elimination.  On float
+    input the sampled route holds one block of shifted points and products,
+    not the three arrays of samples * m^2 floats (~50 MB at 8 samples) of
+    evaluating every point at once."""
     cs = clifford.construct_irreducible(17)
     phi, residuals = qhm.check_qhm(cs.matrices, samples=8)
     assert (phi.m, phi.n) == (512, 18)
     assert max(residuals.values()) <= DEFAULT_TOLERANCES.identity_tol
+    calls = count_calls(monkeypatch, core, "exact_rank")
+    report = qhm.classify(phi)
+    assert report.q_rank == 512 and report.is_umbilical
+    assert calls == []
     floats = [to_float(P) for P in cs.matrices]
     report, peak = traced_peak_mb(qhm.sampled_check, floats, samples=8, seed=2)
     assert report.passed

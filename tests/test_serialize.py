@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadmorph import clifford, orthomul, osystem, qhm, serialize
+from quadmorph import clifford, core, orthomul, osystem, qhm, serialize
 from quadmorph.core import random_orthogonal, to_float
 from quadmorph.errors import DocumentFormatError
 
@@ -59,6 +59,30 @@ class TestRoundTrips:
         back = serialize.decode(json.loads(serialize.dumps(doc)))
         assert back.components[0][0, 0] == Fraction(1, 2)
         assert back.components[0][1, 1] == Fraction(-1, 2)
+
+    def test_float_document_with_int64_members_emits_floats(self):
+        phi = qhm.QuadraticHarmonicMorphism(m=2, n=2, components=(
+            np.diag([1, -1]).astype(np.int64), np.array([[0.0, 1.0], [1.0, 0.0]])))
+        doc = serialize.encode(phi)
+        assert doc["scalars"] == "float"
+        assert doc["matrices"][0] == [[1.0, 0.0], [0.0, -1.0]]
+        assert all(type(v) is float for M in doc["matrices"] for row in M for v in row)
+        assert '"matrices":[[[1.0,0.0],[0.0,-1.0]]' in serialize.dumps(doc)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_whole_matrix_conversion_matches_entrywise(self, exact):
+        rng = np.random.default_rng(11)
+        mats = [rng.integers(-2**31, 2**31, size=(3, 4)), np.array([[-0.0, np.pi, 1e300]]),
+                core.as_matrix([[Fraction(1, 3), 2**40], [-7, Fraction(-5, 2)]])]
+        for M in mats:
+            if exact and M.dtype == np.float64:
+                continue
+            entrywise = [[(int(v) if Fraction(v).denominator == 1 else str(Fraction(v)))
+                          if exact else float(v) for v in row] for row in M.tolist()]
+            whole = serialize._matrix_to_json(M, exact)
+            assert json.dumps(whole) == json.dumps(entrywise)
+            assert [[type(v) for v in row] for row in whole] == \
+                [[type(v) for v in row] for row in entrywise]
 
     def test_irrational_floats_survive(self):
         phi = qhm.verify_qhm([np.diag([np.pi, -np.pi])])
