@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmorph import generators
+from quadmorph import clifford, generators, qhm, serialize
 from quadmorph.cli import run
+from quadmorph.core import random_orthogonal, to_float
 from quadmorph.osystem import hurwitz_radon
 
 # SHA-256 of each `construct` document (stdout, --seed 0, version 0.1.0) as
@@ -135,6 +136,79 @@ DERIVED_DIGESTS = {
 }
 
 
+def _canonical(n):
+    return [to_float(a) for a in clifford.construct_irreducible(n).matrices]
+
+
+def _two_scale():
+    """2 phi + phi for the float canonical map phi of construct qhm --n 3."""
+    return [np.block([[2 * a, 0 * a], [0 * a, a]]) for a in _canonical(3)]
+
+
+def _kernel_padded():
+    """The canonical --n 3 map on R^8 with two zero rows and columns added."""
+    return [np.pad(a, (0, 2)) for a in _canonical(3)]
+
+
+# Float qhm documents: each map conjugated by a seeded orthogonal matrix, so
+# that no entry is exactly 0 and the kernel of the padded map is not axis
+# aligned.
+FLOAT_SOURCES = {
+    "--n 3": (lambda: _canonical(3), 3),
+    "--n 5": (lambda: _canonical(5), 5),
+    "--n 7": (lambda: _canonical(7), 7),
+    "2phi+phi": (_two_scale, 11),
+    "padded": (_kernel_padded, 13),
+}
+
+# SHA-256 of the stdout of verify, classify and split (all --seed 0) on the
+# float documents above, as the verifier gave them before its float checks
+# judged every map at unit scale; on maps already at that scale the rule
+# must keep them.
+FLOAT_DIGESTS = {
+    ("verify", "--n 3"):
+        "ba99744a01f8409aec1c3b3ac065a4823c196fb2ab7558222cea8a8b32463195",
+    ("classify", "--n 3"):
+        "7a2c282d0722d9829b8fe6e14d3bc38e972b6f854cb903c30e906b28f3cddace",
+    ("split", "--n 3"):
+        "75aec4d91f7518dc8be339a8729d96e4dcf9a418c5597fe8cbb2948dacf71c04",
+    ("verify", "--n 5"):
+        "25b4fb7bc12b231e79aad9b6f9e6290df08849bd5475382d9f9751b0ba397e61",
+    ("classify", "--n 5"):
+        "cc6b6c088359f71c357ef5eae8dbbcd633213ebc9161974e396be6bbfde75e0e",
+    ("split", "--n 5"):
+        "50943e8f766d6f79584eb4f23bb4fea561953fb2802e5bae77f42b30c64da5c5",
+    ("verify", "--n 7"):
+        "64cea4a2069017275cdf4e71207ea03907bbd40ad8e737d0c67dad6eebf8c402",
+    ("classify", "--n 7"):
+        "31b9559e17acd336e893d7edd6871aed828f5e0b0252b2efebbd62b0c3eea1f3",
+    ("split", "--n 7"):
+        "662809d123c39341f8c69c023aeafbc24943d12d63abf6d1e00c08bdedcf0c9c",
+    ("verify", "2phi+phi"):
+        "82d58c20f3bae04ed4a6e61b8d17376a6534abd40dec0a6fe685caac7408beac",
+    ("classify", "2phi+phi"):
+        "3c6445130ddbf6675eaf750b1e80b7880812361c66180592e444bd052b07618c",
+    ("split", "2phi+phi"):
+        "a77b330b7e60930dcd5b48561b35dd1c034232951f0ed948f178ab789cb9d621",
+    ("verify", "padded"):
+        "b0ca5284b9f8a6ce36d8f4742215f96dfd1137de8a07037a931aae9c85bbec57",
+    ("classify", "padded"):
+        "afb889fb9cb3884895aa48387dce5651886db6239608606eb65ada59f0b79af7",
+    ("split", "padded"):
+        "b48733264c85954df427ac7b05fcde5601774887c0e663860e5c400e0adea172",
+}
+
+
+def _float_document(source):
+    build, seed = FLOAT_SOURCES[source]
+    mats = build()
+    g = random_orthogonal(mats[0].shape[0], seed)
+    phi = qhm.QuadraticHarmonicMorphism(m=g.shape[0], n=len(mats),
+                                        components=tuple(g.T @ a @ g for a in mats))
+    return serialize.dumps(serialize.encode(phi, command=f"conjugate {source}",
+                                            seed=seed, version="0.1.0"))
+
+
 def _norm_sq(x):
     return sum(v * v for v in x)
 
@@ -198,6 +272,15 @@ class TestUnitTable:
         assert run([name, str(doc), *options, "--seed", "0"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == DERIVED_DIGESTS[command, source]
+
+    @pytest.mark.parametrize("command,source", sorted(FLOAT_DIGESTS))
+    def test_verify_classify_and_split_of_float_documents_are_unchanged(
+            self, command, source, tmp_path, capsys):
+        doc = tmp_path / "map.json"
+        doc.write_text(_float_document(source))
+        assert run([command, str(doc), "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == FLOAT_DIGESTS[command, source]
 
 
 class TestLeftMultiplication:
