@@ -20,7 +20,8 @@ core.eigenspace_split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -208,6 +209,29 @@ def _form_values(A, P):
 # verification
 
 
+def _unit_scale(mats):
+    """(mats / u, u), u the power of two that puts the largest absolute entry in
+    [1, 2), divided exactly: np.ldexp in float64, Fractions in object mode.
+    int64 and zero maps pass with u = 1; ValueError if u is no float64."""
+    peak = Fraction(0 if mats[0].dtype == np.int64 else max(np.max(np.abs(M)) for M in mats))
+    e = peak.numerator.bit_length() - peak.denominator.bit_length()
+    e -= peak < Fraction(2) ** e
+    if not peak or not e:
+        return list(mats), 1
+    if not -1074 <= e <= 1023:
+        raise ValueError("the map's scale lies beyond the float64 range")
+    return [M / Fraction(2) ** e if M.dtype == object else np.ldexp(M, -e) for M in mats], 2.0 ** e
+
+
+def _unit_map(phi):
+    mats, u = _unit_scale(phi.components)
+    return replace(phi, components=tuple(mats)), u
+
+
+def _times(M, u):  # back in the caller's units, exactly in either mode
+    return M if u == 1 else M * (Fraction(u) if M.dtype == object else u)
+
+
 # Byte budget for one block of the sampled route: the points x + e_k/2 and
 # x - e_k/2 of the block's samples and one form's products at them.  A block
 # holds at least one sample, whatever its size.
@@ -252,28 +276,23 @@ def sampled_check(candidate, samples: int = 64, seed: int = 0,
     to rounding: the Laplacian of each component must vanish, gradients of
     distinct components must be orthogonal, and all gradient norms must agree
     pointwise (their common value is the squared dilation at the point).
-    Defects reduce with NaN-propagating maxima, so a NaN never passes.
+    The map is judged at unit scale (_unit_scale), so 2^k phi gets phi's
+    defects; they reduce with NaN-propagating maxima, so a NaN never passes.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    mats = [to_float(as_matrix(M)) for M in candidate]
+    mats = [to_float(M) for M in _unit_scale(square_matrices(candidate, "components"))[0]]
     X = sample_points(mats[0].shape[0], samples, seed)
     grads, laps = _central_differences(mats, X)
-    scales = np.array([max(1.0, frobenius(A)) for A in mats])
+    scales = np.array([frobenius(A) or 1.0 for A in mats])  # a zero form's Laplacian is 0
     max_harm = float(np.max(np.max(np.abs(laps), axis=1) / scales))
     G = np.einsum("api,bpi->pab", grads, grads)
     diag = np.einsum("paa->pa", G)
     point_scale = np.maximum(1.0, np.max(diag, axis=1))
-    n = len(mats)
-    if n > 1:
-        off_mask = ~np.eye(n, dtype=bool)
-        max_off = float(np.max(np.abs(G[:, off_mask]) / point_scale[:, None]))
-        max_spread = float(np.max((np.max(diag, axis=1) - np.min(diag, axis=1)) / point_scale))
-    else:
-        max_off = 0.0
-        max_spread = 0.0
-    passed = (max_harm <= tol.identity_tol and max_off <= tol.identity_tol
-              and max_spread <= tol.identity_tol)
+    off_mask = ~np.eye(len(mats), dtype=bool)
+    max_off = float(np.max(np.abs(G[:, off_mask]) / point_scale[:, None], initial=0.0))
+    max_spread = float(np.max((np.max(diag, axis=1) - np.min(diag, axis=1)) / point_scale))
+    passed = all(x <= tol.identity_tol for x in (max_harm, max_off, max_spread))
     return SampleReport(samples=samples, max_harmonic_defect=max_harm,
                         max_offdiagonal_defect=max_off, max_diagonal_spread=max_spread,
                         passed=passed)
@@ -282,25 +301,26 @@ def sampled_check(candidate, samples: int = 64, seed: int = 0,
 def check_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
               samples: int = 64, seed: int = 0):
     """The checks of verify_qhm; returns (map, worst residuals), the residuals
-    being the three defects of the sampled route."""
+    being the three defects of the sampled route.  A map is zero when every
+    entry is 0; float maps are judged at unit scale (_unit_scale)."""
     mats = square_matrices(candidate, "components")
-    check_symmetric(mats, tol)
-    exact = is_exact(mats[0])
-    if all(is_exactly_zero(M) if exact else frobenius(M) <= tol.identity_tol for M in mats):
+    if all(is_exactly_zero(M) for M in mats):
         raise ZeroMap("all components vanish")
-    for i, M in enumerate(mats):
+    exact = is_exact(mats[0])
+    unit, u = (mats, 1) if exact else _unit_scale(mats)
+    check_symmetric(unit, tol)
+    for i, M in enumerate(unit):
         tr = sum(M.diagonal().tolist()) if exact else float(np.trace(M))
-        bad = (tr != 0) if exact else not (abs(tr) <= tol.identity_tol * max(1.0, frobenius(M)))
-        if bad:
-            raise NotHarmonic(i + 1, tr)
-    _, failure = pairwise_relation(mats, tol=tol)
+        if (tr != 0) if exact else not abs(tr) <= tol.identity_tol * frobenius(M):
+            raise NotHarmonic(i + 1, tr * u)
+    _, failure = pairwise_relation(unit, tol=tol)
     if failure:
         i, j, resid = failure
         if i == j:
             raise NotHorizontallyConformal(1, i, resid, note="component squares differ")
         raise NotHorizontallyConformal(i, j, resid)
     phi = QuadraticHarmonicMorphism(m=mats[0].shape[0], n=len(mats), components=tuple(mats))
-    report = sampled_check(mats, samples=samples, seed=seed, tol=tol)
+    report = sampled_check(unit, samples=samples, seed=seed, tol=tol)
     if not report.passed:
         raise SampleDisagreement(
             f"matrix identities accept but the sampled check rejects: {report}")
@@ -356,8 +376,10 @@ def classify(phi: QuadraticHarmonicMorphism,
     decomposed (the projected core once more): A_i^2 = A_1^2 and
     anticommutation give every component the rank and spectrum of A_1, and
     the shared-kernel check, the normal form's corner bound and the block
-    relations re-check every later component.
+    relations re-check every later component.  All of it runs at unit scale
+    (_unit_scale): 2^k phi gives phi's report, eigenvalues and scales * 2^k.
     """
+    phi, u = _unit_map(phi)
     q_rank = numeric_rank(phi.components[0], tol)
     if q_rank == 0:
         raise RankMismatch("all components are zero")
@@ -365,7 +387,7 @@ def classify(phi: QuadraticHarmonicMorphism,
         raise OddRank(q_rank)
     sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
-    cutoff = tol.rank_tol * max(1.0, float(np.max(np.abs(eigs))))
+    cutoff = tol.rank_tol * float(np.max(np.abs(eigs)))
     pos = eigs[eigs > cutoff]
     neg = eigs[eigs < -cutoff]
     zero_count = phi.m - len(pos) - len(neg)
@@ -384,7 +406,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     for B in bmats:
         for gi in groups:
             for gj in groups:
-                if gi is not gj and np.max(np.abs(B[np.ix_(gi, gj)])) > 1e3 * tol.identity_tol * max(1.0, d[0]):
+                if gi is not gj and np.max(np.abs(B[np.ix_(gi, gj)])) > 1e3 * tol.identity_tol * d[0]:
                     raise RankMismatch("blocks couple distinct eigenvalue groups; not a valid map")
     order = []
     for g in groups:
@@ -402,10 +424,10 @@ def classify(phi: QuadraticHarmonicMorphism,
         head = np.diag(np.concatenate([np.ones(kk), -np.ones(kk)]))
         members = [head] + [symmetric_off_diagonal(B[np.ix_(g, g)] / lam) for B in bmats]
         summand = QuadraticHarmonicMorphism(m=2 * kk, n=phi.n, components=tuple(members))
-        splitting.append((lam, summand))
+        splitting.append((lam * u, summand))
     return ClassificationReport(
         q_rank=q_rank,
-        positive_eigenvalues=tuple(float(v) for v in pos),
+        positive_eigenvalues=tuple(float(v) * u for v in pos),
         zero_count=zero_count,
         is_q_nonsingular=is_nonsingular,
         is_umbilical=len(groups) == 1,
@@ -422,9 +444,11 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
     Returns (projection, core): projection has orthonormal rows spanning the
     non-kernel subspace, core is the restricted map with full rank, and
     phi(X) = core(projection @ X).  Rejects inputs whose later components do
-    not annihilate the kernel of the first.
+    not annihilate the kernel of the first.  Judged at unit scale, like classify.
     """
-    return _project_nonsingular(phi, tol, numeric_rank(phi.components[0], tol))
+    unit, u = _unit_map(phi)
+    proj, core = _project_nonsingular(unit, tol, numeric_rank(unit.components[0], tol))
+    return proj, replace(core, components=tuple(_times(M, u) for M in core.components))
 
 
 def _project_nonsingular(phi, tol, q_rank, sd=None):
@@ -434,36 +458,28 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
         raise ValueError("map already has full rank; nothing to project")
     exact = is_exact(phi.components[0])
     # axis-aligned fast path: rows that vanish in every component
-    zero_rows = []
-    if not exact:
-        row_tol = tol.rank_tol * max(1.0, max(frobenius(M) for M in phi.components))
-    for i in range(phi.m):
-        if exact:
-            if all(is_exactly_zero(M[i, :]) for M in phi.components):
-                zero_rows.append(i)
-        elif all(np.max(np.abs(to_float(M[i, :]))) <= row_tol for M in phi.components):
-            zero_rows.append(i)
+    row_tol = 0 if exact else tol.rank_tol * max(frobenius(M) for M in phi.components)
+    zero_rows = [i for i in range(phi.m)
+                 if all(np.max(np.abs(M[i, :])) <= row_tol for M in phi.components)]
     if len(zero_rows) == phi.m - q_rank:
         keep = [i for i in range(phi.m) if i not in zero_rows]
-        proj = np.zeros((q_rank, phi.m), dtype=np.int64 if exact else np.float64)
-        for row, col in enumerate(keep):
-            proj[row, col] = 1
+        proj = np.eye(phi.m, dtype=np.int64 if exact else np.float64)[keep]
         core_mats = [M[np.ix_(keep, keep)] for M in phi.components]
         return proj, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
     if sd is None:
         sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
-    cutoff = tol.rank_tol * max(1.0, float(np.max(np.abs(eigs))))
+    cutoff = tol.rank_tol * float(np.max(np.abs(eigs)))
     keep_mask = np.abs(eigs) > cutoff
     if int(np.sum(keep_mask)) != q_rank:
         raise RankMismatch("eigenvalue zero pattern disagrees with the rank")
     kernel = sd.eigenvectors[:, ~keep_mask]
     for idx, M in enumerate(phi.components, start=1):
-        defect = frobenius(to_float(M) @ kernel) / max(1.0, frobenius(M))
-        if defect > tol.identity_tol:
+        leak, size = frobenius(to_float(M) @ kernel), frobenius(M)
+        if not leak <= tol.identity_tol * size:
             raise SharedKernelViolated(
                 f"component {idx} does not annihilate the kernel of component 1 "
-                f"(defect {defect:.3e})")
+                f"(defect {leak / size:.3e})")
     proj = sd.eigenvectors[:, keep_mask].T
     core_mats = [proj @ to_float(M) @ proj.T for M in phi.components]
     return proj, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
@@ -502,14 +518,16 @@ def _check_block_relations(nf: NormalForm, tol):
 
 def normal_form(phi: QuadraticHarmonicMorphism,
                 tol: TolerancePolicy = DEFAULT_TOLERANCES) -> NormalForm:
-    """Block normal form of a full-rank map with at least two components."""
+    """Block normal form of a full-rank map with at least two components, at unit scale."""
+    phi, u = _unit_map(phi)
     if phi.n < 2:
         raise ValueError("normal form needs at least two components")
     if phi.m % 2 != 0:
         raise QSingular(f"odd domain dimension {phi.m} cannot carry a full-rank map")
     if numeric_rank(phi.components[0], tol) != phi.m:
         raise QSingular("components are rank-deficient; project the kernel away first")
-    return _normal_form_core(phi, tol)
+    nf = _normal_form_core(phi, tol)
+    return replace(nf, D=_times(nf.D, u), B=tuple(_times(B, u) for B in nf.B))
 
 
 def assemble_normal_form(nf: NormalForm):
@@ -534,8 +552,9 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     transform_alpha is the split of component alpha, which carries it to the
     same diag(D, -D) (components share one spectrum, so they are
     orthogonally congruent).  The identity phi^alpha(X) =
-    F(transform_alpha @ X) is verified at seeded points.
+    F(transform_alpha @ X) is verified at seeded points, at unit scale.
     """
+    phi, u = _unit_map(phi)
     if numeric_rank(phi.components[0], tol) != phi.m:
         raise QSingular("components are rank-deficient; project the kernel away first")
     splits = [eigenspace_split([A], tol) for A in phi.components]
@@ -543,7 +562,7 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     MF = np.diag(np.concatenate([d, -d]))
     transforms = [to_float(G) for G, *_ in splits]
     groups = eigenvalue_clusters(d, tol.eig_pair_tol)
-    scales = tuple(float(d[lo]) for lo, _ in groups)
+    scales = tuple(float(d[lo]) * u for lo, _ in groups)
     block_sizes = tuple(hi - lo for lo, hi in groups)
     X = sample_points(phi.m, samples, seed)
     defects = []
@@ -556,7 +575,7 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
         raise SampleDisagreement(
             f"single-function identity fails at sample points (defect {worst:.3e})")
     return SingleFunctionRepresentation(scales=scales, block_sizes=block_sizes,
-                                        matrix=MF, transforms=tuple(transforms))
+                                        matrix=MF * u, transforms=tuple(transforms))
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +661,8 @@ def count_biequivalence_classes(n: int, k: int) -> int:
 def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
                          tol: TolerancePolicy = DEFAULT_TOLERANCES) -> IsoparametricReport:
     """Sample check that F(x) = x^T M x has gradient norm 4*scale^2*|x|^2 and
-    constant Laplacian; scale^2 is estimated as trace(M^2)/m."""
-    M = square_matrices([f_matrix], "function matrices")[0]
+    constant Laplacian; scale^2 is estimated as trace(M^2)/m; M is judged at unit scale."""
+    (M,), u = _unit_scale(square_matrices([f_matrix], "function matrices"))
     check_symmetric([M], tol)
     Mf = to_float(M)
     m = Mf.shape[0]
@@ -659,8 +678,8 @@ def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
     grad_defect = float(np.max(np.abs(grad_sq - target) / np.maximum(1.0, target)))
     lap_defect = float(np.max(np.abs(lap - c))) / max(1.0, abs(c))
     holds = grad_defect <= tol.identity_tol and lap_defect <= tol.identity_tol
-    return IsoparametricReport(holds=holds, scale=math.sqrt(scale_sq),
-                               laplacian_coefficient=c,
+    return IsoparametricReport(holds=holds, scale=math.sqrt(scale_sq) * u,
+                               laplacian_coefficient=c * u,
                                max_gradient_defect=grad_defect,
                                max_laplacian_defect=lap_defect, samples=samples)
 

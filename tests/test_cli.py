@@ -165,6 +165,33 @@ class TestClassifySplit:
         assert "qhm" in capsys.readouterr().err
 
 
+class TestSmallScales:
+    """Float documents are judged at unit scale, whatever their size."""
+
+    @staticmethod
+    def _doc(tmp_path, mats):
+        return write_doc(tmp_path, "small.json", qhm.QuadraticHarmonicMorphism(
+            m=mats[0].shape[0], n=len(mats), components=tuple(mats)))
+
+    def test_small_broken_document_is_rejected(self, tmp_path, capsys):
+        mats = [to_float(a) for a in clifford.construct_irreducible(3).matrices]
+        mats[1] = mats[1].copy()
+        mats[1][1, 5] = mats[1][5, 1] = mats[1][1, 5] + 0.05
+        assert run(["verify", self._doc(tmp_path, [1e-6 * M for M in mats])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("rejected: ")
+
+    def test_small_valid_document_verifies_and_classifies(self, tmp_path, capsys):
+        mats = [core.block_diag2(2 * a, a) for a in clifford.construct_irreducible(3).matrices]
+        path = self._doc(tmp_path, [1e-10 * to_float(M) for M in mats])
+        assert run(["verify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        assert run(["classify", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scales"] == pytest.approx([2e-10, 1e-10], rel=1e-12)
+        assert payload["summand_dims"] == [8, 8]
+
+
 class TestConvert:
     def test_osystem_clifford_round_trip(self, tmp_path, capsys):
         src = write_doc(tmp_path, "os.json", osystem.construct_range_maximal(4))

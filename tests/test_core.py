@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quadmorph import core
 from quadmorph.clifford import construct_irreducible
+from quadmorph.errors import NoConvergence
 from conftest import count_calls, random_symmetric
 
 
@@ -61,6 +62,12 @@ class TestResiduals:
     def test_rel_residual_floor_keeps_small_scales_absolute(self):
         a = np.array([[1e-12]])
         assert core.rel_residual(a, np.array([[0.0]])) == pytest.approx(1e-12)
+
+    def test_reconstruction_residual_is_never_a_nan_read_as_zero(self, monkeypatch):
+        monkeypatch.setattr(core, "check_symmetric", lambda mats, tol=None: None)
+        monkeypatch.setattr(core, "frobenius", lambda a: float("nan"))
+        with pytest.raises(NoConvergence):
+            core.spectral_decompose(np.diag([2.0, 1.0, -1.0]))
 
     def test_matrices_equal_exact_vs_float(self):
         e = core.as_matrix([[1, 0], [0, 1]])

@@ -1,8 +1,11 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmorph import clifford, core, orthomul, osystem, qhm
 from quadmorph.core import DEFAULT_TOLERANCES, random_orthogonal, sample_points, to_float
@@ -853,3 +856,211 @@ def test_verify_at_two_m_512(monkeypatch):
     report, peak = traced_peak_mb(qhm.sampled_check, floats, samples=8, seed=2)
     assert report.passed
     assert peak <= 20.0, f"sampled route peaked at {peak:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# one scale rule: every float check judges the map at unit scale
+
+
+def _float_canonical(n):
+    return [to_float(a) for a in clifford.construct_irreducible(n).matrices]
+
+
+def _broken_canonical():
+    """construct_irreducible(3) as floats with 0.05 added to entries (1, 5)
+    and (5, 1) of component 2: its squares differ by ~5% relative."""
+    mats = _float_canonical(3)
+    mats[1] = mats[1].copy()
+    mats[1][1, 5] += 0.05
+    mats[1][5, 1] += 0.05
+    return mats
+
+
+def _two_scale(mats):
+    """2 phi + phi, whose scales are 2 and 1 times phi's."""
+    return [core.block_diag2(2 * a, a) for a in mats]
+
+
+# constructed maps, all int64: canonical maps, a two-scale sum and a map
+# with a two-dimensional kernel
+SCALE_BUILDERS = {
+    **{f"canonical {n}": (lambda n=n: list(clifford.construct_irreducible(n).matrices))
+       for n in range(1, 6)},
+    "2phi+phi": lambda: _two_scale(list(clifford.construct_irreducible(2).matrices)),
+    "padded": padded_triple,
+}
+
+
+def _times_power_of_two(mats, k):
+    """2^k times the components, exactly: np.ldexp on floats; int64 while the
+    entries stay below 2^31, Fractions beyond."""
+    if mats[0].dtype == np.float64:
+        return [np.ldexp(M, k) for M in mats]
+    if 0 <= k <= 28:
+        return [M * 2**k for M in mats]
+    return [M.astype(object) * Fraction(2) ** k for M in mats]
+
+
+def _verify_outcome(mats, k, exact):
+    """check_qhm's residuals, or the rejection with its fields in phi's units
+    (an exact rejection reports an absolute residual, which is left out)."""
+    try:
+        return "valid", qhm.check_qhm(mats, samples=8, seed=1)[1]
+    except VerificationError as exc:
+        fields = dict(vars(exc))
+        if "trace" in fields:
+            fields["trace"] = (fields["trace"] / Fraction(2) ** k if exact
+                               else np.ldexp(fields["trace"], -k))
+        if exact:
+            fields.pop("residual", None)
+        return type(exc).__name__, fields
+
+
+def _classify_outcome(mats, k):
+    """classify's report with its scales divided by 2^k, as bytes."""
+    rep = qhm.classify(qhm.verify_qhm(mats, samples=8, seed=1))
+    return (rep.q_rank, rep.zero_count, rep.is_q_nonsingular, rep.is_umbilical,
+            [np.ldexp(v, -k) for v in rep.positive_eigenvalues],
+            [(np.ldexp(lam, -k), s.m, [to_float(M).tobytes() for M in s.components])
+             for lam, s in rep.splitting],
+            rep.split_change.tobytes(),
+            None if rep.projection is None else to_float(rep.projection).tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(SCALE_BUILDERS)), as_float=st.booleans(),
+       broken=st.booleans(), k=st.integers(min_value=-400, max_value=400),
+       seed=st.integers(min_value=0, max_value=2**16), data=st.data())
+def test_power_of_two_scaling_keeps_every_verdict_bit_for_bit(name, as_float, broken, k,
+                                                              seed, data):
+    mats = SCALE_BUILDERS[name]()
+    if as_float:
+        g = random_orthogonal(mats[0].shape[0], seed)
+        mats = [g.T @ to_float(a) @ g for a in mats]
+    if broken:
+        size = mats[0].shape[0]
+        c = data.draw(st.integers(0, len(mats) - 1))
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        mats[c] = mats[c].copy()
+        mats[c][i, j] += 0.05 if as_float else 1
+        if i != j:
+            mats[c][j, i] += 0.05 if as_float else 1
+    scaled = _times_power_of_two(mats, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = _verify_outcome(mats, 0, not as_float)
+        assert _verify_outcome(scaled, k, not as_float) == verdict
+        if verdict[0] == "valid":
+            assert _classify_outcome(scaled, k) == _classify_outcome(mats, 0)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-2, 1e-4, 1e-5, 1e-6, 1e-8])
+def test_small_broken_map_is_still_rejected(factor):
+    with pytest.raises(NotHorizontallyConformal) as err:
+        qhm.verify_qhm([factor * M for M in _broken_canonical()])
+    assert (err.value.i, err.value.j) == (1, 2)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-9, 1e-10, 1e-100])
+def test_small_two_scale_map_verifies_and_classifies(factor):
+    phi = qhm.verify_qhm([factor * M for M in _two_scale(_float_canonical(3))])
+    rep = qhm.classify(phi)
+    assert [lam for lam, _ in rep.splitting] == pytest.approx([2 * factor, factor], rel=1e-12)
+    assert [s.m for _, s in rep.splitting] == [8, 8]
+
+
+def test_float_zero_map_is_decided_exactly():
+    with pytest.raises(ZeroMap):
+        qhm.verify_qhm([np.zeros((3, 3)), np.zeros((3, 3))])
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    assert qhm.verify_qhm([np.diag([tiny, -tiny])]).n == 1
+    with pytest.raises(NotHarmonic):
+        qhm.verify_qhm([np.diag([tiny, 0.0])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+       i=st.integers(0, 2), j=st.integers(0, 2))
+def test_a_float_map_with_a_nonzero_entry_is_not_a_zero_map(value, i, j):
+    M = np.zeros((3, 3))
+    M[i, j] = M[j, i] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if i == j:
+            with pytest.raises(NotHarmonic):
+                qhm.verify_qhm([M])
+        else:  # one traceless component is a harmonic function
+            assert qhm.verify_qhm([M]).n == 1
+
+
+@pytest.mark.parametrize("k", [-300, -7, 5, 200])
+def test_normal_form_projection_and_single_function_are_in_the_callers_units(k):
+    two = [to_float(a) for a in _two_scale(_float_canonical(2))]
+    g = random_orthogonal(two[0].shape[0], 23)
+    phi = qhm.verify_qhm([g.T @ a @ g for a in two])
+    big = qhm.verify_qhm([np.ldexp(a, k) for a in phi.components])
+    nf, nf_big = qhm.normal_form(phi), qhm.normal_form(big)
+    assert nf_big.change_of_coords.tobytes() == nf.change_of_coords.tobytes()
+    assert nf_big.D.tobytes() == np.ldexp(nf.D, k).tobytes()
+    assert [B.tobytes() for B in nf_big.B] == [np.ldexp(B, k).tobytes() for B in nf.B]
+    sf, sf_big = (qhm.single_function_representation(p) for p in (phi, big))
+    assert sf_big.scales == tuple(np.ldexp(s, k) for s in sf.scales)
+    assert sf_big.matrix.tobytes() == np.ldexp(sf.matrix, k).tobytes()
+    h = random_orthogonal(10, 29)
+    padded = [h.T @ to_float(a) @ h for a in padded_triple()]
+    proj, core_map = qhm.project_nonsingular(qhm.verify_qhm(padded))
+    proj_big, core_big = qhm.project_nonsingular(
+        qhm.verify_qhm([np.ldexp(a, k) for a in padded]))
+    assert proj_big.tobytes() == proj.tobytes()
+    assert ([M.tobytes() for M in core_big.components]
+            == [np.ldexp(M, k).tobytes() for M in core_map.components])
+
+
+def test_exact_outputs_keep_their_mode_and_units():
+    halves = [a.astype(object) * Fraction(1, 2) for a in padded_triple()]
+    proj, core_map = qhm.project_nonsingular(qhm.verify_qhm(halves))
+    assert proj.dtype == np.int64
+    assert all(np.array_equal(M, a[:8, :8]) for M, a in zip(core_map.components, halves))
+    nf = qhm.normal_form(qhm.verify_qhm([core.as_matrix([["1/2", 0], [0, "-1/2"]]),
+                                         core.as_matrix([[0, "1/2"], ["1/2", 0]])]))
+    assert nf.D.dtype == object and nf.D[0, 0] == Fraction(1, 2)
+    assert nf.B[0].dtype == object and nf.B[0][0, 0] == Fraction(1, 2)
+
+
+def test_isoparametric_verdict_does_not_depend_on_scale():
+    f = np.diag([1.0, 2.0, -3.0])
+    ref = qhm.verify_isoparametric(f, samples=64, seed=0)
+    assert not ref.holds and ref.max_gradient_defect > 0.5
+    for k in (-40, -1, 3):
+        rep = qhm.verify_isoparametric(np.ldexp(f, k), samples=64, seed=0)
+        assert (rep.holds, rep.max_gradient_defect, rep.max_laplacian_defect) == (
+            ref.holds, ref.max_gradient_defect, ref.max_laplacian_defect)
+        assert rep.scale == np.ldexp(ref.scale, k)
+    rep = qhm.verify_isoparametric(1e-6 * f, samples=64, seed=0)
+    assert not rep.holds and rep.max_gradient_defect > 0.5
+    assert rep.scale == pytest.approx(1e-6 * np.sqrt(14 / 3), rel=1e-12)
+    rep = qhm.verify_isoparametric(1e-6 * np.diag([1.0, 1.0, 1.0, -1.0]), samples=64, seed=8)
+    assert rep.holds and rep.laplacian_coefficient == pytest.approx(4e-6, rel=1e-12)
+
+
+def test_shared_kernel_defect_is_never_a_nan_read_as_zero(monkeypatch):
+    g = random_orthogonal(10, 31)
+    phi = qhm.verify_qhm([g.T @ to_float(a) @ g for a in padded_triple()])
+    monkeypatch.setattr(qhm, "frobenius", lambda a: float("nan"))
+    with pytest.raises(SharedKernelViolated):
+        qhm.project_nonsingular(phi)
+
+
+def test_a_zero_component_is_no_zero_division():
+    """Deliberately unverified maps with one zero component: its Laplacian
+    and its kernel defect are 0, not 0/0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = qhm.sampled_check([np.diag([1.0, -1.0]), np.zeros((2, 2))], samples=8)
+        assert rep.max_harmonic_defect < 1e-12 and rep.max_diagonal_spread == 1.0
+        assert not rep.passed
+        g = random_orthogonal(3, 5)
+        phi = qhm.QuadraticHarmonicMorphism(
+            m=3, n=2, components=(g @ np.diag([1.0, -1.0, 0.0]) @ g.T, np.zeros((3, 3))))
+        proj, core_map = qhm.project_nonsingular(phi)
+    assert proj.shape == (2, 3) and not np.any(core_map.components[1])
