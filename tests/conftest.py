@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from quadmorph import qhm
-from quadmorph.core import random_orthogonal
+from quadmorph import clifford, qhm
+from quadmorph.core import block_diag2, random_orthogonal, to_float
 
 
 def eight_dim_triple():
@@ -30,6 +30,26 @@ def eight_dim_triple():
 def split_scale_map():
     """The verified two-scale map built from eight_dim_triple()."""
     return qhm.verify_qhm(eight_dim_triple())
+
+
+def float_canonical(n):
+    """The members of construct_irreducible(n) as float64 components."""
+    return [to_float(a) for a in clifford.construct_irreducible(n).matrices]
+
+
+def two_scale(mats):
+    """2 phi + phi, whose scales are 2 and 1 times phi's."""
+    return [block_diag2(2 * a, a) for a in mats]
+
+
+def broken_canonical():
+    """float_canonical(3) with 0.05 added to entries (1, 5) and (5, 1) of
+    component 2: its squares differ by ~5% relative."""
+    mats = float_canonical(3)
+    mats[1] = mats[1].copy()
+    mats[1][1, 5] += 0.05
+    mats[1][5, 1] += 0.05
+    return mats
 
 
 def leaky_pair(seed: int = 17):

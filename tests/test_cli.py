@@ -11,7 +11,7 @@ from quadmorph.cli import run
 from quadmorph.core import random_orthogonal, to_float
 from quadmorph.osystem import OSystem
 
-from conftest import count_calls, eight_dim_triple
+from conftest import broken_canonical, count_calls, eight_dim_triple, float_canonical, two_scale
 
 
 @pytest.fixture()
@@ -174,16 +174,13 @@ class TestSmallScales:
             m=mats[0].shape[0], n=len(mats), components=tuple(mats)))
 
     def test_small_broken_document_is_rejected(self, tmp_path, capsys):
-        mats = [to_float(a) for a in clifford.construct_irreducible(3).matrices]
-        mats[1] = mats[1].copy()
-        mats[1][1, 5] = mats[1][5, 1] = mats[1][1, 5] + 0.05
-        assert run(["verify", self._doc(tmp_path, [1e-6 * M for M in mats])]) == 1
+        mats = [1e-6 * M for M in broken_canonical()]
+        assert run(["verify", self._doc(tmp_path, mats)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("rejected: ")
 
     def test_small_valid_document_verifies_and_classifies(self, tmp_path, capsys):
-        mats = [core.block_diag2(2 * a, a) for a in clifford.construct_irreducible(3).matrices]
-        path = self._doc(tmp_path, [1e-10 * to_float(M) for M in mats])
+        path = self._doc(tmp_path, [1e-10 * M for M in two_scale(float_canonical(3))])
         assert run(["verify", path]) == 0
         assert json.loads(capsys.readouterr().out)["valid"] is True
         assert run(["classify", path]) == 0

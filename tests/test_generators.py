@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmorph import clifford, generators, qhm, serialize
+from quadmorph import generators, qhm, serialize
 from quadmorph.cli import run
-from quadmorph.core import random_orthogonal, to_float
+from quadmorph.core import random_orthogonal
 from quadmorph.osystem import hurwitz_radon
+
+from conftest import float_canonical, two_scale
 
 # SHA-256 of each `construct` document (stdout, --seed 0, version 0.1.0) as
 # the tuple-recursive product built them; the doubling table must keep them.
@@ -136,28 +138,19 @@ DERIVED_DIGESTS = {
 }
 
 
-def _canonical(n):
-    return [to_float(a) for a in clifford.construct_irreducible(n).matrices]
-
-
-def _two_scale():
-    """2 phi + phi for the float canonical map phi of construct qhm --n 3."""
-    return [np.block([[2 * a, 0 * a], [0 * a, a]]) for a in _canonical(3)]
-
-
 def _kernel_padded():
     """The canonical --n 3 map on R^8 with two zero rows and columns added."""
-    return [np.pad(a, (0, 2)) for a in _canonical(3)]
+    return [np.pad(a, (0, 2)) for a in float_canonical(3)]
 
 
 # Float qhm documents: each map conjugated by a seeded orthogonal matrix, so
 # that no entry is exactly 0 and the kernel of the padded map is not axis
 # aligned.
 FLOAT_SOURCES = {
-    "--n 3": (lambda: _canonical(3), 3),
-    "--n 5": (lambda: _canonical(5), 5),
-    "--n 7": (lambda: _canonical(7), 7),
-    "2phi+phi": (_two_scale, 11),
+    "--n 3": (lambda: float_canonical(3), 3),
+    "--n 5": (lambda: float_canonical(5), 5),
+    "--n 7": (lambda: float_canonical(7), 7),
+    "2phi+phi": (lambda: two_scale(float_canonical(3)), 11),
     "padded": (_kernel_padded, 13),
 }
 

@@ -27,7 +27,8 @@ from quadmorph.errors import (
     ZeroMap,
 )
 
-from conftest import count_calls, eight_dim_triple, leaky_pair, random_symmetric
+from conftest import (broken_canonical, count_calls, eight_dim_triple, float_canonical,
+                      leaky_pair, random_symmetric, two_scale)
 
 AGREEMENT_TRIALS = 250  # per branch: valid and broken
 NORMAL_FORM_TRIALS = 200
@@ -862,31 +863,12 @@ def test_verify_at_two_m_512(monkeypatch):
 # one scale rule: every float check judges the map at unit scale
 
 
-def _float_canonical(n):
-    return [to_float(a) for a in clifford.construct_irreducible(n).matrices]
-
-
-def _broken_canonical():
-    """construct_irreducible(3) as floats with 0.05 added to entries (1, 5)
-    and (5, 1) of component 2: its squares differ by ~5% relative."""
-    mats = _float_canonical(3)
-    mats[1] = mats[1].copy()
-    mats[1][1, 5] += 0.05
-    mats[1][5, 1] += 0.05
-    return mats
-
-
-def _two_scale(mats):
-    """2 phi + phi, whose scales are 2 and 1 times phi's."""
-    return [core.block_diag2(2 * a, a) for a in mats]
-
-
 # constructed maps, all int64: canonical maps, a two-scale sum and a map
 # with a two-dimensional kernel
 SCALE_BUILDERS = {
     **{f"canonical {n}": (lambda n=n: list(clifford.construct_irreducible(n).matrices))
        for n in range(1, 6)},
-    "2phi+phi": lambda: _two_scale(list(clifford.construct_irreducible(2).matrices)),
+    "2phi+phi": lambda: two_scale(list(clifford.construct_irreducible(2).matrices)),
     "padded": padded_triple,
 }
 
@@ -957,13 +939,13 @@ def test_power_of_two_scaling_keeps_every_verdict_bit_for_bit(name, as_float, br
 @pytest.mark.parametrize("factor", [1.0, 1e-2, 1e-4, 1e-5, 1e-6, 1e-8])
 def test_small_broken_map_is_still_rejected(factor):
     with pytest.raises(NotHorizontallyConformal) as err:
-        qhm.verify_qhm([factor * M for M in _broken_canonical()])
+        qhm.verify_qhm([factor * M for M in broken_canonical()])
     assert (err.value.i, err.value.j) == (1, 2)
 
 
 @pytest.mark.parametrize("factor", [1e-6, 1e-9, 1e-10, 1e-100])
 def test_small_two_scale_map_verifies_and_classifies(factor):
-    phi = qhm.verify_qhm([factor * M for M in _two_scale(_float_canonical(3))])
+    phi = qhm.verify_qhm([factor * M for M in two_scale(float_canonical(3))])
     rep = qhm.classify(phi)
     assert [lam for lam, _ in rep.splitting] == pytest.approx([2 * factor, factor], rel=1e-12)
     assert [s.m for _, s in rep.splitting] == [8, 8]
@@ -995,7 +977,7 @@ def test_a_float_map_with_a_nonzero_entry_is_not_a_zero_map(value, i, j):
 
 @pytest.mark.parametrize("k", [-300, -7, 5, 200])
 def test_normal_form_projection_and_single_function_are_in_the_callers_units(k):
-    two = [to_float(a) for a in _two_scale(_float_canonical(2))]
+    two = two_scale(float_canonical(2))
     g = random_orthogonal(two[0].shape[0], 23)
     phi = qhm.verify_qhm([g.T @ a @ g for a in two])
     big = qhm.verify_qhm([np.ldexp(a, k) for a in phi.components])
