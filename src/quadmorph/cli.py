@@ -55,16 +55,15 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+_CHECKS = {"clifford": _clifford.check_clifford, "osystem": _osystem.check_osystem,
+           "orthomul": _orthomul.check_orthomul, "qhm": _qhm.check_qhm}
+
+
 def _verify_object(obj, args):
     """Run the kind's checks once; returns (validated, worst residuals)."""
-    tol = _tolerances(args)
-    if isinstance(obj, _clifford.CliffordSystem):
-        return _clifford.check_clifford(obj.matrices, tol)
-    if isinstance(obj, _osystem.OSystem):
-        return _osystem.check_osystem(obj.matrices, tol)
-    if isinstance(obj, _orthomul.OrthogonalMultiplication):
-        return _orthomul.check_orthomul(obj.slices, tol)
-    return _qhm.check_qhm(obj.components, tol, samples=args.samples, seed=args.seed)
+    kind = serialize.kind_of(obj)
+    sampled = {"samples": args.samples, "seed": args.seed} if kind == "qhm" else {}
+    return _CHECKS[kind](getattr(obj, serialize._KINDS[kind].attr), _tolerances(args), **sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def _classification_payload(report) -> dict:
 def _decoded_qhm(args, what: str):
     doc = _read_document(args.file)
     obj = serialize.decode(doc)
-    if not isinstance(obj, _qhm.QuadraticHarmonicMorphism):
+    if doc["kind"] != "qhm":
         raise QuadmorphError(f"{what} expects a qhm document, found kind {doc['kind']!r}")
     return _qhm.verify_qhm(obj.components, _tolerances(args),
                            samples=args.samples, seed=args.seed)
@@ -150,6 +149,16 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+_CONVERSIONS = {
+    ("qhm", "clifford"): lambda phi, tol: _qhm.clifford_system(phi, _qhm.classify(phi, tol), tol),
+    ("clifford", "qhm"): _qhm.from_clifford,
+    ("clifford", "osystem"): lambda cs, tol: _clifford.to_standard_representation(cs, tol)[1],
+    ("osystem", "clifford"): _osystem.to_clifford,
+    ("osystem", "orthomul"): _orthomul.from_osystem,
+    ("orthomul", "osystem"): _orthomul.to_osystem,
+}
+
+
 def _cmd_convert(args) -> int:
     doc = _read_document(args.file)
     obj = serialize.decode(doc)
@@ -157,20 +166,9 @@ def _cmd_convert(args) -> int:
     to = args.to
     tol = _tolerances(args)
     obj, _ = _verify_object(obj, args)
-    if src == "qhm" and to == "clifford":
-        result = _qhm.clifford_system(obj, _qhm.classify(obj, tol), tol)
-    elif src == "clifford" and to == "qhm":
-        result = _qhm.from_clifford(obj, tol)
-    elif src == "clifford" and to == "osystem":
-        _, result = _clifford.to_standard_representation(obj, tol)
-    elif src == "osystem" and to == "clifford":
-        result = _osystem.to_clifford(obj, tol)
-    elif src == "osystem" and to == "orthomul":
-        result = _orthomul.from_osystem(obj, tol)
-    elif src == "orthomul" and to == "osystem":
-        result = _orthomul.to_osystem(obj, tol)
-    else:
+    if (src, to) not in _CONVERSIONS:
         raise QuadmorphError(f"no conversion from {src} to {to}")
+    result = _CONVERSIONS[src, to](obj, tol)
     out_doc = serialize.encode(result, command=f"convert {src} {to}",
                                seed=args.seed, version=__version__)
     _emit(serialize.dumps(out_doc), args.out)
@@ -211,12 +209,12 @@ def _parse_vector(text: str, what: str):
 def _cmd_eval(args) -> int:
     doc = _read_document(args.file)
     obj = serialize.decode(doc)
-    if isinstance(obj, _qhm.QuadraticHarmonicMorphism):
+    if doc["kind"] == "qhm":
         if args.point is None:
             raise QuadmorphError("eval on a qhm document needs --point")
         values = _qhm.evaluate(obj, _parse_vector(args.point, "--point"))
         payload = {"kind": "qhm", "values": [float(v) for v in values]}
-    elif isinstance(obj, _orthomul.OrthogonalMultiplication):
+    elif doc["kind"] == "orthomul":
         if args.x is None or args.y is None:
             raise QuadmorphError("eval on an orthomul document needs --x and --y")
         values = _orthomul.multiply(obj, _parse_vector(args.x, "--x"),

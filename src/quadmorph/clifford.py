@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    EIG_PAIR_TOL,
     TolerancePolicy,
     block_diag2,
     check_symmetric,
@@ -213,8 +214,7 @@ def is_irreducible(cs: CliffordSystem) -> bool:
 # equivalence
 
 
-def find_orthogonal_intertwiner(targets, sources, tol: TolerancePolicy = DEFAULT_TOLERANCES,
-                                seed: int = 0) -> Optional[np.ndarray]:
+def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.ndarray]:
     """Orthogonal R with targets[i] @ R = R @ sources[i] for all i, or None.
 
     Both lists hold the members of Clifford systems of one size, so the maps
@@ -238,7 +238,7 @@ def find_orthogonal_intertwiner(targets, sources, tol: TolerancePolicy = DEFAULT
     if s[-1] <= 1e-10 * max(1.0, s[0]):
         return None  # not invertible enough to trust the polar factor
     R = u @ vt
-    if all(rel_residual(T @ R, R @ S) <= tol.eig_pair_tol for T, S in pairs):
+    if all(rel_residual(T @ R, R @ S) <= EIG_PAIR_TOL for T, S in pairs):
         return R
     return None
 
@@ -268,7 +268,7 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
         return EquivalenceVerdict(
             EquivalenceStatus.NOT_EQUIVALENT, None,
             f"ordered product traces differ ({trace_a:g} vs {trace_b:g})")
-    R = find_orthogonal_intertwiner(b.matrices, a.matrices, tol, seed)
+    R = find_orthogonal_intertwiner(b.matrices, a.matrices, seed)
     if R is None:
         return EquivalenceVerdict(EquivalenceStatus.UNKNOWN, None,
                                   "the projected intertwiner failed verification")

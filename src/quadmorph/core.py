@@ -23,6 +23,8 @@ import numpy as np
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_TOLERANCES",
+    "EIG_PAIR_TOL",
+    "RANK_TOL",
     "SpectralDecomposition",
     "as_matrix",
     "is_exact",
@@ -54,23 +56,20 @@ from .errors import NoConvergence, NotSymmetric, RankMismatch, ShapeMismatch, Un
 # tolerances
 
 
+EIG_PAIR_TOL = 1e-8  # relative gap that matches eigenvalues into clusters and +/- pairs
+RANK_TOL = 1e-9  # scales the largest singular value when counting rank
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds for approx-mode checks.
-
-    identity_tol is a relative Frobenius tolerance for matrix identities,
-    eig_pair_tol matches eigenvalues into clusters and +/- pairs, rank_tol
-    scales the largest singular value when counting rank.
-    """
+    """Threshold for approx-mode checks: identity_tol is a relative Frobenius
+    tolerance for matrix identities."""
 
     identity_tol: float = 1e-9
-    eig_pair_tol: float = 1e-8
-    rank_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("identity_tol", "eig_pair_tol", "rank_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not self.identity_tol > 0:
+            raise ValueError("identity_tol must be strictly positive")
 
 
 DEFAULT_TOLERANCES = TolerancePolicy()
@@ -336,7 +335,7 @@ def _sign_normalize(col):
 def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, descending, deterministic.
 
-    Within an eigenvalue cluster (relative gap below eig_pair_tol) the
+    Within an eigenvalue cluster (relative gap below EIG_PAIR_TOL) the
     eigenvector columns are rebuilt from the cluster projector P: its columns
     P e_i are taken in index order, each minus its projection onto the basis
     chosen so far (one product pair per column), and kept, normalized and
@@ -356,7 +355,7 @@ def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Spectral
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     n = len(w)
-    for lo, hi in eigenvalue_clusters(w, tol.eig_pair_tol):
+    for lo, hi in eigenvalue_clusters(w, EIG_PAIR_TOL):
         if hi - lo == 1:
             v[:, lo] = _sign_normalize(v[:, lo])
             continue
@@ -410,7 +409,7 @@ def eigenspace_split(mats, tol: TolerancePolicy = DEFAULT_TOLERANCES, sd=None):
     if 2 * pos != size or 2 * neg != size:
         raise UnbalancedEigenspaces(f"eigenvalue signs split {pos}/{neg}")
     d = eigs[:k]
-    if np.max(np.abs(d + eigs[k:][::-1])) > tol.eig_pair_tol * max(1.0, float(d[0])):
+    if np.max(np.abs(d + eigs[k:][::-1])) > EIG_PAIR_TOL * max(1.0, float(d[0])):
         raise RankMismatch("spectrum does not come in +/- pairs")
     G = np.column_stack([sd.eigenvectors[:, :k], sd.eigenvectors[:, k:][:, ::-1]]).T
     blocks, defects = [], []
@@ -452,7 +451,7 @@ def exact_rank(a) -> int:
     return rank
 
 
-def numeric_rank(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
+def numeric_rank(a) -> int:
     """Rank of a matrix.
 
     Exact mode reads it from the exact Gram matrix A A^T (A^2 for symmetric
@@ -460,7 +459,7 @@ def numeric_rank(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     orthogonal and the rank is its count of nonzero diagonal entries;
     otherwise one exact_rank elimination.  The product runs in the dtype of
     _product_dtype, so int64 input never wraps around.  Approx mode counts
-    the singular values above rank_tol times the largest.
+    the singular values above RANK_TOL times the largest.
     """
     if a.size == 0:
         return 0
@@ -472,7 +471,7 @@ def numeric_rank(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     s = np.linalg.svd(to_float(a), compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +492,8 @@ def random_orthogonal(m: int, seed: int) -> np.ndarray:
 
 def sample_points(dim: int, count: int, seed: int) -> np.ndarray:
     """count x dim standard-normal sample, deterministic per (dim, count, seed)."""
+    if count < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((count, dim))
 

@@ -110,8 +110,6 @@ def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
             tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MultiplicationReport:
     """Sampled norm defects |mu(x, y)| - |x| |y| at seeded pairs, as a
     report; no verifier consults it."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     floats = np.stack([to_float(s) for s in mu.slices])
     X = sample_points(mu.p, samples, seed)
     Y = sample_points(mu.q, samples, seed + 1)

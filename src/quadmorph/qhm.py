@@ -30,6 +30,8 @@ from . import clifford as _clifford
 from . import osystem as _osystem
 from .core import (
     DEFAULT_TOLERANCES,
+    EIG_PAIR_TOL,
+    RANK_TOL,
     TolerancePolicy,
     as_matrix,
     block_diag2,
@@ -279,8 +281,6 @@ def sampled_check(candidate, samples: int = 64, seed: int = 0,
     The map is judged at unit scale (_unit_scale), so 2^k phi gets phi's
     defects; they reduce with NaN-propagating maxima, so a NaN never passes.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     mats = [to_float(M) for M in _unit_scale(square_matrices(candidate, "components"))[0]]
     X = sample_points(mats[0].shape[0], samples, seed)
     grads, laps = _central_differences(mats, X)
@@ -380,14 +380,14 @@ def classify(phi: QuadraticHarmonicMorphism,
     (_unit_scale): 2^k phi gives phi's report, eigenvalues and scales * 2^k.
     """
     phi, u = _unit_map(phi)
-    q_rank = numeric_rank(phi.components[0], tol)
+    q_rank = numeric_rank(phi.components[0])
     if q_rank == 0:
         raise RankMismatch("all components are zero")
     if q_rank % 2 != 0:
         raise OddRank(q_rank)
     sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
-    cutoff = tol.rank_tol * float(np.max(np.abs(eigs)))
+    cutoff = RANK_TOL * float(np.max(np.abs(eigs)))
     pos = eigs[eigs > cutoff]
     neg = eigs[eigs < -cutoff]
     zero_count = phi.m - len(pos) - len(neg)
@@ -401,7 +401,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     nf = _normal_form_core(core, tol, sd if projection is None else None)
     d = np.diag(to_float(nf.D))
     k = len(d)
-    groups = [list(range(lo, hi)) for lo, hi in eigenvalue_clusters(d, tol.eig_pair_tol)]
+    groups = [list(range(lo, hi)) for lo, hi in eigenvalue_clusters(d, EIG_PAIR_TOL)]
     bmats = [to_float(B) for B in nf.B]
     for B in bmats:
         for gi in groups:
@@ -447,7 +447,7 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
     not annihilate the kernel of the first.  Judged at unit scale, like classify.
     """
     unit, u = _unit_map(phi)
-    proj, core = _project_nonsingular(unit, tol, numeric_rank(unit.components[0], tol))
+    proj, core = _project_nonsingular(unit, tol, numeric_rank(unit.components[0]))
     return proj, replace(core, components=tuple(_times(M, u) for M in core.components))
 
 
@@ -458,7 +458,7 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
         raise ValueError("map already has full rank; nothing to project")
     exact = is_exact(phi.components[0])
     # axis-aligned fast path: rows that vanish in every component
-    row_tol = 0 if exact else tol.rank_tol * max(frobenius(M) for M in phi.components)
+    row_tol = 0 if exact else RANK_TOL * max(frobenius(M) for M in phi.components)
     zero_rows = [i for i in range(phi.m)
                  if all(np.max(np.abs(M[i, :])) <= row_tol for M in phi.components)]
     if len(zero_rows) == phi.m - q_rank:
@@ -469,7 +469,7 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
     if sd is None:
         sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
-    cutoff = tol.rank_tol * float(np.max(np.abs(eigs)))
+    cutoff = RANK_TOL * float(np.max(np.abs(eigs)))
     keep_mask = np.abs(eigs) > cutoff
     if int(np.sum(keep_mask)) != q_rank:
         raise RankMismatch("eigenvalue zero pattern disagrees with the rank")
@@ -524,7 +524,7 @@ def normal_form(phi: QuadraticHarmonicMorphism,
         raise ValueError("normal form needs at least two components")
     if phi.m % 2 != 0:
         raise QSingular(f"odd domain dimension {phi.m} cannot carry a full-rank map")
-    if numeric_rank(phi.components[0], tol) != phi.m:
+    if numeric_rank(phi.components[0]) != phi.m:
         raise QSingular("components are rank-deficient; project the kernel away first")
     nf = _normal_form_core(phi, tol)
     return replace(nf, D=_times(nf.D, u), B=tuple(_times(B, u) for B in nf.B))
@@ -555,13 +555,13 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     F(transform_alpha @ X) is verified at seeded points, at unit scale.
     """
     phi, u = _unit_map(phi)
-    if numeric_rank(phi.components[0], tol) != phi.m:
+    if numeric_rank(phi.components[0]) != phi.m:
         raise QSingular("components are rank-deficient; project the kernel away first")
     splits = [eigenspace_split([A], tol) for A in phi.components]
     d = np.diag(to_float(splits[0][1]))
     MF = np.diag(np.concatenate([d, -d]))
     transforms = [to_float(G) for G, *_ in splits]
-    groups = eigenvalue_clusters(d, tol.eig_pair_tol)
+    groups = eigenvalue_clusters(d, EIG_PAIR_TOL)
     scales = tuple(float(d[lo]) * u for lo, _ in groups)
     block_sizes = tuple(hi - lo for lo, hi in groups)
     X = sample_points(phi.m, samples, seed)
@@ -635,7 +635,7 @@ def range_extend(phi: QuadraticHarmonicMorphism,
     # Irreducibility makes m_half minimal, a power of two, so this is the
     # doubled canonical range-maximal system on R^m_half.
     canon = _clifford.construct_irreducible(sigma).matrices
-    C = _clifford.find_orthogonal_intertwiner(cs.matrices, canon[: phi.n], tol, seed)
+    C = _clifford.find_orthogonal_intertwiner(cs.matrices, canon[: phi.n], seed)
     if C is None:
         raise NotExtendable("no orthogonal intertwiner onto the canonical system")
     new_components = [lam * (C @ P @ C.T) for P in canon[phi.n:]]
@@ -666,8 +666,6 @@ def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
     check_symmetric([M], tol)
     Mf = to_float(M)
     m = Mf.shape[0]
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     scale_sq = float(np.trace(Mf @ Mf)) / m
     c = 2.0 * float(np.trace(Mf))
     X = sample_points(m, samples, seed)
@@ -693,8 +691,6 @@ def sphere_restriction_check(phi: QuadraticHarmonicMorphism, samples: int = 64,
     if not report.is_umbilical:
         raise NotUmbilical("positive eigenvalues are not all equal")
     radius = report.positive_eigenvalues[0]
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     X = sample_points(phi.m, samples, seed)
     vals = np.column_stack([_form_values(to_float(A), X) for A in phi.components])
     norms = np.sqrt(np.sum(vals * vals, axis=1))

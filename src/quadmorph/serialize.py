@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,32 +33,29 @@ from .qhm import QuadraticHarmonicMorphism
 
 __all__ = ["encode", "decode", "dumps", "loads", "kind_of"]
 
-_DIM_FIELDS = {
-    "clifford": ("two_m", "n"),
-    "osystem": ("m", "n"),
-    "orthomul": ("p", "q", "n_out"),
-    "qhm": ("m", "n"),
+
+class _Kind(NamedTuple):
+    cls: type
+    attr: str  # the attribute that holds the matrices
+    dims: tuple  # the dims fields
+    count: str  # the dims field that counts the members
+    shape: tuple  # the dims fields that give each member's shape
+
+
+_KINDS = {
+    "clifford": _Kind(CliffordSystem, "matrices", ("two_m", "n"), "n", ("two_m", "two_m")),
+    "osystem": _Kind(OSystem, "matrices", ("m", "n"), "n", ("m", "m")),
+    "orthomul": _Kind(OrthogonalMultiplication, "slices", ("p", "q", "n_out"), "p",
+                      ("n_out", "q")),
+    "qhm": _Kind(QuadraticHarmonicMorphism, "components", ("m", "n"), "n", ("m", "m")),
 }
 
 
 def kind_of(obj) -> str:
-    if isinstance(obj, CliffordSystem):
-        return "clifford"
-    if isinstance(obj, OSystem):
-        return "osystem"
-    if isinstance(obj, OrthogonalMultiplication):
-        return "orthomul"
-    if isinstance(obj, QuadraticHarmonicMorphism):
-        return "qhm"
+    for kind, k in _KINDS.items():
+        if isinstance(obj, k.cls):
+            return kind
     raise DocumentFormatError(f"cannot serialize objects of type {type(obj).__name__}")
-
-
-def _matrices_of(obj):
-    if isinstance(obj, OrthogonalMultiplication):
-        return obj.slices
-    if isinstance(obj, QuadraticHarmonicMorphism):
-        return obj.components
-    return obj.matrices
 
 
 def _rational_to_json(v):
@@ -81,11 +79,11 @@ def _matrix_to_json(M, exact: bool):
 def encode(obj, command: str = "library", seed=None, version: str = "") -> dict:
     """Document dict for a system, multiplication, or map."""
     kind = kind_of(obj)
-    mats = _matrices_of(obj)
+    mats = getattr(obj, _KINDS[kind].attr)
     exact = all(is_exact(M) for M in mats)
     return {
         "kind": kind,
-        "dims": {f: int(getattr(obj, f)) for f in _DIM_FIELDS[kind]},
+        "dims": {f: int(getattr(obj, f)) for f in _KINDS[kind].dims},
         "scalars": "rational" if exact else "float",
         "matrices": [_matrix_to_json(M, exact) for M in mats],
         "meta": {"command": command, "seed": seed, "version": version},
@@ -127,43 +125,25 @@ def decode(doc: dict):
     for key in ("kind", "dims", "scalars", "matrices"):
         _require(key in doc, f"document is missing the '{key}' key")
     kind = doc["kind"]
-    _require(kind in _DIM_FIELDS, f"unknown kind {kind!r}")
+    _require(isinstance(kind, str) and kind in _KINDS, f"unknown kind {kind!r}")
     scalars = doc["scalars"]
     _require(scalars in ("rational", "float"),
              f"scalars must be 'rational' or 'float', not {scalars!r}")
     dims = doc["dims"]
-    fields = _DIM_FIELDS[kind]
-    _require(isinstance(dims, dict) and set(dims) == set(fields),
-             f"dims for kind {kind!r} must have exactly the keys {list(fields)}")
-    for f in fields:
+    k = _KINDS[kind]
+    _require(isinstance(dims, dict) and set(dims) == set(k.dims),
+             f"dims for kind {kind!r} must have exactly the keys {list(k.dims)}")
+    for f in k.dims:
         _require(isinstance(dims[f], int) and not isinstance(dims[f], bool) and dims[f] >= 1,
                  f"dims.{f} must be a positive integer")
     raw = doc["matrices"]
     _require(isinstance(raw, list) and raw, "matrices must be a non-empty list")
     mats = [_decode_matrix(rows, scalars, pos) for pos, rows in enumerate(raw, start=1)]
-    if scalars == "rational":
-        _require(all(is_exact(M) for M in mats),
-                 "scalars says rational but an entry decoded to a float")
-    if kind == "clifford":
-        _require(len(mats) == dims["n"], f"expected {dims['n']} matrices, found {len(mats)}")
-        _require(all(M.shape == (dims["two_m"], dims["two_m"]) for M in mats),
-                 "matrix shapes disagree with dims.two_m")
-        return CliffordSystem(two_m=dims["two_m"], n=dims["n"], matrices=tuple(mats))
-    if kind == "osystem":
-        _require(len(mats) == dims["n"], f"expected {dims['n']} matrices, found {len(mats)}")
-        _require(all(M.shape == (dims["m"], dims["m"]) for M in mats),
-                 "matrix shapes disagree with dims.m")
-        return OSystem(m=dims["m"], n=dims["n"], matrices=tuple(mats))
-    if kind == "orthomul":
-        _require(len(mats) == dims["p"], f"expected {dims['p']} slices, found {len(mats)}")
-        _require(all(M.shape == (dims["n_out"], dims["q"]) for M in mats),
-                 "slice shapes disagree with dims.n_out x dims.q")
-        return OrthogonalMultiplication(p=dims["p"], q=dims["q"], n_out=dims["n_out"],
-                                        slices=tuple(mats))
-    _require(len(mats) == dims["n"], f"expected {dims['n']} matrices, found {len(mats)}")
-    _require(all(M.shape == (dims["m"], dims["m"]) for M in mats),
-             "matrix shapes disagree with dims.m")
-    return QuadraticHarmonicMorphism(m=dims["m"], n=dims["n"], components=tuple(mats))
+    count = dims[k.count]
+    _require(len(mats) == count, f"expected {count} matrices, found {len(mats)}")
+    _require(all(M.shape == tuple(dims[f] for f in k.shape) for M in mats),
+             "matrix shapes disagree with " + " x ".join(f"dims.{f}" for f in k.shape))
+    return k.cls(**dims, **{k.attr: tuple(mats)})
 
 
 def dumps(doc: dict) -> str:

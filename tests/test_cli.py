@@ -222,10 +222,22 @@ class TestConvert:
         assert [run(argv) for argv in commands] == [1, 1, 1]
         capsys.readouterr()
 
-    def test_unsupported_direction(self, tmp_path, capsys):
-        src = write_doc(tmp_path, "os.json", osystem.construct_range_maximal(2))
-        assert run(["convert", src, "--to", "qhm"]) == 2
-        assert "no conversion" in capsys.readouterr().err
+    def test_every_source_and_target(self, tmp_path, capsys):
+        sources = {"clifford": ["--n", "3"], "osystem": ["--m", "4"],
+                   "orthomul": ["--n", "4"], "qhm": ["--n", "3"]}
+        supported = {("qhm", "clifford"), ("clifford", "qhm"), ("clifford", "osystem"),
+                     ("osystem", "clifford"), ("osystem", "orthomul"), ("orthomul", "osystem")}
+        for src, flags in sources.items():
+            path = str(tmp_path / f"{src}.json")
+            assert run(["construct", src, *flags, "--out", path]) == 0
+            for to in sources:
+                code = run(["convert", path, "--to", to])
+                out, err = capsys.readouterr()
+                if (src, to) in supported:
+                    assert code == 0 and json.loads(out)["kind"] == to
+                else:
+                    assert code == 2 and out == ""
+                    assert f"no conversion from {src} to {to}" in err
 
 
 class TestExtend:

@@ -133,7 +133,7 @@ class TestSpectralDecompose:
             assert core.numeric_rank(g @ a @ g.T) == core.numeric_rank(a) == rank
 
 
-def _gram_schmidt_decompose(a, tol=core.DEFAULT_TOLERANCES):
+def _gram_schmidt_decompose(a):
     """spectral_decompose with the modified Gram-Schmidt cluster loop it had
     before each column became one product pair: (eigenvalues, eigenvectors,
     the candidate columns chosen in each cluster)."""
@@ -141,7 +141,7 @@ def _gram_schmidt_decompose(a, tol=core.DEFAULT_TOLERANCES):
     w, v = np.linalg.eigh((A + A.T) / 2.0)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     chosen = []
-    for lo, hi in core.eigenvalue_clusters(w, tol.eig_pair_tol):
+    for lo, hi in core.eigenvalue_clusters(w, core.EIG_PAIR_TOL):
         if hi - lo == 1:
             v[:, lo] = core._sign_normalize(v[:, lo])
             continue
@@ -162,12 +162,12 @@ def _gram_schmidt_decompose(a, tol=core.DEFAULT_TOLERANCES):
     return w, v, chosen
 
 
-def _chosen_columns(w, v, tol=core.DEFAULT_TOLERANCES):
+def _chosen_columns(w, v):
     """The candidate column behind each rebuilt cluster vector b_k: the first
     index i with |b_k[i]| = |(P e_i) . b_k| > 1e-6, since every earlier
     candidate was chosen before b_k or left a residual of at most 1e-6."""
     return [[int(np.argmax(np.abs(v[:, k]) > 1e-6)) for k in range(lo, hi)]
-            for lo, hi in core.eigenvalue_clusters(w, tol.eig_pair_tol) if hi - lo > 1]
+            for lo, hi in core.eigenvalue_clusters(w, core.EIG_PAIR_TOL) if hi - lo > 1]
 
 
 def _basis_cases():
@@ -183,7 +183,7 @@ def _basis_cases():
     g = core.random_orthogonal(8, 77)
     cases.append(("paired-clusters-exact", paired))
     cases.append(("paired-clusters-float", g @ core.to_float(paired) @ g.T))
-    near = 1 - 0.9 * core.DEFAULT_TOLERANCES.eig_pair_tol
+    near = 1 - 0.9 * core.EIG_PAIR_TOL
     cases.append(("gap-below-eig-pair-tol",
                   g @ np.diag([10.0, 10, 1, near, -near, -1, -10, -10]) @ g.T))
     return cases
@@ -209,7 +209,7 @@ class TestClusterBasisRegression:
     def test_gap_case_is_one_cluster(self):
         _, a = BASIS_CASES[-1]
         w = core.spectral_decompose(a).eigenvalues
-        assert (2, 4) in core.eigenvalue_clusters(w, core.DEFAULT_TOLERANCES.eig_pair_tol)
+        assert (2, 4) in core.eigenvalue_clusters(w, core.EIG_PAIR_TOL)
 
 
 class TestExactRank:

@@ -123,6 +123,21 @@ def test_sampled_check_passes_on_triple(split_scale_map):
         qhm.sampled_check(split_scale_map.components, samples=0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_every_sampled_function_rejects_a_nonpositive_sample_count(samples):
+    phi = qhm.from_clifford(clifford.construct_irreducible(2))
+    calls = [
+        lambda: qhm.sampled_check(phi.components, samples=samples),
+        lambda: qhm.verify_isoparametric(phi.components[0], samples=samples),
+        lambda: qhm.sphere_restriction_check(phi, samples=samples),
+        lambda: qhm.single_function_representation(phi, samples=samples),
+        lambda: orthomul.measure(orthomul.standard_multiplication(4), samples=samples),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            call()
+
+
 @pytest.mark.parametrize("m", [3, 16, 64])
 def test_form_values_match_a_per_point_loop(m):
     A = random_symmetric(m, m)

@@ -11,6 +11,13 @@ from quadmorph.errors import DocumentFormatError
 from conftest import eight_dim_triple
 
 
+def padded_complex_multiplication():
+    """Complex multiplication R^2 x R^2 -> R^3, its 3 x 2 slices padded with a zero row."""
+    slices = orthomul.standard_multiplication(2).slices
+    zero_row = np.zeros((1, 2), dtype=slices[0].dtype)
+    return orthomul.verify_orthomul([np.vstack([s, zero_row]) for s in slices])
+
+
 def roundtrip(obj):
     return serialize.decode(serialize.loads(serialize.dumps(serialize.encode(obj))))
 
@@ -137,6 +144,8 @@ class TestRejections:
         doc = self.base()
         doc["kind"] = "spinor"
         self.expect_error(doc, "unknown kind")
+        doc["kind"] = ["qhm"]  # unhashable: no TypeError from the kind lookup
+        self.expect_error(doc, "unknown kind")
         doc = self.base()
         doc["payload"] = 1
         self.expect_error(doc, "unexpected")
@@ -157,15 +166,44 @@ class TestRejections:
         doc["dims"] = {"m": True, "n": 3}
         self.expect_error(doc, "positive")
 
-    def test_wrong_matrix_count(self):
-        doc = self.base()
-        doc["matrices"] = doc["matrices"][:2]
-        self.expect_error(doc, "expected 3")
+    # a maker per kind and the dims field that counts its members
+    KINDS = {
+        "clifford": (lambda: clifford.construct_irreducible(3), "n"),
+        "osystem": (lambda: osystem.construct_range_maximal(4), "n"),
+        "orthomul": (padded_complex_multiplication, "p"),
+        "qhm": (lambda: qhm.verify_qhm(eight_dim_triple()), "n"),
+    }
 
-    def test_wrong_matrix_shape(self):
-        doc = self.base()
-        doc["dims"] = {"m": 4, "n": 3}
-        self.expect_error(doc, "disagree")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wrong_matrix_count(self, kind):
+        make, count = self.KINDS[kind]
+        doc = serialize.encode(make())
+        assert doc["kind"] == kind
+        n = doc["dims"][count]
+        assert len(doc["matrices"]) == n
+        doc["matrices"] = doc["matrices"][:-1]
+        self.expect_error(doc, f"expected {n} matrices, found {n - 1}")
+        doc = serialize.encode(make())
+        doc["dims"][count] = n + 1
+        self.expect_error(doc, f"expected {n + 1} matrices, found {n}")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wrong_matrix_shape(self, kind):
+        make, count = self.KINDS[kind]
+        for field in serialize.encode(make())["dims"]:
+            if field == count:
+                continue
+            doc = serialize.encode(make())
+            doc["dims"][field] += 1
+            self.expect_error(doc, "matrix shapes disagree with dims")
+
+    def test_orthomul_members_are_n_out_by_q(self):
+        mu = padded_complex_multiplication()
+        doc = serialize.encode(mu)
+        assert doc["dims"] == {"p": 2, "q": 2, "n_out": 3}
+        assert serialize.decode(doc).slices[0].shape == (3, 2)
+        doc["dims"] = {"p": 2, "q": 3, "n_out": 2}
+        self.expect_error(doc, "matrix shapes disagree with dims.n_out x dims.q")
 
     def test_non_rectangular_matrix(self):
         doc = self.base()
