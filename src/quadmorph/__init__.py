@@ -26,7 +26,7 @@ from .clifford import (
     to_standard_representation,
     verify_clifford,
 )
-from .core import DEFAULT_TOLERANCES, TolerancePolicy, spectral_decompose
+from .core import IDENTITY_TOL, spectral_decompose
 from .errors import QuadmorphError, VerificationError
 from .orthomul import (
     OrthogonalMultiplication,
@@ -60,7 +60,7 @@ __all__ = [
     "algebraically_equivalent", "construct_irreducible", "is_irreducible",
     "minimal_domain_dimension", "symmetric_commutant_dimension",
     "to_standard_representation", "verify_clifford",
-    "DEFAULT_TOLERANCES", "TolerancePolicy", "spectral_decompose",
+    "IDENTITY_TOL", "spectral_decompose",
     "QuadmorphError", "VerificationError",
     "OrthogonalMultiplication", "hopf_construction", "multiply",
     "standard_multiplication", "verify_orthomul",

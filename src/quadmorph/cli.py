@@ -12,7 +12,6 @@ a defining identity or structural precondition), 2 usage or format problems.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import clifford as _clifford
 from . import orthomul as _orthomul
 from . import osystem as _osystem
 from . import qhm as _qhm
-from .core import DEFAULT_TOLERANCES, to_float
+from .core import IDENTITY_TOL, to_float
 from .errors import QuadmorphError, VerificationError
 
 __all__ = ["run", "main"]
@@ -33,10 +32,6 @@ def _default_seed() -> int:
         return int(os.environ.get("QHM_SEED", "0"))
     except ValueError:
         return 0
-
-
-def _tolerances(args):
-    return dataclasses.replace(DEFAULT_TOLERANCES, identity_tol=args.tol)
 
 
 def _read_document(path: str) -> dict:
@@ -63,7 +58,7 @@ def _verify_object(obj, args):
     """Run the kind's checks once; returns (validated, worst residuals)."""
     kind = serialize.kind_of(obj)
     sampled = {"samples": args.samples, "seed": args.seed} if kind == "qhm" else {}
-    return _CHECKS[kind](getattr(obj, serialize._KINDS[kind].attr), _tolerances(args), **sampled)
+    return _CHECKS[kind](getattr(obj, serialize._KINDS[kind].attr), args.tol, **sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +133,13 @@ def _decoded_qhm(args, what: str):
     obj = serialize.decode(doc)
     if doc["kind"] != "qhm":
         raise QuadmorphError(f"{what} expects a qhm document, found kind {doc['kind']!r}")
-    return _qhm.verify_qhm(obj.components, _tolerances(args),
+    return _qhm.verify_qhm(obj.components, args.tol,
                            samples=args.samples, seed=args.seed)
 
 
 def _cmd_classify(args) -> int:
     phi = _decoded_qhm(args, "classify")
-    report = _qhm.classify(phi, _tolerances(args))
+    report = _qhm.classify(phi, args.tol)
     _emit(serialize.dumps(_classification_payload(report)), args.out)
     return 0
 
@@ -152,7 +147,7 @@ def _cmd_classify(args) -> int:
 _CONVERSIONS = {
     ("qhm", "clifford"): lambda phi, tol: _qhm.clifford_system(phi, _qhm.classify(phi, tol), tol),
     ("clifford", "qhm"): _qhm.from_clifford,
-    ("clifford", "osystem"): lambda cs, tol: _clifford.to_standard_representation(cs, tol)[1],
+    ("clifford", "osystem"): _osystem.from_clifford,
     ("osystem", "clifford"): _osystem.to_clifford,
     ("osystem", "orthomul"): _orthomul.from_osystem,
     ("orthomul", "osystem"): _orthomul.to_osystem,
@@ -164,11 +159,10 @@ def _cmd_convert(args) -> int:
     obj = serialize.decode(doc)
     src = doc["kind"]
     to = args.to
-    tol = _tolerances(args)
     obj, _ = _verify_object(obj, args)
     if (src, to) not in _CONVERSIONS:
         raise QuadmorphError(f"no conversion from {src} to {to}")
-    result = _CONVERSIONS[src, to](obj, tol)
+    result = _CONVERSIONS[src, to](obj, args.tol)
     out_doc = serialize.encode(result, command=f"convert {src} {to}",
                                seed=args.seed, version=__version__)
     _emit(serialize.dumps(out_doc), args.out)
@@ -177,7 +171,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_extend(args) -> int:
     phi = _decoded_qhm(args, "extend")
-    extended = _qhm.range_extend(phi, _tolerances(args), seed=args.seed)
+    extended = _qhm.range_extend(phi, args.tol, seed=args.seed)
     out_doc = serialize.encode(extended, command="extend", seed=args.seed,
                                version=__version__)
     _emit(serialize.dumps(out_doc), args.out)
@@ -186,7 +180,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_split(args) -> int:
     phi = _decoded_qhm(args, "split")
-    report = _qhm.classify(phi, _tolerances(args))
+    report = _qhm.classify(phi, args.tol)
     summands = [serialize.encode(summand, command=f"split summand {i}",
                                  seed=args.seed, version=__version__)
                 for i, (_, summand) in enumerate(report.splitting, start=1)]
@@ -241,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_default_seed(),
                         help="seed for sampled checks and searches (env QHM_SEED overrides the default)")
     common.add_argument("--samples", type=int, default=64, help="sample count for the sampled route of qhm documents")
-    common.add_argument("--tol", type=float, default=1e-9, help="identity tolerance for float checks")
+    common.add_argument("--tol", type=float, default=IDENTITY_TOL, help="identity tolerance for float checks")
     common.add_argument("--format", choices=["json"], default=None,
                         help="force JSON output (sigma prints a text line by default)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,14 +292,13 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.tol > 0:  # NaN as well
+            raise QuadmorphError(f"--tol must be a positive number, got {args.tol}")
         return args.func(args)
     except VerificationError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except QuadmorphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, OSError) as exc:
+    except (QuadmorphError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,9 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     EIG_PAIR_TOL,
-    TolerancePolicy,
+    IDENTITY_TOL,
     block_diag2,
     check_symmetric,
     eigenspace_split,
@@ -80,7 +79,7 @@ class EquivalenceVerdict:
 # verification
 
 
-def check_clifford(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+def check_clifford(candidate, tol: float = IDENTITY_TOL):
     """The checks of verify_clifford; returns (system, worst residuals), the
     residuals as {"max_relation_residual": ...}."""
     mats = square_matrices(candidate, "members")
@@ -96,11 +95,11 @@ def check_clifford(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES):
     return system, {"max_relation_residual": worst}
 
 
-def verify_clifford(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CliffordSystem:
+def verify_clifford(candidate, tol: float = IDENTITY_TOL) -> CliffordSystem:
     """Check the defining relations and return the validated system.
 
     Exact-mode inputs are checked with zero tolerance; float inputs within
-    tol.identity_tol (relative Frobenius).
+    tol (relative Frobenius).
     """
     return check_clifford(candidate, tol)[0]
 
@@ -125,8 +124,8 @@ def construct_irreducible(n: int) -> CliffordSystem:
     """An irreducible system of n+1 members on dimension 2*m(n), exact entries.
 
     The first n canonical members on the minimal space (identity, then the
-    maximal skew family), doubled by osystem.to_clifford, whose one relation
-    check covers theirs; minimality of the dimension forces irreducibility.
+    maximal skew family), doubled by osystem.to_clifford, which checks them
+    once at m x m; minimality of the dimension forces irreducibility.
     """
     from .osystem import OSystem, to_clifford
 
@@ -146,7 +145,7 @@ def direct_sum(a: CliffordSystem, b: CliffordSystem) -> CliffordSystem:
 # standard representation
 
 
-def to_standard_representation(cs: CliffordSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
     """Orthogonal A with A P_1 A^T = diag(I, -I) and the other members in
     off-diagonal block form; returns (A, the orthogonal block tuple as a
     validated O-system).
@@ -160,7 +159,7 @@ def to_standard_representation(cs: CliffordSystem, tol: TolerancePolicy = DEFAUL
         raise ValueError("need at least two members to split eigenspaces against")
     A, _, taus, defects = eigenspace_split(cs.matrices, tol)
     for idx, defect in enumerate(defects, start=2):
-        if not defect <= 100 * tol.identity_tol:
+        if not defect <= 100 * tol:
             raise AnticommutationViolated(
                 1, idx, defect,
                 note="member does not anticommute with the first; cannot reach block form")
@@ -193,7 +192,7 @@ def _commutant_dimension(cs: CliffordSystem, trace: float) -> int:
     return (s * s + t * t + s * signs) // 2 ** (n + 1)
 
 
-def symmetric_commutant_dimension(matrices, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
+def symmetric_commutant_dimension(matrices, tol: float = IDENTITY_TOL) -> int:
     """Dimension of {S symmetric : S P = P S for every member P}.
 
     The members must form a Clifford system: they are verified first, so
@@ -244,7 +243,7 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
 
 
 def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
-                             tol: TolerancePolicy = DEFAULT_TOLERANCES,
+                             tol: float = IDENTITY_TOL,
                              seed: int = 0) -> EquivalenceVerdict:
     """Three-valued equivalence check with an explicit certificate on success.
 
@@ -264,7 +263,7 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
         return EquivalenceVerdict(
             EquivalenceStatus.NOT_EQUIVALENT, None,
             f"symmetric commutant dimensions differ ({dim_a} vs {dim_b})")
-    if abs(trace_a - trace_b) > tol.identity_tol * max(1.0, abs(trace_a), abs(trace_b)):
+    if abs(trace_a - trace_b) > tol * max(1.0, abs(trace_a), abs(trace_b)):
         return EquivalenceVerdict(
             EquivalenceStatus.NOT_EQUIVALENT, None,
             f"ordered product traces differ ({trace_a:g} vs {trace_b:g})")
@@ -274,7 +273,7 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
                                   "the projected intertwiner failed verification")
     worst = max(rel_residual(R @ to_float(P) @ R.T, to_float(Q))
                 for P, Q in zip(a.matrices, b.matrices))
-    if worst <= tol.identity_tol:
+    if worst <= tol:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, R,
                                   f"projected onto the intertwiners; certificate residual {worst:.3e}")
     return EquivalenceVerdict(EquivalenceStatus.UNKNOWN, None,

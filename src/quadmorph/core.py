@@ -5,7 +5,8 @@ Matrices are plain 2-D numpy arrays in one of two modes:
 * exact mode: integer dtype, or object dtype holding python ints and
   ``fractions.Fraction`` values.  Algebraic identities are checked bit for
   bit in this mode, with no tolerance.
-* approx mode: float64.  Checks go through a ``TolerancePolicy``.
+* approx mode: float64.  Checks compare relative residuals with a float
+  tolerance, ``IDENTITY_TOL`` by default.
 
 Mixed arithmetic promotes exact to approx, never the reverse.  All spectral
 work (eigendecomposition, rank by singular values, seeded orthogonal
@@ -21,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "TolerancePolicy",
-    "DEFAULT_TOLERANCES",
+    "IDENTITY_TOL",
     "EIG_PAIR_TOL",
     "RANK_TOL",
     "SpectralDecomposition",
@@ -37,7 +37,6 @@ __all__ = [
     "frobenius",
     "rel_residual",
     "is_exactly_zero",
-    "matrices_equal",
     "square_matrices",
     "check_symmetric",
     "pairwise_relation",
@@ -56,23 +55,9 @@ from .errors import NoConvergence, NotSymmetric, RankMismatch, ShapeMismatch, Un
 # tolerances
 
 
+IDENTITY_TOL = 1e-9  # relative Frobenius tolerance for matrix identities on float input
 EIG_PAIR_TOL = 1e-8  # relative gap that matches eigenvalues into clusters and +/- pairs
 RANK_TOL = 1e-9  # scales the largest singular value when counting rank
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Threshold for approx-mode checks: identity_tol is a relative Frobenius
-    tolerance for matrix identities."""
-
-    identity_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.identity_tol > 0:
-            raise ValueError("identity_tol must be strictly positive")
-
-
-DEFAULT_TOLERANCES = TolerancePolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +164,7 @@ def symmetric_off_diagonal(tau):
 
 
 # ---------------------------------------------------------------------------
-# residuals and equality
+# residuals
 
 
 def frobenius(a) -> float:
@@ -199,15 +184,6 @@ def is_exactly_zero(a) -> bool:
     return not np.any(a)
 
 
-def matrices_equal(a, b, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
-    """Exact equality when both operands are exact, tolerance check otherwise."""
-    if a.shape != b.shape:
-        return False
-    if is_exact(a) and is_exact(b):
-        return bool(np.array_equal(a, b))
-    return rel_residual(to_float(a), to_float(b)) <= tol.identity_tol
-
-
 # ---------------------------------------------------------------------------
 # shared verification steps
 
@@ -224,16 +200,18 @@ def square_matrices(candidate, noun: str) -> list:
     return list(common_mode(*mats))
 
 
-def check_symmetric(mats, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> None:
+@np.errstate(over="ignore", invalid="ignore")
+def check_symmetric(mats, tol: float = IDENTITY_TOL) -> None:
     """NotSymmetric (1-based) for the first matrix unequal to its transpose:
-    bit for bit in exact mode, beyond tol.identity_tol relative otherwise."""
+    bit for bit in exact mode, beyond tol relative otherwise (M - M^T may
+    overflow on finite input: an inf or NaN defect rejects)."""
     for i, M in enumerate(mats, start=1):
         if is_exact(M):
             if not np.array_equal(M, M.T):
                 raise NotSymmetric(i)
         else:
             defect = rel_residual(M, M.T)
-            if not defect <= tol.identity_tol:
+            if not defect <= tol:
                 raise NotSymmetric(i, defect)
 
 
@@ -263,15 +241,18 @@ def _product_dtype(mats, inner: int, target=None):
     return np.int64 if bound <= 2**62 else object
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pairwise_relation(mats, target=None, transpose: bool = False,
-                      tol: TolerancePolicy = DEFAULT_TOLERANCES):
+                      tol: float = IDENTITY_TOL):
     """Check L(M_i) M_j + L(M_j) M_i = 2 delta_ij T over the pairs i <= j in
     row order, L being the transpose or the identity and T defaulting to
     L(M_1) M_1 (all L(M_i) M_i agree).  Exact members compare bit for bit;
     float members compare rel_residual(L(M_i) M_i, T) and
-    |L(M_i) M_j + L(M_j) M_i| / max(1, |M_i| |M_j|) against tol.identity_tol.
+    |L(M_i) M_j + L(M_j) M_i| / max(1, |M_i| |M_j|) against tol.
     Returns (worst residual, first failing pair as 1-based (i, j, residual)
     or None); an exact failure reports its absolute Frobenius residual.
+    Float products may overflow on finite input: an inf or NaN residual
+    rejects.
     """
     exact = is_exact(mats[0])
     if exact:
@@ -297,7 +278,7 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
                 resid = frobenius(value - expected) if failed else 0.0
             else:
                 resid = frobenius(value - expected) / max(1.0, scale)
-                failed = not (resid <= tol.identity_tol)
+                failed = not (resid <= tol)
             if failed:
                 return worst, (i + 1, j + 1, resid)
             worst = max(worst, resid)
@@ -332,7 +313,7 @@ def _sign_normalize(col):
     return -col if col[k] < 0 else col
 
 
-def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> SpectralDecomposition:
+def spectral_decompose(a, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, descending, deterministic.
 
     Within an eigenvalue cluster (relative gap below EIG_PAIR_TOL) the
@@ -374,12 +355,12 @@ def spectral_decompose(a, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Spectral
                     break
         v[:, lo:hi] = basis
     recon = rel_residual(v @ np.diag(w) @ v.T, S)
-    if not recon <= tol.identity_tol:
+    if not recon <= tol:
         raise NoConvergence(f"reconstruction residual {recon:.3e} exceeds tolerance")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def eigenspace_split(mats, tol: TolerancePolicy = DEFAULT_TOLERANCES, sd=None):
+def eigenspace_split(mats, tol: float = IDENTITY_TOL, sd=None):
     """Split along the eigenspaces of the first member: (G, D, blocks, defects)
     with G orthogonal, G M_1 G^T = diag(D, -D) and D positive descending, the
     negative eigenvectors taken in reverse order so that -D mirrors D.

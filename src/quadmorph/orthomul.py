@@ -19,8 +19,7 @@ import numpy as np
 
 from . import osystem as _osystem
 from .core import (
-    DEFAULT_TOLERANCES,
-    TolerancePolicy,
+    IDENTITY_TOL,
     as_matrix,
     common_mode,
     identity_matrix,
@@ -68,7 +67,9 @@ class MultiplicationReport:
     samples: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def multiply(mu: OrthogonalMultiplication, x, y) -> np.ndarray:
+    """mu(x, y), with inf or NaN entries beyond the float64 range."""
     xv, yv = to_point(x), to_point(y)
     if xv.shape[0] != mu.p or yv.shape[0] != mu.q:
         raise DimensionMismatch(
@@ -80,7 +81,7 @@ def multiply(mu: OrthogonalMultiplication, x, y) -> np.ndarray:
     return out
 
 
-def check_orthomul(candidate_slices, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+def check_orthomul(candidate_slices, tol: float = IDENTITY_TOL):
     """The checks of verify_orthomul; returns (multiplication, worst
     residuals), the residuals as {"max_norm_defect": ...}."""
     mats = [as_matrix(s) for s in candidate_slices]
@@ -99,15 +100,15 @@ def check_orthomul(candidate_slices, tol: TolerancePolicy = DEFAULT_TOLERANCES):
 
 
 def verify_orthomul(candidate_slices,
-                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OrthogonalMultiplication:
+                    tol: float = IDENTITY_TOL) -> OrthogonalMultiplication:
     """Validate d x q coefficient slices as a norm-preserving multiplication
     through the slice identities with I = I_q: bit for bit on exact slices,
-    within tol.identity_tol (relative Frobenius) on float ones."""
+    within tol (relative Frobenius) on float ones."""
     return check_orthomul(candidate_slices, tol)[0]
 
 
 def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
-            tol: TolerancePolicy = DEFAULT_TOLERANCES) -> MultiplicationReport:
+            tol: float = IDENTITY_TOL) -> MultiplicationReport:
     """Sampled norm defects |mu(x, y)| - |x| |y| at seeded pairs, as a
     report; no verifier consults it."""
     floats = np.stack([to_float(s) for s in mu.slices])
@@ -121,17 +122,17 @@ def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
     rhs = np.sqrt(np.sum(X * X, axis=1) * np.sum(Y * Y, axis=1))
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))
     exact = is_exact(mu.slices[0]) and mu.q == mu.n_out
-    return MultiplicationReport(norm_preserving=worst <= tol.identity_tol,
+    return MultiplicationReport(norm_preserving=worst <= tol,
                                 max_defect=worst, exact=exact, samples=samples)
 
 
-def from_osystem(os, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OrthogonalMultiplication:
+def from_osystem(os, tol: float = IDENTITY_TOL) -> OrthogonalMultiplication:
     """Members of an orthogonal tuple become the coefficient slices."""
     return verify_orthomul(os.matrices, tol)
 
 
 def to_osystem(mu: OrthogonalMultiplication,
-               tol: TolerancePolicy = DEFAULT_TOLERANCES):
+               tol: float = IDENTITY_TOL):
     """Square multiplications viewed as orthogonal member tuples."""
     if mu.q != mu.n_out:
         raise NotSquare(f"slices are {mu.n_out} x {mu.q}; need square slices")
@@ -153,7 +154,7 @@ def standard_multiplication(n: int) -> OrthogonalMultiplication:
 
 
 def hopf_construction(mu: OrthogonalMultiplication,
-                      tol: TolerancePolicy = DEFAULT_TOLERANCES):
+                      tol: float = IDENTITY_TOL):
     """Quadratic map (|x|^2 - |y|^2, 2 mu(x, y)) on R^(p+q) as a verified
     harmonic morphism; requires p = q so the first component stays conformal
     with the rest."""

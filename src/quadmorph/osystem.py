@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford import CliffordSystem, to_standard_representation, verify_clifford
+from .clifford import CliffordSystem, to_standard_representation
 from .core import (
-    DEFAULT_TOLERANCES,
-    TolerancePolicy,
+    IDENTITY_TOL,
     block_diag2,
     identity_matrix,
     is_exact,
@@ -67,7 +66,7 @@ class SigmaDecomposition:
 # verification
 
 
-def check_osystem(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+def check_osystem(candidate, tol: float = IDENTITY_TOL):
     """The checks of verify_osystem; returns (system, worst residuals), the
     residuals as {"max_relation_residual": ...}."""
     mats = square_matrices(candidate, "members")
@@ -87,7 +86,7 @@ def check_osystem(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES):
     return system, {"max_relation_residual": worst}
 
 
-def verify_osystem(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> OSystem:
+def verify_osystem(candidate, tol: float = IDENTITY_TOL) -> OSystem:
     """Check orthogonality and pairwise transpose-anticommutation."""
     return check_osystem(candidate, tol)[0]
 
@@ -118,19 +117,25 @@ def construct_range_maximal(m: int) -> OSystem:
     return verify_osystem(members)
 
 
-def to_clifford(os: OSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CliffordSystem:
+def to_clifford(os: OSystem, tol: float = IDENTITY_TOL) -> CliffordSystem:
     """Double the dimension: diag(I, -I) first, then each tau in an
-    off-diagonal symmetric block.  One more member than the input."""
-    eye = identity_matrix(os.m, exact=is_exact(os.matrices[0]))
-    members = [block_diag2(eye, -eye)] + [symmetric_off_diagonal(tau) for tau in os.matrices]
-    return verify_clifford(members, tol)
+    off-diagonal symmetric block.  One more member than the input.
+
+    Only the m x m members are verified (verify_osystem).  The doubled
+    relation, diag(tau_i tau_j^T + tau_j tau_i^T, tau_i^T tau_j + tau_j^T tau_i),
+    follows on exact input; on float input the squares keep their residual
+    and the anticommutators' shrinks by about 1/sqrt(2).
+    """
+    half = verify_osystem(os.matrices, tol)
+    eye = identity_matrix(half.m).astype(half.matrices[0].dtype)
+    members = [block_diag2(eye, -eye)] + [symmetric_off_diagonal(tau) for tau in half.matrices]
+    return CliffordSystem(two_m=2 * half.m, n=len(members), matrices=tuple(members))
 
 
-def from_clifford(cs: CliffordSystem) -> OSystem:
+def from_clifford(cs: CliffordSystem, tol: float = IDENTITY_TOL) -> OSystem:
     """Inverse direction: split off the first member's eigenspaces and read
     the orthogonal blocks.  Needs at least two members."""
-    _, os = to_standard_representation(cs)
-    return os
+    return to_standard_representation(cs, tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,9 @@ import numpy as np
 from . import clifford as _clifford
 from . import osystem as _osystem
 from .core import (
-    DEFAULT_TOLERANCES,
     EIG_PAIR_TOL,
+    IDENTITY_TOL,
     RANK_TOL,
-    TolerancePolicy,
     as_matrix,
     block_diag2,
     check_symmetric,
@@ -185,14 +184,16 @@ class SphereRestrictionReport:
 # evaluation
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(phi: QuadraticHarmonicMorphism, x) -> np.ndarray:
-    """Componentwise quadratic form values at a point."""
+    """Componentwise quadratic form values at a point (inf or NaN beyond float64)."""
     vec = to_point(x)
     if vec.shape[0] != phi.m:
         raise DimensionMismatch(f"point has dimension {vec.shape[0]}, map domain is {phi.m}")
     return np.array([vec @ to_float(A) @ vec for A in phi.components])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quadratic_form_value(matrix, x) -> float:
     vec = to_point(x)
     return float(vec @ to_float(as_matrix(matrix)) @ vec)
@@ -271,7 +272,7 @@ def _central_differences_block(mats_float, X):
 
 
 def sampled_check(candidate, samples: int = 64, seed: int = 0,
-                  tol: TolerancePolicy = DEFAULT_TOLERANCES) -> SampleReport:
+                  tol: float = IDENTITY_TOL) -> SampleReport:
     """Finite-difference test of harmonicity and conformality at seeded points.
 
     Uses central differences with step 1/2, which are exact for quadratics up
@@ -292,13 +293,13 @@ def sampled_check(candidate, samples: int = 64, seed: int = 0,
     off_mask = ~np.eye(len(mats), dtype=bool)
     max_off = float(np.max(np.abs(G[:, off_mask]) / point_scale[:, None], initial=0.0))
     max_spread = float(np.max((np.max(diag, axis=1) - np.min(diag, axis=1)) / point_scale))
-    passed = all(x <= tol.identity_tol for x in (max_harm, max_off, max_spread))
+    passed = all(x <= tol for x in (max_harm, max_off, max_spread))
     return SampleReport(samples=samples, max_harmonic_defect=max_harm,
                         max_offdiagonal_defect=max_off, max_diagonal_spread=max_spread,
                         passed=passed)
 
 
-def check_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
+def check_qhm(candidate, tol: float = IDENTITY_TOL,
               samples: int = 64, seed: int = 0):
     """The checks of verify_qhm; returns (map, worst residuals), the residuals
     being the three defects of the sampled route.  A map is zero when every
@@ -311,7 +312,7 @@ def check_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
     check_symmetric(unit, tol)
     for i, M in enumerate(unit):
         tr = sum(M.diagonal().tolist()) if exact else float(np.trace(M))
-        if (tr != 0) if exact else not abs(tr) <= tol.identity_tol * frobenius(M):
+        if (tr != 0) if exact else not abs(tr) <= tol * frobenius(M):
             raise NotHarmonic(i + 1, tr * u)
     _, failure = pairwise_relation(unit, tol=tol)
     if failure:
@@ -329,7 +330,7 @@ def check_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
                  "max_diagonal_spread": report.max_diagonal_spread}
 
 
-def verify_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
+def verify_qhm(candidate, tol: float = IDENTITY_TOL,
                samples: int = 64, seed: int = 0) -> QuadraticHarmonicMorphism:
     """Validate a component tuple through both the matrix identities and the
     sampled finite-difference oracle; both must accept."""
@@ -340,7 +341,7 @@ def verify_qhm(candidate, tol: TolerancePolicy = DEFAULT_TOLERANCES,
 # constructors
 
 
-def from_clifford(cs, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> QuadraticHarmonicMorphism:
+def from_clifford(cs, tol: float = IDENTITY_TOL) -> QuadraticHarmonicMorphism:
     """Use the system members directly as component matrices.
 
     Valid whenever the members are traceless (always true with two or more
@@ -367,7 +368,7 @@ def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
 
 
 def classify(phi: QuadraticHarmonicMorphism,
-             tol: TolerancePolicy = DEFAULT_TOLERANCES) -> ClassificationReport:
+             tol: float = IDENTITY_TOL) -> ClassificationReport:
     """Rank and spectrum facts plus the splitting into scaled umbilical pieces.
 
     Rank-deficient maps are first projected onto the shared non-kernel
@@ -406,7 +407,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     for B in bmats:
         for gi in groups:
             for gj in groups:
-                if gi is not gj and np.max(np.abs(B[np.ix_(gi, gj)])) > 1e3 * tol.identity_tol * d[0]:
+                if gi is not gj and not np.max(np.abs(B[np.ix_(gi, gj)])) <= 1e3 * tol * d[0]:
                     raise RankMismatch("blocks couple distinct eigenvalue groups; not a valid map")
     order = []
     for g in groups:
@@ -438,7 +439,7 @@ def classify(phi: QuadraticHarmonicMorphism,
 
 
 def project_nonsingular(phi: QuadraticHarmonicMorphism,
-                        tol: TolerancePolicy = DEFAULT_TOLERANCES):
+                        tol: float = IDENTITY_TOL):
     """Remove the common kernel of a rank-deficient map.
 
     Returns (projection, core): projection has orthonormal rows spanning the
@@ -476,7 +477,7 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
     kernel = sd.eigenvectors[:, ~keep_mask]
     for idx, M in enumerate(phi.components, start=1):
         leak, size = frobenius(to_float(M) @ kernel), frobenius(M)
-        if not leak <= tol.identity_tol * size:
+        if not leak <= tol * size:
             raise SharedKernelViolated(
                 f"component {idx} does not annihilate the kernel of component 1 "
                 f"(defect {leak / size:.3e})")
@@ -494,7 +495,7 @@ def _normal_form_core(phi, tol, sd=None) -> NormalForm:
     decomposition of its first component."""
     G, D, B, corners = eigenspace_split(phi.components, tol, sd)
     for idx, corner in enumerate(corners, start=2):
-        if not corner <= 1e3 * tol.identity_tol:
+        if not corner <= 1e3 * tol:
             raise NotHorizontallyConformal(
                 1, idx, corner, note="component does not reach off-diagonal block form")
     nf = NormalForm(change_of_coords=G, D=D, B=B)
@@ -507,7 +508,7 @@ def _check_block_relations(nf: NormalForm, tol):
     blocks = [to_float(B) for B in nf.B]
     if not blocks:
         return
-    if any(not rel_residual(D @ B, B @ D) <= tol.identity_tol for B in blocks):
+    if any(not rel_residual(D @ B, B @ D) <= tol for B in blocks):
         raise RankMismatch("eigenvalue matrix does not commute with a block")
     _, failure = pairwise_relation(blocks, D @ D, transpose=True, tol=tol)
     if failure:
@@ -517,7 +518,7 @@ def _check_block_relations(nf: NormalForm, tol):
 
 
 def normal_form(phi: QuadraticHarmonicMorphism,
-                tol: TolerancePolicy = DEFAULT_TOLERANCES) -> NormalForm:
+                tol: float = IDENTITY_TOL) -> NormalForm:
     """Block normal form of a full-rank map with at least two components, at unit scale."""
     phi, u = _unit_map(phi)
     if phi.n < 2:
@@ -543,7 +544,7 @@ def assemble_normal_form(nf: NormalForm):
 
 
 def single_function_representation(phi: QuadraticHarmonicMorphism,
-                                   tol: TolerancePolicy = DEFAULT_TOLERANCES,
+                                   tol: float = IDENTITY_TOL,
                                    samples: int = 100,
                                    seed: int = 0) -> SingleFunctionRepresentation:
     """Express every component as F composed with an orthogonal map.
@@ -571,7 +572,7 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
         rhs = _form_values(MF, X @ Gt.T)
         defects.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
     worst = float(np.max(defects))
-    if not worst <= tol.identity_tol:
+    if not worst <= tol:
         raise SampleDisagreement(
             f"single-function identity fails at sample points (defect {worst:.3e})")
     return SingleFunctionRepresentation(scales=scales, block_sizes=block_sizes,
@@ -583,7 +584,7 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
 
 
 def clifford_system(phi: QuadraticHarmonicMorphism, report: ClassificationReport,
-                    tol: TolerancePolicy = DEFAULT_TOLERANCES):
+                    tol: float = IDENTITY_TOL):
     """The Clifford system phi / lambda of an umbilical map, lambda being its
     common positive eigenvalue; report is classify(phi)."""
     if not report.is_umbilical:
@@ -597,7 +598,7 @@ def clifford_system(phi: QuadraticHarmonicMorphism, report: ClassificationReport
 
 
 def range_extend(phi: QuadraticHarmonicMorphism,
-                 tol: TolerancePolicy = DEFAULT_TOLERANCES,
+                 tol: float = IDENTITY_TOL,
                  seed: int = 0) -> QuadraticHarmonicMorphism:
     """Append components to a domain-minimal map up to the Radon-Hurwitz bound.
 
@@ -659,7 +660,7 @@ def count_biequivalence_classes(n: int, k: int) -> int:
 
 
 def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
-                         tol: TolerancePolicy = DEFAULT_TOLERANCES) -> IsoparametricReport:
+                         tol: float = IDENTITY_TOL) -> IsoparametricReport:
     """Sample check that F(x) = x^T M x has gradient norm 4*scale^2*|x|^2 and
     constant Laplacian; scale^2 is estimated as trace(M^2)/m; M is judged at unit scale."""
     (M,), u = _unit_scale(square_matrices([f_matrix], "function matrices"))
@@ -675,7 +676,7 @@ def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
     target = 4.0 * scale_sq * np.sum(X * X, axis=1)
     grad_defect = float(np.max(np.abs(grad_sq - target) / np.maximum(1.0, target)))
     lap_defect = float(np.max(np.abs(lap - c))) / max(1.0, abs(c))
-    holds = grad_defect <= tol.identity_tol and lap_defect <= tol.identity_tol
+    holds = grad_defect <= tol and lap_defect <= tol
     return IsoparametricReport(holds=holds, scale=math.sqrt(scale_sq) * u,
                                laplacian_coefficient=c * u,
                                max_gradient_defect=grad_defect,
@@ -684,7 +685,7 @@ def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
 
 def sphere_restriction_check(phi: QuadraticHarmonicMorphism, samples: int = 64,
                              seed: int = 0,
-                             tol: TolerancePolicy = DEFAULT_TOLERANCES) -> SphereRestrictionReport:
+                             tol: float = IDENTITY_TOL) -> SphereRestrictionReport:
     """Check |phi(x)| = radius * |x|^2 at seeded points, where radius is the
     common positive eigenvalue of an umbilical map (so spheres map to spheres)."""
     report = classify(phi, tol)
@@ -696,5 +697,5 @@ def sphere_restriction_check(phi: QuadraticHarmonicMorphism, samples: int = 64,
     norms = np.sqrt(np.sum(vals * vals, axis=1))
     target = radius * np.sum(X * X, axis=1)
     defect = float(np.max(np.abs(norms - target) / target))
-    return SphereRestrictionReport(holds=defect <= tol.identity_tol, radius=radius,
+    return SphereRestrictionReport(holds=defect <= tol, radius=radius,
                                    max_defect=defect, samples=samples)

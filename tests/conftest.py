@@ -72,12 +72,13 @@ def random_symmetric(size: int, seed: int) -> np.ndarray:
 
 def count_calls(monkeypatch, module, name):
     """A list that grows by one per call of module.name through every binding
-    of that function in the quadmorph modules."""
+    of that function in the quadmorph modules, by the call's positional
+    arguments."""
     calls = []
     original = getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):

@@ -306,6 +306,16 @@ class TestSeedsAndUsage:
             run([])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_a_bad_tolerance_is_a_usage_error_for_every_command(self, tol, tmp_path, capsys):
+        doc = str(tmp_path / "mul.json")
+        assert run(["construct", "orthomul", "--n", "2", "--out", doc]) == 0
+        for argv in (["verify", doc], ["sigma", "8"], ["construct", "osystem", "--m", "2"],
+                     ["eval", doc, "--x", "1,0", "--y", "0,1"]):
+            assert run(argv + ["--tol", tol]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: --tol must be a positive number, got {float(tol)}\n"
+
     def test_fresh_process_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "quadmorph.cli", "sigma", "8"],
                               capture_output=True, text=True)

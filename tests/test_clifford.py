@@ -61,7 +61,7 @@ class TestVerify:
     def test_float_tolerance_boundary(self, c85):
         floats = [to_float(P) for P in c85.matrices]
         floats[2] = floats[2] + 1e-12
-        clifford.verify_clifford(floats)  # within identity_tol
+        clifford.verify_clifford(floats)  # within IDENTITY_TOL
         floats[2] = floats[2] + 1e-3
         with pytest.raises((AnticommutationViolated, NotSymmetric)):
             clifford.verify_clifford(floats)
@@ -97,10 +97,14 @@ class TestConstruction:
             assert clifford.is_irreducible(clifford.construct_irreducible(n))
 
     @pytest.mark.parametrize("n", [1, 5, 11])
-    def test_construction_checks_its_family_once(self, n, monkeypatch):
-        calls = count_calls(monkeypatch, core, "pairwise_relation")
-        clifford.construct_irreducible(n)
-        assert len(calls) == 1
+    def test_construction_checks_its_family_once_at_half_size(self, n, monkeypatch):
+        relations = count_calls(monkeypatch, core, "pairwise_relation")
+        halves = count_calls(monkeypatch, osystem, "verify_osystem")
+        doubled = count_calls(monkeypatch, clifford, "verify_clifford")
+        cs = clifford.construct_irreducible(n)
+        assert len(relations) == 1 and doubled == []
+        [(members, *_)] = halves
+        assert [M.shape for M in members] == [(cs.two_m // 2,) * 2] * n
 
     def test_direct_sum_requires_matching_arity(self, c85):
         c22 = clifford.construct_irreducible(1)

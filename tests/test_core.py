@@ -69,13 +69,6 @@ class TestResiduals:
         with pytest.raises(NoConvergence):
             core.spectral_decompose(np.diag([2.0, 1.0, -1.0]))
 
-    def test_matrices_equal_exact_vs_float(self):
-        e = core.as_matrix([[1, 0], [0, 1]])
-        f = np.eye(2) + 1e-12
-        assert core.matrices_equal(e, e)
-        assert core.matrices_equal(core.to_float(e), f)
-        assert not core.matrices_equal(e, core.as_matrix([[1, 0], [0, 2]]))
-
     def test_block_diag_preserves_exactness(self):
         a = core.as_matrix([[1]])
         b = core.as_matrix([[2, 0], [0, 3]])
@@ -120,7 +113,7 @@ class TestSpectralDecompose:
             sd = core.spectral_decompose(a)
             back = sd.eigenvectors @ np.diag(sd.eigenvalues) @ sd.eigenvectors.T
             worst = max(worst, core.rel_residual(back, a))
-        assert worst <= core.DEFAULT_TOLERANCES.identity_tol
+        assert worst <= core.IDENTITY_TOL
 
     def test_rank_invariant_under_orthogonal_conjugation(self):
         for seed in range(30):
@@ -299,7 +292,7 @@ class TestPairwiseRelation:
         worst, failure = core.pairwise_relation([a, b], np.eye(2))
         assert worst == 0.0 and failure is None
         worst, failure = core.pairwise_relation([a, b + 1e-6 * a], np.eye(2))
-        assert failure[:2] == (1, 2) and failure[2] > core.DEFAULT_TOLERANCES.identity_tol
+        assert failure[:2] == (1, 2) and failure[2] > core.IDENTITY_TOL
         assert worst < 1e-12
 
     def test_nan_never_reads_as_a_residual_of_zero(self):

@@ -12,6 +12,7 @@ from quadmorph.errors import (
     BadIndices,
     NotOrthogonal,
     ShapeMismatch,
+    VerificationError,
 )
 
 SIGMA_FIRST_16 = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1, 9]
@@ -131,6 +132,34 @@ class TestCliffordCorrespondence:
             again = osystem.to_clifford(osystem.from_clifford(cs))
             verdict = clifford.algebraically_equivalent(cs, again)
             assert verdict.status is EquivalenceStatus.EQUIVALENT
+
+    def test_doubled_system_is_checked_at_half_size(self):
+        eye = np.eye(3, dtype=np.int64)
+        with pytest.raises(AnticommutationViolated, match="odd-dimensional"):
+            osystem.to_clifford(osystem.OSystem(m=3, n=2, matrices=(eye, eye.copy())))
+        with pytest.raises(NotOrthogonal):
+            osystem.to_clifford(osystem.OSystem(m=2, n=1, matrices=(2 * eye[:2, :2],)))
+
+    def test_float_doubling_never_returns_what_verify_clifford_rejects(self):
+        """Seeded noisy float O-systems near the tolerance: whatever to_clifford
+        returns passes verify_clifford at the same tolerance."""
+        tol, outcomes = 1e-9, set()
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            m = (2, 4, 8, 16)[trial % 4]
+            u, v = random_orthogonal(m, 2 * trial), random_orthogonal(m, 2 * trial + 1)
+            taus = [u @ to_float(t) @ v for t in osystem.construct_range_maximal(m).matrices]
+            k = trial % len(taus)
+            taus[k] = taus[k] + 10 ** rng.uniform(-11.5, -8.5) * rng.standard_normal((m, m))
+            try:
+                cs = osystem.to_clifford(osystem.OSystem(m=m, n=len(taus), matrices=tuple(taus)),
+                                         tol)
+            except VerificationError:
+                outcomes.add("rejected")
+                continue
+            outcomes.add("accepted")
+            clifford.verify_clifford(cs.matrices, tol)
+        assert outcomes == {"accepted", "rejected"}
 
     def test_from_clifford_needs_two_members(self):
         cs = clifford.verify_clifford([np.diag([1, -1]).astype(np.int64)])

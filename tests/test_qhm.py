@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmorph import clifford, core, orthomul, osystem, qhm
-from quadmorph.core import DEFAULT_TOLERANCES, random_orthogonal, sample_points, to_float
+from quadmorph.core import IDENTITY_TOL, random_orthogonal, sample_points, to_float
 from quadmorph.errors import (
     AlreadyRangeMaximal,
     ArityMismatch,
@@ -176,7 +176,7 @@ def test_sampled_check_reports_closed_form_defects(mats, broken):
     rep = qhm.sampled_check(mats, samples=16, seed=3)
     got = (rep.max_harmonic_defect, rep.max_offdiagonal_defect, rep.max_diagonal_spread)
     assert got == pytest.approx(_closed_form_defects(mats, 16, 3), rel=1e-9, abs=1e-12)
-    assert got[broken] > DEFAULT_TOLERANCES.identity_tol
+    assert got[broken] > IDENTITY_TOL
     assert not rep.passed
 
 
@@ -796,8 +796,8 @@ def two_scale_pair(drift):
 
 
 def test_squares_within_tolerance_classify_despite_spread_small_eigenvalues():
-    # The squares agree to ~2e-11, inside identity_tol, although the small
-    # eigenvalues differ by 1e-7, beyond eig_pair_tol: classify accepts what
+    # The squares agree to ~2e-11, inside IDENTITY_TOL, although the small
+    # eigenvalues differ by 1e-7, beyond EIG_PAIR_TOL: classify accepts what
     # verify_qhm accepts instead of comparing the two spectra.
     phi = qhm.verify_qhm(two_scale_pair(1e-7))
     report = qhm.classify(phi)
@@ -863,7 +863,7 @@ def test_verify_at_two_m_512(monkeypatch):
     cs = clifford.construct_irreducible(17)
     phi, residuals = qhm.check_qhm(cs.matrices, samples=8)
     assert (phi.m, phi.n) == (512, 18)
-    assert max(residuals.values()) <= DEFAULT_TOLERANCES.identity_tol
+    assert max(residuals.values()) <= IDENTITY_TOL
     calls = count_calls(monkeypatch, core, "exact_rank")
     report = qhm.classify(phi)
     assert report.q_rank == 512 and report.is_umbilical

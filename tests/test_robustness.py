@@ -13,8 +13,14 @@ from hypothesis import strategies as st
 
 from quadmorph import clifford, orthomul, osystem, qhm, serialize
 from quadmorph.cli import run
-from quadmorph.core import as_matrix, spectral_decompose
-from quadmorph.errors import AnticommutationViolated, DocumentFormatError, NotNormPreserving
+from quadmorph.clifford import EquivalenceStatus
+from quadmorph.core import as_matrix, random_orthogonal, spectral_decompose, to_float
+from quadmorph.errors import (
+    AnticommutationViolated,
+    DocumentFormatError,
+    NotNormPreserving,
+    VerificationError,
+)
 
 NAN = float("nan")
 WRAP = [[1438793759, 4046803256], [4046803256, -1438793759]]  # a^2 + b^2 = 2^64 + 1
@@ -44,6 +50,29 @@ def test_verifiers_reject_all_nan_input(verify):
         verify([np.full((2, 2), np.nan)])
 
 
+
+
+def _float_conjugates():
+    """One valid float candidate per verifier: canonical exact objects moved
+    by seeded orthogonal matrices (Q P Q^T, U tau V)."""
+    q, u, v = random_orthogonal(4, 1), random_orthogonal(4, 2), random_orthogonal(4, 3)
+    members = [q @ to_float(P) @ q.T for P in clifford.construct_irreducible(2).matrices]
+    taus = [u @ to_float(t) @ v for t in osystem.construct_range_maximal(4).matrices]
+    return [members, taus, taus, members]
+
+
+@pytest.mark.parametrize("tol", [NAN, 0.0, -1.0])
+def test_a_nan_or_non_positive_tolerance_only_rejects(tol):
+    candidates = _float_conjugates()
+    for verify, candidate in zip(VERIFIERS, candidates):
+        verify(candidate)
+        with pytest.raises(VerificationError):
+            verify(candidate, tol)
+    a = clifford.verify_clifford(candidates[0])
+    b = clifford.construct_irreducible(2)
+    assert clifford.algebraically_equivalent(a, b).status is EquivalenceStatus.EQUIVALENT
+    status = clifford.algebraically_equivalent(a, b, tol).status
+    assert status in (EquivalenceStatus.UNKNOWN, EquivalenceStatus.NOT_EQUIVALENT)
 @pytest.mark.parametrize("kind", sorted(DIMS))
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_documents_are_malformed(kind, token, tmp_path):
@@ -196,6 +225,36 @@ def test_fuzzed_documents_end_in_an_exit_code(doc, fuzz_dir):
         worst = max(DEFINING_DEFECTS[doc["kind"]](
             [[[Fraction(x) for x in row] for row in M] for M in doc["matrices"]]))
         assert worst <= bound, f"{doc['kind']} accepted with squared defect {float(worst):.3e}"
+
+
+BIG = 1e308  # finite, but its products overflow
+
+
+@pytest.mark.parametrize("kind, first, flags, code", [
+    ("clifford", [[BIG] * 4] * 4, [], 1),
+    ("clifford", [[0, BIG, 0, 0], [-BIG, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [], 1),
+    ("osystem", [[BIG] * 4] * 4, [], 1),
+    ("orthomul", [[BIG] * 2] * 2, [], 1),
+    ("qhm", None, ["--point", "1e200,1e200,0,0"], 2),
+    ("orthomul", None, ["--x", "1e200,1e200", "--y", "1e200,1"], 2),
+])
+def test_overflowing_products_end_in_one_line_without_a_warning(kind, first, flags, code,
+                                                                 tmp_path, capsys):
+    """A seed document, its first member replaced by finite entries whose
+    products overflow (verify), or evaluated where the values overflow (eval)."""
+    mats = json.loads(json.dumps(SEEDS[kind]))
+    if first is not None:
+        mats[0] = first
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "dims": _dims(kind, mats), "scalars": "float",
+                                "matrices": mats}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(["eval" if flags else "verify", str(path)] + flags)
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("rejected: " if code == 1 else "error: ")
 
 
 # ---------------------------------------------------------------------------
