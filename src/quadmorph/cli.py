@@ -154,14 +154,20 @@ _CONVERSIONS = {
 }
 
 
+# conversions that verify the source's own identity on its own members, so
+# the source is not checked again before them
+_SELF_CHECKING = {("osystem", "clifford"), ("osystem", "orthomul"), ("orthomul", "osystem")}
+
+
 def _cmd_convert(args) -> int:
     doc = _read_document(args.file)
     obj = serialize.decode(doc)
     src = doc["kind"]
     to = args.to
-    obj, _ = _verify_object(obj, args)
     if (src, to) not in _CONVERSIONS:
         raise QuadmorphError(f"no conversion from {src} to {to}")
+    if (src, to) not in _SELF_CHECKING:
+        obj, _ = _verify_object(obj, args)
     result = _CONVERSIONS[src, to](obj, args.tol)
     out_doc = serialize.encode(result, command=f"convert {src} {to}",
                                seed=args.seed, version=__version__)

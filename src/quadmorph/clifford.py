@@ -30,6 +30,7 @@ from .core import (
     eigenspace_split,
     identity_matrix,
     is_exact,
+    ordered_product,
     pairwise_relation,
     rel_residual,
     square_matrices,
@@ -171,10 +172,12 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
 
 
 def _ordered_product_trace(mats) -> float:
-    prod = mats[0]
-    for P in mats[1:]:
-        prod = prod @ P
-    return float(np.trace(to_float(prod)))
+    """Trace of P_1 ... P_n: for exact members the float of the exact trace
+    (ValueError beyond the float64 range, as in to_float)."""
+    prod = ordered_product(mats)
+    if is_exact(prod):
+        return float(to_float(np.array(sum(np.diagonal(prod).tolist()))))
+    return float(np.trace(prod))
 
 
 def _commutant_dimension(cs: CliffordSystem, trace: float) -> int:
@@ -205,7 +208,11 @@ def symmetric_commutant_dimension(matrices, tol: float = IDENTITY_TOL) -> int:
 
 
 def is_irreducible(cs: CliffordSystem) -> bool:
-    """True iff only scalar multiples of I commute symmetrically with all members."""
+    """True iff only scalar multiples of I commute symmetrically with all members.
+
+    Decided by the closed-form commutant dimension from the trace of the
+    ordered member product, which is exact for exact members
+    (core.ordered_product never wraps around)."""
     return _commutant_dimension(cs, _ordered_product_trace(cs.matrices)) == 1
 
 
@@ -250,8 +257,10 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
     Dimension, member count and the trace of the ordered member product fix
     the class of a system, so differing symmetric commutant dimensions or
     product traces decide NOT_EQUIVALENT and agreeing ones mean the systems
-    are equivalent.  The certificate is the orthogonal intertwiner of the
-    members; UNKNOWN is reported only when it fails numerically.
+    are equivalent.  Both traces are exact for exact members
+    (core.ordered_product never wraps around).  The certificate is the
+    orthogonal intertwiner of the members; UNKNOWN is reported only when it
+    fails numerically.
     """
     if a.two_m != b.two_m or a.n != b.n:
         raise ShapeMismatch("systems must share dimension and member count")

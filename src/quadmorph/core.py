@@ -15,6 +15,7 @@ generation) happens in approx mode on top of LAPACK via numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,7 @@ __all__ = [
     "square_matrices",
     "check_symmetric",
     "pairwise_relation",
+    "ordered_product",
     "spectral_decompose",
     "eigenspace_split",
     "numeric_rank",
@@ -239,6 +241,33 @@ def _product_dtype(mats, inner: int, target=None):
     if bound <= 2**53:
         return np.float64
     return np.int64 if bound <= 2**62 else object
+
+
+def _exact_matmul(a, b):
+    """a @ b for exact a and b in the dtype of _product_dtype, float64
+    products coming back as int64."""
+    dtype = _product_dtype([a, b], b.shape[0])
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return prod.astype(np.int64) if dtype == np.float64 else prod
+
+
+def ordered_product(mats):
+    """The ordered product M_1 M_2 ... M_k of square d x d matrices.
+
+    Float and object members multiply in order as they are.  Integer members
+    never wrap around: when (d * peak)^k <= 2^53, a bound on every entry and
+    partial sum of every partial product and on the trace, the whole chain
+    runs in float64 through BLAS, exactly; otherwise each step multiplies in
+    the dtype of _product_dtype for the running product and the next member
+    (float64, int64, or Python ints once int64 could wrap).  An integer
+    product comes back as int64, or as object when its entries need it.
+    """
+    if not all(np.issubdtype(M.dtype, np.integer) for M in mats):
+        return functools.reduce(np.matmul, mats)
+    stack = np.stack(mats)
+    if not stack.size or (stack.shape[-1] * _peak(stack)) ** len(stack) <= 2**53:
+        return functools.reduce(np.matmul, stack.astype(np.float64)).astype(np.int64)
+    return functools.reduce(_exact_matmul, mats)
 
 
 @np.errstate(over="ignore", invalid="ignore")

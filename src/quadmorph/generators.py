@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import ordered_product
+
 __all__ = [
     "cayley_dickson_multiply",
     "left_multiplication_matrix",
@@ -106,10 +108,7 @@ def _doubling_family_16():
     last[:8, 8:] = -eye8
     last[8:, :8] = eye8
     members.append(last)
-    product = members[0]
-    for K in members[1:]:
-        product = product @ K
-    return members, product
+    return members, ordered_product(members)
 
 
 def _skew_family_power_of_two(v: int):

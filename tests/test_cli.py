@@ -240,6 +240,45 @@ class TestConvert:
                     assert f"no conversion from {src} to {to}" in err
 
 
+def test_convert_rejects_an_invalid_source_through_its_conversion(tmp_path, capsys):
+    eye = np.eye(2, dtype=np.int64)
+    path = write_doc(tmp_path, "bad.json", OSystem(m=2, n=2, matrices=(eye, eye)))
+    assert run(["convert", path, "--to", "qhm"]) == 2  # the pair is looked up first
+    assert "no conversion from osystem to qhm" in capsys.readouterr().err
+    assert run(["convert", path, "--to", "clifford"]) == 1
+    assert "members 1 and 2 violate the anticommutation relation" in capsys.readouterr().err
+    assert run(["convert", path, "--to", "orthomul"]) == 1
+    assert "slices 1 and 2 break norm preservation" in capsys.readouterr().err
+
+
+# the pairwise_relation and sampled_check calls of one convert request:
+# each identity once, and every sampled check of the source kept
+CONVERT_CENSUS = {
+    ("qhm", "clifford"): (3, 1),  # equal squares, the block relations, the scaled system
+    ("clifford", "qhm"): (2, 1),  # the Clifford relation, then the map's equal squares
+    ("clifford", "osystem"): (2, 0),  # the system, then its blocks as an O-system
+    ("osystem", "clifford"): (1, 0),
+    ("osystem", "orthomul"): (1, 0),
+    ("orthomul", "osystem"): (1, 0),
+}
+
+
+@pytest.mark.parametrize("src, to", sorted(CONVERT_CENSUS))
+def test_convert_checks_each_identity_once(src, to, tmp_path, monkeypatch, capsys):
+    flags = {"clifford": ["--n", "3"], "osystem": ["--m", "8"],
+             "orthomul": ["--n", "4"], "qhm": ["--n", "3"]}[src]
+    path = str(tmp_path / f"{src}.json")
+    assert run(["construct", src, *flags, "--out", path]) == 0
+    relations = count_calls(monkeypatch, core, "pairwise_relation")
+    sampled = count_calls(monkeypatch, qhm, "sampled_check")
+    assert run(["convert", path, "--to", to]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == to
+    identities = {(repr([M.tolist() for M in mats]), repr([T.tolist() for T in target[:1]]))
+                  for mats, *target in relations}
+    assert (len(relations), len(sampled)) == CONVERT_CENSUS[src, to]
+    assert len(identities) == len(relations)
+
+
 class TestExtend:
     def test_extend_minimal_map(self, tmp_path, capsys):
         src = str(tmp_path / "phi.json")

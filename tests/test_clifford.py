@@ -225,6 +225,28 @@ def test_commutant_formula_matches_the_nullity(name):
     assert clifford.is_irreducible(cs) == (reference == 1) == name.startswith("irreducible")
 
 
+def object_product_trace(mats):
+    """Trace of the ordered product multiplied in Python integers."""
+    prod = mats[0].astype(object)
+    for P in mats[1:]:
+        prod = prod @ P.astype(object)
+    return sum(np.diagonal(prod).tolist())
+
+
+@pytest.mark.parametrize("n", [pytest.param(n, marks=pytest.mark.slow) if n == 13 else n
+                               for n in range(1, 14)])
+def test_ordered_product_trace_is_exact(n):
+    mats = clifford.construct_irreducible(n).matrices
+    trace = clifford._ordered_product_trace(mats)
+    assert type(trace) is float and trace == object_product_trace(mats)
+
+
+def test_ordered_product_trace_does_not_wrap_around():
+    # int64 reads (2^31 I)^3 = 2^93 I as 0
+    big = 2**31 * np.eye(2, dtype=np.int64)
+    assert clifford._ordered_product_trace([big] * 3) == 2.0**94
+
+
 def test_commutant_requires_a_clifford_system():
     a = np.diag([1, 1, -1, -1]).astype(np.int64)
     b = np.diag([1, -1, 1, -1]).astype(np.int64)

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -385,3 +386,42 @@ def test_exact_relation_verdict_matches_python_integers(rows, transpose, identit
     target = np.eye(size, dtype=np.int64) if identity else None
     _, failure = core.pairwise_relation(mats, target, transpose)
     assert failure == _python_first_failure(rows, transpose, identity)
+
+
+# ---------------------------------------------------------------------------
+# ordered products
+
+
+@st.composite
+def integer_chains(draw):
+    """1 to 6 square int64 members of one size, entries up to a peak of 1,
+    2^8 or 2^31: the whole-chain float64 route, and steps that move from
+    float64 to int64 and to Python integers."""
+    size, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    peak = draw(st.sampled_from([1, 2**8, 2**31]))
+    row = st.lists(st.integers(-peak, peak), min_size=size, max_size=size)
+    return draw(st.lists(st.lists(row, min_size=size, max_size=size),
+                         min_size=count, max_size=count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_chains())
+@example([[[2**31, 0], [0, 2**31]]] * 3)  # int64 reads (2^31 I)^3 = 2^93 I as 0
+@example([[[-2**31, 2**31], [2**31, 2**31]]] * 6)
+def test_ordered_product_matches_python_integers(rows):
+    prod = core.ordered_product([np.array(M, dtype=np.int64) for M in rows])
+    exact = functools.reduce(np.matmul, [np.array(M, dtype=object) for M in rows])
+    assert prod.dtype in (np.int64, object) and prod.tolist() == exact.tolist()
+
+
+def test_ordered_product_of_floats_multiplies_in_order():
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((5, 5)) for _ in range(4)]
+    assert np.array_equal(core.ordered_product(mats), ((mats[0] @ mats[1]) @ mats[2]) @ mats[3])
+
+
+def test_ordered_product_of_signed_permutations_stays_int64():
+    mats = construct_irreducible(13).matrices  # 14 members on R^256
+    prod = core.ordered_product(mats)
+    assert prod.dtype == np.int64
+    assert np.array_equal(np.abs(prod).sum(axis=0), np.ones(256, dtype=np.int64))

@@ -822,6 +822,8 @@ def test_verify_and_classify_at_two_m_256():
     conj = qhm.verify_qhm([g @ to_float(P) @ g.T for P in cs.matrices])
     report = qhm.classify(conj)
     assert report.is_umbilical and report.q_rank == 256
+    assert clifford.is_irreducible(cs)
+    assert clifford.is_irreducible(clifford.verify_clifford(conj.components))
 
 
 def traced_peak_mb(fn, *args, **kwargs):
