@@ -1,20 +1,19 @@
-"""Compare two source trees with the benchmark, in alternating pairs.
+"""Compare a parent source tree with this checkout in alternating pairs.
 
     git archive <parent-commit> | tar -x -C /tmp/parent
     python3 scripts/bench_pairs.py --parent /tmp/parent --label NAME
 
-Runs ``bench/run.py --workload W --seed S --seconds T --trace 0`` of each
-tree (the parent tree and the change tree, by default this checkout) one
-after the other, in pairs: odd pairs run the parent first, even pairs the
+Runs ``bench/run.py --workload W --seed S --seconds 10 --trace 0`` of each
+tree (the parent tree and this checkout, the change) one after the other,
+in ten pairs per workload: odd pairs run the parent first, even pairs the
 change first, because the first run of a pair tends to drift faster.  Pair
-p of every workload uses seed ``--seed-base + p``.  Each run's result (the
-dict that bench/run.py prints on its next-to-last line) is kept verbatim,
-and every end-to-end metric of BENCHMARK.json is summarised per workload:
-medians and inclusive quartiles of both trees, the relative change of the
-medians, and in how many pairs the change did better.  Writes
-``BENCH_<label>.json`` at the root of this checkout; bench/ is only run,
-never changed.  Runs are sequential, so the trees never compete for the
-machine.
+p of every workload uses seed 700 + p.  Each run's result (the dict that
+bench/run.py prints on its next-to-last line) is kept verbatim, and every
+end-to-end metric of BENCHMARK.json is summarised per workload: medians and
+inclusive quartiles of both trees, the relative change of the medians, and
+in how many pairs the change did better.  Writes ``BENCH_<label>.json`` at
+the root of this checkout; bench/ is only run, never changed.  Runs are
+sequential, so the trees never compete for the machine.
 """
 
 from __future__ import annotations
@@ -28,27 +27,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["pipeline-scale", "equivalence", "cli-desk"]
+PAIRS = 10
+SECONDS = 10.0
+SEED_BASE = 700
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="the parent source tree")
-    parser.add_argument("--change", type=Path, default=ROOT,
-                        help="the changed source tree (default: this checkout)")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed-base", type=int, default=700)
     parser.add_argument("--description", default="",
                         help="what the two trees are, put in front of the run description")
     return parser.parse_args(argv)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One bench/run.py run of the tree; returns its result dict."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -87,19 +83,16 @@ def summarise(runs, metrics) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.pairs < 2:
-        print("error: need at least 2 pairs for quartiles", file=sys.stderr)
-        return 2
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
     runs = []
-    for workload in args.workloads:
-        for pair in range(1, args.pairs + 1):
+    for workload in WORKLOADS:
+        for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
-            seed = args.seed_base + pair
+            seed = SEED_BASE + pair
             for position, tree in enumerate(order, start=1):
-                result = run_once(trees[tree], workload, seed, args.seconds)
+                result = run_once(trees[tree], workload, seed)
                 runs.append({"workload": workload, "pair": pair, "seed": seed, "tree": tree,
                              "position": position, "result": result})
                 print(f"{workload} pair {pair} {tree}: "
@@ -107,13 +100,13 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     description = (
         f"{args.description + ' ' if args.description else ''}"
-        f"bench/run.py --seconds {args.seconds:g} --trace 0, alternating parent/change pairs "
+        f"bench/run.py --seconds {SECONDS:g} --trace 0, alternating parent/change pairs "
         f"with the order flipped every pair (odd pairs: parent first; even pairs: change "
-        f"first), seed {args.seed_base} + pair. Each 'result' is the bench/out/result-*.json "
+        f"first), seed {SEED_BASE} + pair. Each 'result' is the bench/out/result-*.json "
         f"dict, copied verbatim; the environment of each run is in its result.")
     out = {"label": args.label, "description": description,
            "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
-                       for w in args.workloads},
+                       for w in WORKLOADS},
            "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -144,19 +144,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# (source, target) -> (conversion, whether the conversion itself verifies
+# the source's identity on its own members, so the CLI does not check it first)
 _CONVERSIONS = {
-    ("qhm", "clifford"): lambda phi, tol: _qhm.clifford_system(phi, _qhm.classify(phi, tol), tol),
-    ("clifford", "qhm"): _qhm.from_clifford,
-    ("clifford", "osystem"): _osystem.from_clifford,
-    ("osystem", "clifford"): _osystem.to_clifford,
-    ("osystem", "orthomul"): _orthomul.from_osystem,
-    ("orthomul", "osystem"): _orthomul.to_osystem,
+    ("qhm", "clifford"): (
+        lambda phi, tol: _qhm.clifford_system(phi, _qhm.classify(phi, tol), tol), False),
+    ("clifford", "qhm"): (_qhm.from_clifford, False),
+    ("clifford", "osystem"): (_osystem.from_clifford, False),
+    ("osystem", "clifford"): (_osystem.to_clifford, True),
+    ("osystem", "orthomul"): (_orthomul.from_osystem, True),
+    ("orthomul", "osystem"): (_orthomul.to_osystem, True),
 }
-
-
-# conversions that verify the source's own identity on its own members, so
-# the source is not checked again before them
-_SELF_CHECKING = {("osystem", "clifford"), ("osystem", "orthomul"), ("orthomul", "osystem")}
 
 
 def _cmd_convert(args) -> int:
@@ -166,9 +164,10 @@ def _cmd_convert(args) -> int:
     to = args.to
     if (src, to) not in _CONVERSIONS:
         raise QuadmorphError(f"no conversion from {src} to {to}")
-    if (src, to) not in _SELF_CHECKING:
+    convert, checks_source = _CONVERSIONS[src, to]
+    if not checks_source:
         obj, _ = _verify_object(obj, args)
-    result = _CONVERSIONS[src, to](obj, args.tol)
+    result = convert(obj, args.tol)
     out_doc = serialize.encode(result, command=f"convert {src} {to}",
                                seed=args.seed, version=__version__)
     _emit(serialize.dumps(out_doc), args.out)

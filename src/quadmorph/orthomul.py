@@ -127,13 +127,15 @@ def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
 
 
 def from_osystem(os, tol: float = IDENTITY_TOL) -> OrthogonalMultiplication:
-    """Members of an orthogonal tuple become the coefficient slices."""
+    """Members of an orthogonal tuple become the coefficient slices, which
+    are verified as a multiplication (verify_orthomul)."""
     return verify_orthomul(os.matrices, tol)
 
 
 def to_osystem(mu: OrthogonalMultiplication,
                tol: float = IDENTITY_TOL):
-    """Square multiplications viewed as orthogonal member tuples."""
+    """Square multiplications viewed as orthogonal member tuples, which are
+    verified as an O-system (verify_osystem)."""
     if mu.q != mu.n_out:
         raise NotSquare(f"slices are {mu.n_out} x {mu.q}; need square slices")
     return _osystem.verify_osystem(mu.slices, tol)
