@@ -125,6 +125,9 @@ def _cases():
         "verify tight tol": ["verify", "{osystem-float}", "--tol", "1e-18"],
         "split out": ["split", "{qhm-triple}", "--out", "{out}"],
         "unknown kind": ["verify", "{unknown-kind}"],
+        "usage bad kind": ["construct", "spinor", "--n", "3"],
+        "usage bad target": ["convert", "{qhm}", "--to", "spinor"],
+        "usage no subcommand": [],
     }
     for kind in KINDS:
         for variant in ("", "-broken", "-float", "-malformed"):
@@ -144,8 +147,9 @@ def _cases():
 
 def digest(argv, documents, workdir) -> str:
     """SHA-256 over the exit code, stdout (plus the --out file) and stderr
-    of one in-process run; '{name}' in argv is the path of a document,
-    '{out}' a fresh output path, and '-' reads the 'qhm' document."""
+    of one in-process run, a usage error's SystemExit code standing for the
+    exit code; '{name}' in argv is the path of a document, '{out}' a fresh
+    output path, and '-' reads the 'qhm' document."""
     paths = {}
     for name, text in documents.items():
         paths[name] = workdir / f"{name}.json"
@@ -159,7 +163,10 @@ def digest(argv, documents, workdir) -> str:
     stdin = io.StringIO(documents["qhm"])
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with _swapped_stdin(stdin):
-            code = run(argv)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
     written = out_path.read_text() if out_path.exists() else ""
     record = f"{code}\n{out.getvalue()}{written}\0{err.getvalue()}"
     return hashlib.sha256(record.encode()).hexdigest()
@@ -421,6 +428,12 @@ DIGESTS = {
         '8666ca0c1a74046e5da8e1d18772d0869f97cbd1fd93b5f8408575ff296ab3fa',
     'unknown kind':
         'b3dd09575d1600cda57056ac1e75999c91b0b5aa81af799e2d31dcec4ebffd41',
+    'usage bad kind':
+        'ba2a45dbebf838e43650581c9a66563d0c9faee440bc721697f379c97c71e966',
+    'usage bad target':
+        'c7b2541d980359229934366b94a31c240d77f4b16762c22f465a8153cb3728db',
+    'usage no subcommand':
+        '0667010fde59e2416424c7be948874071b56ae3676c9249595be997c1d22e366',
     'verify clifford':
         '5275fbce950ac4236413a2591ce155a497490c9cf2f5c6636c2b76dfd9c84330',
     'verify clifford-broken':
@@ -478,4 +491,5 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_cli_output_is_unchanged(name, documents, tmp_path, monkeypatch):
     monkeypatch.delenv("QHM_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     assert digest(_cases()[name], documents, tmp_path) == DIGESTS[name]
