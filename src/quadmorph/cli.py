@@ -34,20 +34,32 @@ def _default_seed() -> int:
         return 0
 
 
-def _read_document(path: str) -> dict:
-    if path == "-":
-        return serialize.loads(sys.stdin.read())
-    try:
-        return serialize.loads(Path(path).read_text())
-    except OSError as exc:
-        raise QuadmorphError(f"cannot read {path}: {exc}") from exc
+def _read(args):
+    """The document named by args.file ('-' for stdin) and the object it
+    decodes to."""
+    if args.file == "-":
+        doc = serialize.loads(sys.stdin.read())
+    else:
+        try:
+            doc = serialize.loads(Path(args.file).read_text())
+        except OSError as exc:
+            raise QuadmorphError(f"cannot read {args.file}: {exc}") from exc
+    return doc, serialize.decode(doc)
 
 
-def _emit(text: str, out):
-    if out:
-        Path(out).write_text(text)
+def _document(obj, command: str, args) -> dict:
+    return serialize.encode(obj, command=command, seed=args.seed, version=__version__)
+
+
+def _emit(payload, args) -> int:
+    """Write a JSON payload, or a text line as it is, to --out or stdout;
+    returns the exit code 0."""
+    text = payload if isinstance(payload, str) else serialize.dumps(payload)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 _CHECKS = {"clifford": _clifford.check_clifford, "osystem": _osystem.check_osystem,
@@ -68,52 +80,38 @@ def _verify_object(obj, args):
 def _cmd_sigma(args) -> int:
     d = _osystem.hurwitz_radon(args.m)
     if args.format == "json":
-        payload = {"m": d.m, "r": d.r, "c": d.c, "d": d.d, "sigma": d.sigma}
-        _emit(serialize.dumps(payload), args.out)
-    else:
-        _emit(f"m={d.m} r={d.r} c={d.c} d={d.d} sigma={d.sigma}\n", args.out)
-    return 0
+        return _emit({"m": d.m, "r": d.r, "c": d.c, "d": d.d, "sigma": d.sigma}, args)
+    return _emit(f"m={d.m} r={d.r} c={d.c} d={d.d} sigma={d.sigma}\n", args)
+
+
+# (kind, flag) -> constructor from the flag's value; a kind takes exactly one
+# of its flags and ignores the flags of other kinds
+_CONSTRUCTORS = {
+    ("clifford", "n"): _clifford.construct_irreducible,
+    ("osystem", "m"): _osystem.construct_range_maximal,
+    ("orthomul", "n"): _orthomul.standard_multiplication,
+    ("qhm", "hopf"): lambda d: _orthomul.hopf_construction(_orthomul.standard_multiplication(d)),
+    ("qhm", "n"): lambda n: _qhm.from_clifford(_clifford.construct_irreducible(n)),
+}
 
 
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "clifford":
-        if args.n is None:
-            raise QuadmorphError("construct clifford needs --n")
-        obj = _clifford.construct_irreducible(args.n)
-        command = f"construct clifford --n {args.n}"
-    elif kind == "osystem":
-        if args.m is None:
-            raise QuadmorphError("construct osystem needs --m")
-        obj = _osystem.construct_range_maximal(args.m)
-        command = f"construct osystem --m {args.m}"
-    elif kind == "orthomul":
-        if args.n is None:
-            raise QuadmorphError("construct orthomul needs --n")
-        obj = _orthomul.standard_multiplication(args.n)
-        command = f"construct orthomul --n {args.n}"
-    else:
-        if (args.hopf is None) == (args.n is None):
-            raise QuadmorphError("construct qhm needs exactly one of --hopf or --n")
-        if args.hopf is not None:
-            obj = _orthomul.hopf_construction(_orthomul.standard_multiplication(args.hopf))
-            command = f"construct qhm --hopf {args.hopf}"
-        else:
-            obj = _qhm.from_clifford(_clifford.construct_irreducible(args.n))
-            command = f"construct qhm --n {args.n}"
-    doc = serialize.encode(obj, command=command, seed=args.seed, version=__version__)
-    _emit(serialize.dumps(doc), args.out)
-    return 0
+    flags = [flag for kind, flag in _CONSTRUCTORS if kind == args.kind]
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if len(given) != 1:
+        options = " or ".join(f"--{flag}" for flag in flags)
+        raise QuadmorphError(f"construct {args.kind} needs "
+                             + (f"exactly one of {options}" if len(flags) > 1 else options))
+    value = getattr(args, given[0])
+    obj = _CONSTRUCTORS[args.kind, given[0]](value)
+    return _emit(_document(obj, f"construct {args.kind} --{given[0]} {value}", args), args)
 
 
 def _cmd_verify(args) -> int:
-    doc = _read_document(args.file)
-    obj = serialize.decode(doc)
+    doc, obj = _read(args)
     _, residuals = _verify_object(obj, args)
-    payload = {"kind": doc["kind"], "dims": doc["dims"], "scalars": doc["scalars"],
-               "valid": True, "residuals": residuals}
-    _emit(serialize.dumps(payload), args.out)
-    return 0
+    return _emit({"kind": doc["kind"], "dims": doc["dims"], "scalars": doc["scalars"],
+                  "valid": True, "residuals": residuals}, args)
 
 
 def _classification_payload(report) -> dict:
@@ -129,19 +127,15 @@ def _classification_payload(report) -> dict:
 
 
 def _decoded_qhm(args, what: str):
-    doc = _read_document(args.file)
-    obj = serialize.decode(doc)
+    doc, obj = _read(args)
     if doc["kind"] != "qhm":
         raise QuadmorphError(f"{what} expects a qhm document, found kind {doc['kind']!r}")
-    return _qhm.verify_qhm(obj.components, args.tol,
-                           samples=args.samples, seed=args.seed)
+    return _verify_object(obj, args)[0]
 
 
 def _cmd_classify(args) -> int:
     phi = _decoded_qhm(args, "classify")
-    report = _qhm.classify(phi, args.tol)
-    _emit(serialize.dumps(_classification_payload(report)), args.out)
-    return 0
+    return _emit(_classification_payload(_qhm.classify(phi, args.tol)), args)
 
 
 # (source, target) -> (conversion, whether the conversion itself verifies
@@ -158,44 +152,32 @@ _CONVERSIONS = {
 
 
 def _cmd_convert(args) -> int:
-    doc = _read_document(args.file)
-    obj = serialize.decode(doc)
-    src = doc["kind"]
-    to = args.to
+    doc, obj = _read(args)
+    src, to = doc["kind"], args.to
     if (src, to) not in _CONVERSIONS:
         raise QuadmorphError(f"no conversion from {src} to {to}")
     convert, checks_source = _CONVERSIONS[src, to]
     if not checks_source:
         obj, _ = _verify_object(obj, args)
-    result = convert(obj, args.tol)
-    out_doc = serialize.encode(result, command=f"convert {src} {to}",
-                               seed=args.seed, version=__version__)
-    _emit(serialize.dumps(out_doc), args.out)
-    return 0
+    return _emit(_document(convert(obj, args.tol), f"convert {src} {to}", args), args)
 
 
 def _cmd_extend(args) -> int:
     phi = _decoded_qhm(args, "extend")
     extended = _qhm.range_extend(phi, args.tol, seed=args.seed)
-    out_doc = serialize.encode(extended, command="extend", seed=args.seed,
-                               version=__version__)
-    _emit(serialize.dumps(out_doc), args.out)
-    return 0
+    return _emit(_document(extended, "extend", args), args)
 
 
 def _cmd_split(args) -> int:
     phi = _decoded_qhm(args, "split")
     report = _qhm.classify(phi, args.tol)
-    summands = [serialize.encode(summand, command=f"split summand {i}",
-                                 seed=args.seed, version=__version__)
-                for i, (_, summand) in enumerate(report.splitting, start=1)]
     payload = _classification_payload(report)
-    payload["summands"] = summands
-    payload["split_change"] = [[float(v) for v in row] for row in report.split_change]
+    payload["summands"] = [_document(summand, f"split summand {i}", args)
+                           for i, (_, summand) in enumerate(report.splitting, start=1)]
+    payload["split_change"] = report.split_change.tolist()
     payload["projection"] = (None if report.projection is None else
-                             [[float(v) for v in row] for row in to_float(report.projection)])
-    _emit(serialize.dumps(payload), args.out)
-    return 0
+                             to_float(report.projection).tolist())
+    return _emit(payload, args)
 
 
 def _parse_vector(text: str, what: str):
@@ -206,23 +188,19 @@ def _parse_vector(text: str, what: str):
 
 
 def _cmd_eval(args) -> int:
-    doc = _read_document(args.file)
-    obj = serialize.decode(doc)
+    doc, obj = _read(args)
     if doc["kind"] == "qhm":
         if args.point is None:
             raise QuadmorphError("eval on a qhm document needs --point")
         values = _qhm.evaluate(obj, _parse_vector(args.point, "--point"))
-        payload = {"kind": "qhm", "values": [float(v) for v in values]}
     elif doc["kind"] == "orthomul":
         if args.x is None or args.y is None:
             raise QuadmorphError("eval on an orthomul document needs --x and --y")
         values = _orthomul.multiply(obj, _parse_vector(args.x, "--x"),
                                     _parse_vector(args.y, "--y"))
-        payload = {"kind": "orthomul", "values": [float(v) for v in values]}
     else:
         raise QuadmorphError(f"eval supports qhm and orthomul documents, found {doc['kind']!r}")
-    _emit(serialize.dumps(payload), args.out)
-    return 0
+    return _emit({"kind": doc["kind"], "values": [float(v) for v in values]}, args)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common],
                        help="emit a canonical object document")
-    p.add_argument("kind", choices=["clifford", "osystem", "orthomul", "qhm"])
+    p.add_argument("kind", choices=list(serialize._KINDS))
     p.add_argument("--n", type=int, default=None,
                    help="members minus one (clifford/qhm) or factor dimension (orthomul)")
     p.add_argument("--m", type=int, default=None, help="ambient dimension (osystem)")
@@ -271,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", parents=[common], help="convert between object kinds")
     p.add_argument("file")
-    p.add_argument("--to", required=True, choices=["clifford", "osystem", "orthomul", "qhm"])
+    p.add_argument("--to", required=True, choices=list(serialize._KINDS))
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("extend", parents=[common],

@@ -218,34 +218,31 @@ def check_symmetric(mats, tol: float = IDENTITY_TOL) -> None:
 
 
 def _peak(M) -> int:
-    return max(abs(int(M.max())), abs(int(M.min())))
+    return max(abs(int(M.max())), abs(int(M.min()))) if M.size else 0
 
 
 def _product_dtype(mats, inner: int, target=None):
     """The dtype in which products of the exact matrices mats over an inner
     dimension of length inner, and sums of two such products, come out exact,
-    an integer target being compared with them.
+    an integer target being compared with them: float64 or object.
 
     Every partial sum of a product is bounded by inner * peak^2.  Up to 2^53
     (the target's entries too) it is an integer float64 holds exactly, so
     BLAS computes the products exactly, and a nonzero integer sum of two of
-    them never rounds to 0: float64.  Up to 2^62 int64 holds them, and a sum
-    of two lies within +-2^63, where a wraparound never gives 0: int64.
-    Beyond that, and for object members, object.
+    them never rounds to 0: float64.  Beyond that, and for object members,
+    Python integers: object.  int64 is storage only; no product runs in it.
     """
-    if mats[0].dtype == object or not mats[0].size:
-        return mats[0].dtype
+    if mats[0].dtype == object:
+        return object
     bound = inner * max(_peak(M) for M in mats) ** 2
     if target is not None and np.issubdtype(target.dtype, np.integer):
         bound = max(bound, _peak(target))
-    if bound <= 2**53:
-        return np.float64
-    return np.int64 if bound <= 2**62 else object
+    return np.float64 if bound <= 2**53 else object
 
 
 def _exact_matmul(a, b):
-    """a @ b for exact a and b in the dtype of _product_dtype, float64
-    products coming back as int64."""
+    """a @ b for exact a and b in the dtype of _product_dtype: float64
+    products come back as int64, the others as Python integers (object)."""
     dtype = _product_dtype([a, b], b.shape[0])
     prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return prod.astype(np.int64) if dtype == np.float64 else prod
@@ -259,13 +256,14 @@ def ordered_product(mats):
     partial sum of every partial product and on the trace, the whole chain
     runs in float64 through BLAS, exactly; otherwise each step multiplies in
     the dtype of _product_dtype for the running product and the next member
-    (float64, int64, or Python ints once int64 could wrap).  An integer
-    product comes back as int64, or as object when its entries need it.
+    (float64, or Python integers once a partial sum could pass 2^53).  An
+    integer product comes back as int64 when every step ran in float64, and
+    as object otherwise.
     """
     if not all(np.issubdtype(M.dtype, np.integer) for M in mats):
         return functools.reduce(np.matmul, mats)
     stack = np.stack(mats)
-    if not stack.size or (stack.shape[-1] * _peak(stack)) ** len(stack) <= 2**53:
+    if (stack.shape[-1] * _peak(stack)) ** len(stack) <= 2**53:
         return functools.reduce(np.matmul, stack.astype(np.float64)).astype(np.int64)
     return functools.reduce(_exact_matmul, mats)
 
@@ -468,7 +466,8 @@ def numeric_rank(a) -> int:
     A), which has the rank of A: when that is diagonal, the rows of A are
     orthogonal and the rank is its count of nonzero diagonal entries;
     otherwise one exact_rank elimination.  The product runs in the dtype of
-    _product_dtype, so int64 input never wraps around.  Approx mode counts
+    _product_dtype, float64 through BLAS up to 2^53 and Python integers past
+    it, so int64 input never wraps around.  Approx mode counts
     the singular values above RANK_TOL times the largest.
     """
     if a.size == 0:

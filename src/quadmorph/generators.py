@@ -27,6 +27,7 @@ from .core import ordered_product
 __all__ = [
     "cayley_dickson_multiply",
     "left_multiplication_matrix",
+    "left_multiplication_matrices",
     "skew_anticommuting_family",
 ]
 
@@ -77,14 +78,23 @@ def _unit_table(dim: int):
     return idx, sgn
 
 
-def left_multiplication_matrix(dim: int, i: int) -> np.ndarray:
-    """Matrix of y -> e_i * y in the dim-dimensional Cayley-Dickson algebra."""
+def left_multiplication_matrices(dim: int) -> list:
+    """Matrices of y -> e_i * y in the dim-dimensional Cayley-Dickson algebra
+    for every unit e_0, ..., e_(dim-1), from one unit table."""
     if dim not in (1, 2, 4, 8):
         raise ValueError("dim must be one of 1, 2, 4, 8")
     idx, sgn = _unit_table(dim)
-    M = np.zeros((dim, dim), dtype=np.int64)
-    M[idx[i], np.arange(dim)] = sgn[i]
-    return M
+    mats = []
+    for i in range(dim):
+        M = np.zeros((dim, dim), dtype=np.int64)
+        M[idx[i], np.arange(dim)] = sgn[i]
+        mats.append(M)
+    return mats
+
+
+def left_multiplication_matrix(dim: int, i: int) -> np.ndarray:
+    """Matrix of y -> e_i * y in the dim-dimensional Cayley-Dickson algebra."""
+    return left_multiplication_matrices(dim)[i]
 
 
 def _doubling_family_16():
@@ -98,8 +108,7 @@ def _doubling_family_16():
     """
     eye8 = np.eye(8, dtype=np.int64)
     members = []
-    for i in range(1, 8):
-        block = left_multiplication_matrix(8, i)
+    for block in left_multiplication_matrices(8)[1:]:
         K = np.zeros((16, 16), dtype=np.int64)
         K[:8, 8:] = block
         K[8:, :8] = block
@@ -116,10 +125,8 @@ def _skew_family_power_of_two(v: int):
         return []
     if v == 1:
         return [np.array([[0, -1], [1, 0]], dtype=np.int64)]
-    if v == 2:
-        return [left_multiplication_matrix(4, i) for i in range(1, 4)]
-    if v == 3:
-        return [left_multiplication_matrix(8, i) for i in range(1, 8)]
+    if v in (2, 3):
+        return left_multiplication_matrices(2 ** v)[1:]
     members, product = _doubling_family_16()
     scale = 2 ** (v - 4)
     eye_scale = np.eye(scale, dtype=np.int64)

@@ -31,7 +31,7 @@ from .core import (
     to_point,
 )
 from .errors import DimensionMismatch, NotNormPreserving, NotSquare, ShapeMismatch, UnsupportedDimension
-from .generators import left_multiplication_matrix
+from .generators import left_multiplication_matrices
 
 __all__ = [
     "OrthogonalMultiplication",
@@ -151,7 +151,7 @@ def standard_multiplication(n: int) -> OrthogonalMultiplication:
         raise UnsupportedDimension(
             f"norm-multiplying products with equal dimensions exist only for "
             f"n in (1, 2, 4, 8), not {n}")
-    slices = tuple(left_multiplication_matrix(n, i) for i in range(n))
+    slices = tuple(left_multiplication_matrices(n))
     return OrthogonalMultiplication(p=n, q=n, n_out=n, slices=slices)
 
 

@@ -32,6 +32,7 @@ from .core import (
     EIG_PAIR_TOL,
     IDENTITY_TOL,
     RANK_TOL,
+    _peak,
     as_matrix,
     block_diag2,
     check_symmetric,
@@ -357,10 +358,15 @@ def direct_sum(a: QuadraticHarmonicMorphism, b: QuadraticHarmonicMorphism) -> Qu
 
 
 def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
-    """Multiply every component by a scalar.  Not re-verified: a zero factor
-    gives the zero tuple, which is only usable inside direct sums."""
-    scaled = tuple(M * factor for M in phi.components)
-    return QuadraticHarmonicMorphism(m=phi.m, n=phi.n, components=scaled)
+    """Multiply every component by a scalar.  int64 components times an
+    integer stay exact: int64 while every entry stays below 2^32, as in
+    as_matrix, Python integers beyond.  Not re-verified: a zero factor gives
+    the zero tuple, which is only usable inside direct sums."""
+    mats = phi.components
+    if (isinstance(factor, (int, np.integer)) and all(M.dtype == np.int64 for M in mats)
+            and max(_peak(M) for M in mats) * abs(int(factor)) >= 2**32):
+        mats, factor = [M.astype(object) for M in mats], int(factor)
+    return QuadraticHarmonicMorphism(m=phi.m, n=phi.n, components=tuple(M * factor for M in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +410,10 @@ def classify(phi: QuadraticHarmonicMorphism,
     k = len(d)
     groups = [list(range(lo, hi)) for lo, hi in eigenvalue_clusters(d, EIG_PAIR_TOL)]
     bmats = [to_float(B) for B in nf.B]
-    for B in bmats:
-        for gi in groups:
-            for gj in groups:
-                if gi is not gj and not np.max(np.abs(B[np.ix_(gi, gj)])) <= 1e3 * tol * d[0]:
-                    raise RankMismatch("blocks couple distinct eigenvalue groups; not a valid map")
+    label = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    off_group = label[:, None] != label[None, :]
+    if any(not np.all(np.abs(B[off_group]) <= 1e3 * tol * d[0]) for B in bmats):
+        raise RankMismatch("blocks couple distinct eigenvalue groups; not a valid map")
     order = []
     for g in groups:
         order.extend(g)

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def digest(argv, documents, workdir) -> str:
     out, err = io.StringIO(), io.StringIO()
     stdin = io.StringIO(documents["qhm"])
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with _swapped_stdin(stdin):
+        with mock.patch.object(sys, "stdin", stdin):
             try:
                 code = run(argv)
             except SystemExit as exc:
@@ -170,15 +171,6 @@ def digest(argv, documents, workdir) -> str:
     written = out_path.read_text() if out_path.exists() else ""
     record = f"{code}\n{out.getvalue()}{written}\0{err.getvalue()}"
     return hashlib.sha256(record.encode()).hexdigest()
-
-
-@contextlib.contextmanager
-def _swapped_stdin(stream):
-    saved, sys.stdin = sys.stdin, stream
-    try:
-        yield
-    finally:
-        sys.stdin = saved
 
 
 DIGESTS = {

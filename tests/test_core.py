@@ -253,7 +253,7 @@ def rank_test_matrices(peak):
 @given(st.sampled_from([3, 2**28, 2**31]).flatmap(rank_test_matrices))
 @example([[2**31] * 4] * 4)
 def test_exact_rank_from_the_gram_matrix_matches_elimination(rows):
-    # peaks 3, 2^28 and 2^31 put the Gram matrix in float64, int64 and object
+    # peak 3 puts the Gram matrix in float64, peaks 2^28 and 2^31 in Python integers
     a = core.as_matrix(rows)
     assert core.numeric_rank(a) == core.exact_rank(a)
     fractions = core.as_matrix([[Fraction(x, 7) for x in row] for row in rows])
@@ -342,8 +342,8 @@ def _python_first_failure(rows, transpose, identity):
     return None
 
 
-# small entries, entries around the float64 (2^53) and int64 (2^62) product
-# bounds of pairwise_relation, and entries beyond both
+# small entries, entries around the float64 (2^53) product bound of
+# pairwise_relation and around 2^62, and entries beyond both
 entry = st.one_of(st.integers(-1, 1), st.integers(2**25, 2**31), st.integers(-2**31, -2**25),
                   st.integers(-2**40, 2**40))
 
@@ -396,7 +396,7 @@ def test_exact_relation_verdict_matches_python_integers(rows, transpose, identit
 def integer_chains(draw):
     """1 to 6 square int64 members of one size, entries up to a peak of 1,
     2^8 or 2^31: the whole-chain float64 route, and steps that move from
-    float64 to int64 and to Python integers."""
+    float64 to Python integers."""
     size, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     peak = draw(st.sampled_from([1, 2**8, 2**31]))
     row = st.lists(st.integers(-peak, peak), min_size=size, max_size=size)

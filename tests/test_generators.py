@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmorph import generators, qhm, serialize
+from quadmorph import generators, orthomul, qhm, serialize
 from quadmorph.cli import run
 from quadmorph.core import random_orthogonal
 from quadmorph.osystem import hurwitz_radon
 
-from conftest import float_canonical, two_scale
+from conftest import count_calls, float_canonical, two_scale
 
 # SHA-256 of each `construct` document (stdout, --seed 0, version 0.1.0) as
 # the tuple-recursive product built them; the doubling table must keep them.
@@ -295,6 +295,16 @@ class TestLeftMultiplication:
             for jcol in range(dim):
                 ej = tuple(1 if t == jcol else 0 for t in range(dim))
                 assert tuple(L[:, jcol]) == generators.cayley_dickson_multiply(ei, ej)
+
+
+@pytest.mark.parametrize("build", [lambda: generators.skew_anticommuting_family(4),
+                                   lambda: generators.skew_anticommuting_family(8),
+                                   lambda: generators.skew_anticommuting_family(48),
+                                   lambda: orthomul.standard_multiplication(8)])
+def test_a_family_builds_one_unit_table(build, monkeypatch):
+    calls = count_calls(monkeypatch, generators, "_unit_table")
+    build()
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

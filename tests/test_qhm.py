@@ -255,6 +255,30 @@ def test_scale_multiplies_the_spectrum():
     assert report.is_umbilical
 
 
+def test_scale_by_an_integer_never_wraps_around():
+    # int64 reads 2^62 * 4 = 2^64 as 0
+    phi = qhm.scale(qhm.scale(qhm.from_clifford(clifford.construct_irreducible(2)), 2**62), 4)
+    want = [np.array(M, dtype=object) * 2**64
+            for M in clifford.construct_irreducible(2).matrices]
+    assert [M.tolist() for M in phi.components] == [M.tolist() for M in want]
+    qhm.verify_qhm(phi.components)
+    assert qhm.classify(phi).positive_eigenvalues == (2.0**64,) * 2
+    assert qhm.scale(hopf(2), 3).components[0].dtype == np.int64
+    assert qhm.scale(hopf(2), 2.5).components[0].dtype == np.float64
+    assert qhm.scale(hopf(2), Fraction(1, 3)).components[0].dtype == object
+
+
+def test_classify_rejects_blocks_that_couple_distinct_groups():
+    # eigenvalues 1 + 1e-6 and 1 lie apart by more than EIG_PAIR_TOL, and the
+    # block couples them by 1e-5: within verify's identity tolerance, beyond
+    # classify's 1e3 * tol coupling bound
+    D = np.diag([1 + 1e-6, 1.0])
+    B = np.array([[1 + 1e-6, 1e-5], [-1e-5, 1.0]])
+    phi = qhm.verify_qhm([core.block_diag2(D, -D), core.symmetric_off_diagonal(B)])
+    with pytest.raises(RankMismatch, match="blocks couple distinct eigenvalue groups"):
+        qhm.classify(phi)
+
+
 def test_odd_dimensional_maps_are_never_full_rank():
     # a rank-deficient pair exists on R^3, but no full-rank map can
     a1 = np.diag([1, -1, 0]).astype(np.int64)
