@@ -6,7 +6,8 @@ eval.  Documents travel as the JSON interchange format of
 command, seed and version.
 
 Exit codes: 0 success, 1 mathematical rejection (the input parsed but fails
-a defining identity or structural precondition), 2 usage or format problems.
+a defining identity or structural precondition), 2 usage or format problems
+and requests too large for memory.
 """
 
 from __future__ import annotations
@@ -62,15 +63,12 @@ def _emit(payload, args) -> int:
     return 0
 
 
-_CHECKS = {"clifford": _clifford.check_clifford, "osystem": _osystem.check_osystem,
-           "orthomul": _orthomul.check_orthomul, "qhm": _qhm.check_qhm}
-
-
 def _verify_object(obj, args):
     """Run the kind's checks once; returns (validated, worst residuals)."""
     kind = serialize.kind_of(obj)
+    row = serialize._KINDS[kind]
     sampled = {"samples": args.samples, "seed": args.seed} if kind == "qhm" else {}
-    return _CHECKS[kind](getattr(obj, serialize._KINDS[kind].attr), args.tol, **sampled)
+    return row.check(getattr(obj, row.attr), args.tol, **sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,7 @@ def run(argv=None) -> int:
     except VerificationError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except (QuadmorphError, ValueError, OverflowError, OSError) as exc:
+    except (QuadmorphError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

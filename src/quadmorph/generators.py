@@ -1,6 +1,7 @@
-"""Integer generator families behind the existence constructions.
+"""The Radon-Hurwitz number sigma(m) with its closed-form inverse, and the
+integer generator families behind the existence constructions.
 
-Everything here is exact int64 with entries in {0, +1, -1}.
+Every family here is exact int64 with entries in {0, +1, -1}.
 
 Division-algebra products come from Cayley-Dickson doubling with the
 convention (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c)) and conjugation
@@ -20,16 +21,53 @@ identity on the odd factor of the dimension.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import ordered_product
 
 __all__ = [
+    "SigmaDecomposition",
+    "hurwitz_radon",
+    "minimal_domain_dimension",
     "cayley_dickson_multiply",
     "left_multiplication_matrix",
     "left_multiplication_matrices",
     "skew_anticommuting_family",
 ]
+
+
+@dataclass(frozen=True)
+class SigmaDecomposition:
+    """m = (2r+1) * 2^(c+4d) with 0 <= c <= 3; sigma = 2^c + 8d."""
+
+    m: int
+    r: int
+    c: int
+    d: int
+    sigma: int
+
+
+def hurwitz_radon(m: int) -> SigmaDecomposition:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    odd, v = m, 0
+    while odd % 2 == 0:
+        odd //= 2
+        v += 1
+    c, d = v % 4, v // 4
+    return SigmaDecomposition(m=m, r=(odd - 1) // 2, c=c, d=d, sigma=2**c + 8 * d)
+
+
+def minimal_domain_dimension(n: int) -> int:
+    """Smallest m with sigma(m) >= n, where an irreducible Clifford system with
+    n+1 members fits in 2m.  sigma(m) reads the 2-adic part of m alone and
+    sigma(2^(4a+c)) = 2^c + 8a, so n - 1 = 8a + r (0 <= r < 8) needs 2^c > r."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a, r = divmod(n - 1, 8)
+    return 2 ** (4 * a + r.bit_length())
 
 
 def cayley_dickson_conjugate(x):
@@ -123,9 +161,7 @@ def _doubling_family_16():
 def _skew_family_power_of_two(v: int):
     if v == 0:
         return []
-    if v == 1:
-        return [np.array([[0, -1], [1, 0]], dtype=np.int64)]
-    if v in (2, 3):
+    if v < 4:  # the imaginary units of the complexes, quaternions, octonions
         return left_multiplication_matrices(2 ** v)[1:]
     members, product = _doubling_family_16()
     scale = 2 ** (v - 4)
@@ -141,11 +177,6 @@ def skew_anticommuting_family(m: int):
     The family has sigma(m) - 1 members with entries in {0, +1, -1}; together
     with the identity it forms a maximal orthogonal anticommuting system.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    odd, v = m, 0
-    while odd % 2 == 0:
-        odd //= 2
-        v += 1
-    eye_odd = np.eye(odd, dtype=np.int64)
-    return [np.kron(J, eye_odd) for J in _skew_family_power_of_two(v)]
+    d = hurwitz_radon(m)
+    eye_odd = np.eye(2 * d.r + 1, dtype=np.int64)
+    return [np.kron(J, eye_odd) for J in _skew_family_power_of_two(d.c + 4 * d.d)]

@@ -5,8 +5,8 @@ A system is n orthogonal matrices tau_1..tau_n on R^m with
     tau_i^T tau_j + tau_j^T tau_i = 2 delta_ij I.
 
 The maximal n for given m is the classical Radon-Hurwitz number sigma(m),
-computed here from the unique factorization m = (2r+1) 2^(c+4d) with
-0 <= c <= 3 as sigma = 2^c + 8d.  The module verifies the relation, builds
+which generators.hurwitz_radon computes and this module re-exports with
+SigmaDecomposition.  The module verifies the relation, builds
 range-maximal integer families, moves back and forth to Clifford systems
 (one extra member, doubled dimension), and provides transpose, subset and
 direct-sum closure operations.
@@ -27,7 +27,7 @@ from .core import (
     symmetric_off_diagonal,
 )
 from .errors import AnticommutationViolated, ArityMismatch, BadIndices, NotOrthogonal
-from .generators import skew_anticommuting_family
+from .generators import SigmaDecomposition, hurwitz_radon, skew_anticommuting_family
 
 __all__ = [
     "OSystem",
@@ -49,17 +49,6 @@ class OSystem:
     m: int
     n: int
     matrices: tuple
-
-
-@dataclass(frozen=True)
-class SigmaDecomposition:
-    """m = (2r+1) * 2^(c+4d) with 0 <= c <= 3; sigma = 2^c + 8d."""
-
-    m: int
-    r: int
-    c: int
-    d: int
-    sigma: int
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +78,6 @@ def check_osystem(candidate, tol: float = IDENTITY_TOL):
 def verify_osystem(candidate, tol: float = IDENTITY_TOL) -> OSystem:
     """Check orthogonality and pairwise transpose-anticommutation."""
     return check_osystem(candidate, tol)[0]
-
-
-# ---------------------------------------------------------------------------
-# the Radon-Hurwitz count
-
-
-def hurwitz_radon(m: int) -> SigmaDecomposition:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    odd, v = m, 0
-    while odd % 2 == 0:
-        odd //= 2
-        v += 1
-    c, d = v % 4, v // 4
-    return SigmaDecomposition(m=m, r=(odd - 1) // 2, c=c, d=d, sigma=2**c + 8 * d)
 
 
 # ---------------------------------------------------------------------------

@@ -522,6 +522,12 @@ def _check_block_relations(nf: NormalForm, tol):
                            "blocks fail the transpose anticommutation relation")
 
 
+def _require_full_rank(phi):
+    """QSingular unless component 1, and so every component, has full rank."""
+    if numeric_rank(phi.components[0]) != phi.m:
+        raise QSingular("components are rank-deficient; project the kernel away first")
+
+
 def normal_form(phi: QuadraticHarmonicMorphism,
                 tol: float = IDENTITY_TOL) -> NormalForm:
     """Block normal form of a full-rank map with at least two components, at unit scale."""
@@ -530,8 +536,7 @@ def normal_form(phi: QuadraticHarmonicMorphism,
         raise ValueError("normal form needs at least two components")
     if phi.m % 2 != 0:
         raise QSingular(f"odd domain dimension {phi.m} cannot carry a full-rank map")
-    if numeric_rank(phi.components[0]) != phi.m:
-        raise QSingular("components are rank-deficient; project the kernel away first")
+    _require_full_rank(phi)
     nf = _normal_form_core(phi, tol)
     return replace(nf, D=_times(nf.D, u), B=tuple(_times(B, u) for B in nf.B))
 
@@ -561,8 +566,7 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     F(transform_alpha @ X) is verified at seeded points, at unit scale.
     """
     phi, u = _unit_map(phi)
-    if numeric_rank(phi.components[0]) != phi.m:
-        raise QSingular("components are rank-deficient; project the kernel away first")
+    _require_full_rank(phi)
     splits = [eigenspace_split([A], tol) for A in phi.components]
     d = np.diag(to_float(splits[0][1]))
     MF = np.diag(np.concatenate([d, -d]))

@@ -24,12 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import CliffordSystem
+from .clifford import CliffordSystem, check_clifford
 from .core import as_matrix, is_exact
 from .errors import DocumentFormatError
-from .orthomul import OrthogonalMultiplication
-from .osystem import OSystem
-from .qhm import QuadraticHarmonicMorphism
+from .orthomul import OrthogonalMultiplication, check_orthomul
+from .osystem import OSystem, check_osystem
+from .qhm import QuadraticHarmonicMorphism, check_qhm
 
 __all__ = ["encode", "decode", "dumps", "loads", "kind_of"]
 
@@ -40,14 +40,17 @@ class _Kind(NamedTuple):
     dims: tuple  # the dims fields
     count: str  # the dims field that counts the members
     shape: tuple  # the dims fields that give each member's shape
+    check: object  # (matrices, tol) -> (validated, worst residuals); qhm's adds samples, seed
 
 
 _KINDS = {
-    "clifford": _Kind(CliffordSystem, "matrices", ("two_m", "n"), "n", ("two_m", "two_m")),
-    "osystem": _Kind(OSystem, "matrices", ("m", "n"), "n", ("m", "m")),
+    "clifford": _Kind(CliffordSystem, "matrices", ("two_m", "n"), "n", ("two_m", "two_m"),
+                      check_clifford),
+    "osystem": _Kind(OSystem, "matrices", ("m", "n"), "n", ("m", "m"), check_osystem),
     "orthomul": _Kind(OrthogonalMultiplication, "slices", ("p", "q", "n_out"), "p",
-                      ("n_out", "q")),
-    "qhm": _Kind(QuadraticHarmonicMorphism, "components", ("m", "n"), "n", ("m", "m")),
+                      ("n_out", "q"), check_orthomul),
+    "qhm": _Kind(QuadraticHarmonicMorphism, "components", ("m", "n"), "n", ("m", "m"),
+                 check_qhm),
 }
 
 

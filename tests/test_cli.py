@@ -360,3 +360,22 @@ class TestSeedsAndUsage:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "m=8 r=0 c=3 d=0 sigma=8\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (osystem, "identity_matrix", ["construct", "osystem", "--m", "200000"]),
+    (qhm, "sample_points", ["verify", "DOC", "--samples", "1000000000"]),
+])
+def test_running_out_of_memory_is_an_error(module, name, argv, triple_doc, monkeypatch,
+                                            capsys):
+    """A request too large for memory exits 2 with one error line, as a usage
+    problem; exit 1 stays reserved for mathematical rejections."""
+    monkeypatch.setattr(module, name, _out_of_memory)
+    assert run([triple_doc if a == "DOC" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err

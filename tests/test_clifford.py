@@ -74,15 +74,18 @@ class TestVerify:
 class TestConstruction:
     def test_minimal_dimension_table(self):
         expected = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16, 10: 32,
-                    11: 64, 12: 64, 16: 128, 17: 256}
+                    11: 64, 12: 64, 16: 128, 17: 256, 10**6: 2**499999}
         for n, m in expected.items():
             assert clifford.minimal_domain_dimension(n) == m
 
     def test_minimal_dimension_is_least_with_enough_members(self):
-        for n in range(1, 12):
+        for n in range(1, 65):
             m = clifford.minimal_domain_dimension(n)
             assert osystem.hurwitz_radon(m).sigma >= n
-            for smaller in range(1, m):
+            # every smaller k up to 2^12; past that (m reaches 2^31 at n = 64)
+            # the powers of two below m, since sigma(k) reads k's 2-adic part
+            below = range(1, m) if m <= 2**12 else [2**v for v in range(m.bit_length() - 1)]
+            for smaller in below:
                 assert osystem.hurwitz_radon(smaller).sigma < n
 
     def test_constructed_shape_and_exactness(self):
@@ -278,7 +281,9 @@ class TestEquivalence:
         mixed = clifford.direct_sum(c85, c85_flipped)
         verdict = clifford.algebraically_equivalent(same, mixed)
         assert verdict.status is EquivalenceStatus.NOT_EQUIVALENT
-        assert "commutant" in verdict.reason
+        assert verdict.certificate is None
+        # symmetric commutant dimensions 6 vs 2 (TestCommutant), decided by the traces
+        assert verdict.reason == "ordered product traces differ (-16 vs 0)"
 
     def test_one_member_opposite_blocks(self):
         a = clifford.verify_clifford([np.diag([1, -1]).astype(np.int64)])
