@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    EIG_PAIR_TOL,
     IDENTITY_TOL,
     block_diag2,
     check_symmetric,
@@ -216,25 +215,21 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
     the (I + (X -> T_i X S_i)) / 2 projects orthogonally onto the
     intertwiners.  That projection of one seeded Gaussian matrix is
     invertible whenever the systems are equivalent (almost surely), and its
-    orthogonal polar factor intertwines as well.  Returns None when the
-    result fails verification, which it always does for inequivalent
-    systems.  Both lists must be the same nonzero length; an unconstrained
-    search (no relations) is the caller's case.
+    orthogonal polar factor intertwines as well.  Returns None only for a
+    singular projection, as for inequivalent systems; the callers certify R
+    (R S_i R^T = T_i, which is T_i R = R S_i for orthogonal R).  Both lists
+    must be the same nonzero length; an unconstrained search is the caller's.
     """
     if not targets or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
-    pairs = [(to_float(T), to_float(S)) for T, S in zip(targets, sources)]
-    m = pairs[0][1].shape[0]
+    m = sources[0].shape[0]
     X = np.random.default_rng(seed).standard_normal((m, m))
-    for T, S in pairs:
-        X = (X + T @ X @ S) / 2
+    for T, S in zip(targets, sources):
+        X = (X + to_float(T) @ X @ to_float(S)) / 2
     u, s, vt = np.linalg.svd(X)
     if s[-1] <= 1e-10 * max(1.0, s[0]):
         return None  # not invertible enough to trust the polar factor
-    R = u @ vt
-    if all(rel_residual(T @ R, R @ S) <= EIG_PAIR_TOL for T, S in pairs):
-        return R
-    return None
+    return u @ vt
 
 
 def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
@@ -248,9 +243,9 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
     commutant dimensions need no check of their own: the dimension is a
     function of round(trace)^2, so their traces lie at least 1 apart, which
     any tol below 1 / two_m rejects, and the reason names the traces.  Both
-    traces are exact for exact members (core.ordered_product never wraps).  The certificate is the
-    orthogonal intertwiner of the members; UNKNOWN is reported only when it
-    fails numerically.
+    traces are exact for exact members (core.ordered_product never wraps).
+    The certificate is the orthogonal intertwiner of the members, checked
+    once here at tol; UNKNOWN is reported only when it fails numerically.
     """
     if a.two_m != b.two_m or a.n != b.n:
         raise ShapeMismatch("systems must share dimension and member count")

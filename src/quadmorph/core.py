@@ -83,15 +83,15 @@ def as_matrix(rows):
 
     Accepts an existing ndarray (returned with dtype normalized), or nested
     sequences of ints, Fractions, floats, and rational strings like "2/3".
-    All-integer data lands in int64 when it fits, exact rationals in object
-    dtype, anything float in float64.  NaN and infinite entries raise
-    ValueError.
+    All-integer data (lists, integer arrays other than int64) lands in int64
+    below 2^32 and in Python integers (object) beyond, exact rationals in
+    object dtype, anything float in float64; NaN and inf raise ValueError.
     """
     if isinstance(rows, np.ndarray):
         if rows.dtype == object or rows.dtype == np.int64:
             return rows
         if np.issubdtype(rows.dtype, np.integer):
-            return rows.astype(np.int64)
+            return rows.astype(np.int64 if _peak(rows) < 2**32 else object)
         if np.issubdtype(rows.dtype, np.floating):
             return _finite(rows.astype(np.float64, copy=False))
         raise TypeError(f"unsupported dtype {rows.dtype}")

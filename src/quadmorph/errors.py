@@ -123,7 +123,7 @@ class ZeroMap(VerificationError):
 
 
 class RankMismatch(VerificationError):
-    """Component ranks or spectra disagree; the input was not a valid map."""
+    """Component ranks or spectra disagree, or component 1's spectrum has no umbilical splitting."""
 
 
 class UnbalancedEigenspaces(RankMismatch):
@@ -134,7 +134,8 @@ class UnbalancedEigenspaces(RankMismatch):
 class OddRank(VerificationError):
     def __init__(self, rank):
         self.rank = rank
-        super().__init__(f"component rank {rank} is odd; valid maps have even rank")
+        super().__init__(f"component rank {rank} is odd: the nonzero eigenvalues of "
+                         "component 1 do not pair as +/-, so the map has no umbilical splitting")
 
 
 class QSingular(VerificationError):

@@ -13,8 +13,8 @@ scaled umbilical summands, representation of all components as one quadratic
 function composed with orthogonal maps, extension of domain-minimal maps
 with additional components up to the Radon-Hurwitz bound, counting of sign
 classes, and sphere-restriction / isoparametric sample checks.  The normal
-form and the single-function transforms both come from
-core.eigenspace_split.
+form comes from core.eigenspace_split, and the single-function transforms
+come from the normal form.
 """
 
 from __future__ import annotations
@@ -399,7 +399,8 @@ def classify(phi: QuadraticHarmonicMorphism,
     neg = eigs[eigs < -cutoff]
     zero_count = phi.m - len(pos) - len(neg)
     if len(pos) != q_rank // 2 or len(neg) != q_rank // 2:
-        raise RankMismatch("spectrum inconsistent with component rank")
+        raise RankMismatch("the nonzero eigenvalues of component 1 do not pair as +/-, "
+                           "so the map has no umbilical splitting")
     is_nonsingular = q_rank == phi.m
     projection = None
     core = phi
@@ -559,18 +560,21 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
                                    seed: int = 0) -> SingleFunctionRepresentation:
     """Express every component as F composed with an orthogonal map.
 
-    F's matrix is diag(D, -D) from the eigenspace split of component 1, and
-    transform_alpha is the split of component alpha, which carries it to the
-    same diag(D, -D) (components share one spectrum, so they are
-    orthogonally congruent).  The identity phi^alpha(X) =
-    F(transform_alpha @ X) is verified at seeded points, at unit scale.
+    F's matrix is diag(D, -D) of the normal form (G, D, B_alpha):
+    transform_1 = G, transform_alpha = H diag(I, D^-1 B_alpha) G with
+    H = [[I, I], [I, -I]] / sqrt(2), orthogonal as D B = B D and B^T B = D^2,
+    and H diag(D, -D) H = [[0, D], [D, 0]] carries F to A_alpha.  The
+    identity phi^alpha(X) = F(transform_alpha @ X) is verified at seeded
+    points, at unit scale.
     """
     phi, u = _unit_map(phi)
     _require_full_rank(phi)
-    splits = [eigenspace_split([A], tol) for A in phi.components]
-    d = np.diag(to_float(splits[0][1]))
+    nf = _normal_form_core(phi, tol)
+    d = np.diag(to_float(nf.D))
     MF = np.diag(np.concatenate([d, -d]))
-    transforms = [to_float(G) for G, *_ in splits]
+    G, eye = to_float(nf.change_of_coords), np.eye(len(d))
+    H = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2)
+    transforms = [G] + [H @ block_diag2(eye, to_float(B) / d[:, None]) @ G for B in nf.B]
     groups = eigenvalue_clusters(d, EIG_PAIR_TOL)
     scales = tuple(float(d[lo]) * u for lo, _ in groups)
     block_sizes = tuple(hi - lo for lo, hi in groups)
@@ -622,16 +626,15 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         raise NotDomainMinimal("map has a kernel; project it away first")
     if not report.is_umbilical:
         raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
-    lam = report.positive_eigenvalues[0]
-    cs = clifford_system(phi, report, tol)
     if phi.n == 1:
         if phi.m != 2:
             raise NotDomainMinimal(
                 "a single-component map is domain-minimal only on the plane")
-        sd = spectral_decompose(phi.components[0], tol)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        partner = lam * (sd.eigenvectors @ swap @ sd.eigenvectors.T)
-        return verify_qhm([to_float(phi.components[0]), partner], tol)
+        A = phi.components[0]  # [[a, b], [b, -a]], anticommuting with [[-b, a], [a, b]]
+        (a, b), _ = A
+        return verify_qhm([A, np.array([[-b, a], [a, b]], dtype=A.dtype)], tol)
+    lam = report.positive_eigenvalues[0]
+    cs = clifford_system(phi, report, tol)
     m_half = phi.m // 2
     sigma = _osystem.hurwitz_radon(m_half).sigma
     if phi.n - 1 >= sigma:

@@ -336,6 +336,24 @@ def test_equivalence_is_decided_at_two_m_128(n, negate_last, status):
     assert clifford.is_irreducible(cs) and clifford.is_irreducible(conj)
 
 
+def test_equivalence_is_certified_once_at_the_callers_tol():
+    # a seeded conjugate plus symmetric noise (E + E^T) / 2 of size ~3e-8
+    cs = clifford.construct_irreducible(3)
+    g = random_orthogonal(8, 7)
+    E = 3e-8 * np.random.default_rng(3).standard_normal((cs.n, 8, 8))
+    noisy = [g @ to_float(P) @ g.T + (e + e.T) / 2 for P, e in zip(cs.matrices, E)]
+    other = clifford.verify_clifford(noisy, tol=1e-6)
+    loose = clifford.algebraically_equivalent(cs, other, tol=1e-6)
+    assert loose.status is EquivalenceStatus.EQUIVALENT
+    assert loose.reason == "projected onto the intertwiners; certificate residual 8.310e-08"
+    R = loose.certificate
+    assert np.max(np.abs(R @ R.T - np.eye(8))) < 1e-12
+    # the same projection fails the default tol as the conjugation it is
+    strict = clifford.algebraically_equivalent(cs, other)
+    assert strict.status is EquivalenceStatus.UNKNOWN and strict.certificate is None
+    assert strict.reason == "candidate conjugation failed verification (8.310e-08)"
+
+
 def test_intertwiner_rejects_mismatched_lists():
     with pytest.raises(ValueError):
         clifford.find_orthogonal_intertwiner([], [])

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmorph import core
-from quadmorph.clifford import construct_irreducible
-from quadmorph.errors import NoConvergence
+from quadmorph.clifford import construct_irreducible, verify_clifford
+from quadmorph.errors import NoConvergence, VerificationError
+from quadmorph.osystem import verify_osystem
 from conftest import count_calls, random_symmetric
 
 
@@ -39,6 +40,21 @@ class TestAsMatrix:
         m = core.as_matrix([[big]])
         assert m.dtype == object
         assert m[0, 0] == big
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint32, np.uint64])
+    def test_other_integer_dtypes_follow_the_list_rule(self, dtype):
+        top = np.iinfo(dtype).max
+        m = core.as_matrix(np.array([[top, 0], [0, 1]], dtype=dtype))
+        assert m.tolist() == [[top, 0], [0, 1]]
+        assert m.dtype == (np.int64 if top < 2**32 else object)
+
+    def test_uint64_entries_never_wrap_past_the_verifiers(self):
+        top = 2**64 - 1
+        with pytest.raises(VerificationError):
+            verify_clifford([np.array([[top, 0], [0, 1]], dtype=np.uint64)])
+        with pytest.raises(VerificationError):
+            verify_osystem([np.eye(2, dtype=np.int64),
+                            np.array([[0, top], [1, 0]], dtype=np.uint64)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_are_rejected(self, bad):

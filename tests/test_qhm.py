@@ -18,6 +18,7 @@ from quadmorph.errors import (
     NotHorizontallyConformal,
     NotSymmetric,
     NotUmbilical,
+    OddRank,
     QSingular,
     RankMismatch,
     SampleDisagreement,
@@ -279,6 +280,19 @@ def test_classify_rejects_blocks_that_couple_distinct_groups():
         qhm.classify(phi)
 
 
+@pytest.mark.parametrize("diagonal, error", [((2, -1, -1), OddRank),
+                                              ((3, -1, -1, -1), RankMismatch)])
+def test_classify_says_a_valid_unpaired_map_has_no_splitting(diagonal, error):
+    # one traceless form is a valid map whatever its spectrum, but only
+    # eigenvalues that pair as +/- split into umbilical summands
+    phi = qhm.verify_qhm([np.diag(diagonal).astype(np.int64)])
+    with pytest.raises(error) as err:
+        qhm.classify(phi)
+    message = str(err.value)
+    assert "do not pair as +/-" in message and "no umbilical splitting" in message
+    assert "valid" not in message
+
+
 def test_odd_dimensional_maps_are_never_full_rank():
     # a rank-deficient pair exists on R^3, but no full-rank map can
     a1 = np.diag([1, -1, 0]).astype(np.int64)
@@ -515,6 +529,28 @@ def test_single_function_for_two_scale_map(split_scale_map):
         assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), lams=st.lists(st.sampled_from([1, 1.5, 2, 3]), min_size=1, max_size=2),
+       seed=st.integers(0, 2**16))
+def test_single_function_transforms_come_from_one_normal_form(k, lams, seed):
+    base = qhm.from_clifford(clifford.construct_irreducible(k))
+    summands = [qhm.scale(base, lam) for lam in lams]
+    phi0 = summands[0] if len(lams) == 1 else qhm.direct_sum(*summands)
+    g = random_orthogonal(phi0.m, seed)
+    phi = qhm.verify_qhm([g.T @ to_float(a) @ g for a in phi0.components])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, core, "spectral_decompose")
+        rep = qhm.single_function_representation(phi)
+    assert len(calls) <= 1
+    assert rep.scales == pytest.approx(sorted(set(lams), reverse=True))
+    X = sample_points(phi.m, 37, 1000 + seed)  # not the function's own points
+    for a, t in zip(phi.components, rep.transforms):
+        assert np.max(np.abs(t @ t.T - np.eye(phi.m))) < 1e-9
+        direct = batch_eval([a], X)[:, 0]
+        via_f = batch_eval([rep.matrix], X @ t.T)[:, 0]
+        assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct)))
+
+
 def test_single_function_defect_is_never_a_nan_read_as_zero(monkeypatch, split_scale_map):
     def nan_points(dim, count, seed):
         X = sample_points(dim, count, seed)
@@ -552,6 +588,16 @@ def test_extension_of_single_plane_component():
     extended = qhm.range_extend(phi)
     assert extended.n == 2 and extended.m == 2
     assert np.allclose(to_float(extended.components[1]), [[0, 1], [1, 0]])
+
+
+def test_exact_plane_map_extends_to_its_exact_partner():
+    A = np.array([[3, 4], [4, -3]], dtype=np.int64)
+    extended = qhm.range_extend(qhm.verify_qhm([A]))
+    first, partner = extended.components
+    assert first.dtype == partner.dtype == np.int64
+    assert np.array_equal(first, A) and np.array_equal(partner, [[-4, 3], [3, 4]])
+    assert not np.any(A @ partner + partner @ A)
+    assert np.array_equal(partner @ partner, A @ A)
 
 
 def test_single_component_off_the_plane_is_not_minimal():
@@ -703,7 +749,7 @@ def test_component_one_is_decomposed_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     qhm.single_function_representation(phi)
-    assert len(calls) == phi.n
+    assert len(calls) == 1
 
 
 def test_exact_full_rank_classify_decomposes_once(monkeypatch):
