@@ -13,7 +13,7 @@ and requests too large for memory.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -26,13 +26,6 @@ from .core import IDENTITY_TOL, to_float
 from .errors import QuadmorphError, VerificationError
 
 __all__ = ["run", "main"]
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("QHM_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _read(args):
@@ -139,8 +132,7 @@ def _cmd_classify(args) -> int:
 # (source, target) -> (conversion, whether the conversion itself verifies
 # the source's identity on its own members, so the CLI does not check it first)
 _CONVERSIONS = {
-    ("qhm", "clifford"): (
-        lambda phi, tol: _qhm.clifford_system(phi, _qhm.classify(phi, tol), tol), False),
+    ("qhm", "clifford"): (_qhm.clifford_system, False),
     ("clifford", "qhm"): (_qhm.from_clifford, False),
     ("clifford", "osystem"): (_osystem.from_clifford, False),
     ("osystem", "clifford"): (_osystem.to_clifford, True),
@@ -213,8 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=_default_seed(),
-                        help="seed for sampled checks and searches (env QHM_SEED overrides the default)")
+    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks and searches")
     common.add_argument("--samples", type=int, default=64, help="sample count for the sampled route of qhm documents")
     common.add_argument("--tol", type=float, default=IDENTITY_TOL, help="identity tolerance for float checks")
     common.add_argument("--format", choices=["json"], default=None,
@@ -273,7 +264,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if not args.tol > 0:  # NaN as well
+        if not 0 < args.tol < math.inf:  # NaN as well
             raise QuadmorphError(f"--tol must be a positive number, got {args.tol}")
         return args.func(args)
     except VerificationError as exc:

@@ -7,10 +7,10 @@ A system is n symmetric matrices P_1..P_n on an even-dimensional space with
 This module verifies the relation, constructs irreducible systems at the
 minimal dimensions, reduces a system to the eigenspace-split block form
 (P_1 diagonal +/-I, the rest off-diagonal with orthogonal blocks), which is
-core.eigenspace_split with D = I, tests irreducibility through the
-closed-form symmetric commutant, and decides algebraic equivalence from
-the trace of the ordered member product alone, with an orthogonal
-conjugating certificate for equivalent systems.
+core.eigenspace_split with D = I, decides irreducibility from the dimension
+alone, gives the symmetric commutant dimension in closed form, and decides
+algebraic equivalence from the trace of the ordered member product alone,
+with an orthogonal conjugating certificate for equivalent systems.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
 
 
 # ---------------------------------------------------------------------------
-# irreducibility via the symmetric commutant
+# irreducibility and the symmetric commutant
 
 
 def _ordered_product_trace(mats) -> float:
@@ -167,9 +167,12 @@ def _ordered_product_trace(mats) -> float:
     return float(np.trace(prod))
 
 
-def _commutant_dimension(cs: CliffordSystem, trace: float) -> int:
-    """Symmetric commutant dimension of a verified system of n members on
-    R^s whose ordered member product has the given trace t:
+def symmetric_commutant_dimension(matrices, tol: float = IDENTITY_TOL) -> int:
+    """Dimension of {S symmetric : S P = P S for every member P}.
+
+    The members must form a Clifford system: they are verified first, so
+    other input raises the verifier's VerificationError.  For n members on
+    R^s whose ordered member product has trace t the dimension is
 
         (s^2 + t^2 + s * sum_k C(n, k) (-1)^(k(k-1)/2)) / 2^(n+1).
 
@@ -177,30 +180,22 @@ def _commutant_dimension(cs: CliffordSystem, trace: float) -> int:
     products +-P_I; P_I squares to (-1)^(k(k-1)/2) I for |I| = k, and
     anticommutation makes every P_I traceless except I and P_1...P_n.
     """
-    s, n, t = cs.two_m, cs.n, round(trace)
+    cs = verify_clifford(matrices, tol)
+    s, n, t = cs.two_m, cs.n, round(_ordered_product_trace(cs.matrices))
     signs = sum(math.comb(n, k) * (-1) ** (k * (k - 1) // 2) for k in range(n + 1))
     return (s * s + t * t + s * signs) // 2 ** (n + 1)
-
-
-def symmetric_commutant_dimension(matrices, tol: float = IDENTITY_TOL) -> int:
-    """Dimension of {S symmetric : S P = P S for every member P}.
-
-    The members must form a Clifford system: they are verified first, so
-    other input raises the verifier's VerificationError, and the dimension
-    then follows in closed form from the member count, the size and the
-    trace of the ordered member product.
-    """
-    cs = verify_clifford(matrices, tol)
-    return _commutant_dimension(cs, _ordered_product_trace(cs.matrices))
 
 
 def is_irreducible(cs: CliffordSystem) -> bool:
     """True iff only scalar multiples of I commute symmetrically with all members.
 
-    Decided by the closed-form commutant dimension from the trace of the
-    ordered member product, which is exact for exact members
-    (core.ordered_product never wraps around)."""
-    return _commutant_dimension(cs, _ordered_product_trace(cs.matrices)) == 1
+    Decided by the dimension alone.  The members are symmetric, so every
+    invariant subspace has an invariant orthogonal complement and a system
+    is an orthogonal direct sum of irreducible ones; every irreducible system
+    of n >= 2 members lives on 2 * minimal_domain_dimension(n - 1), both
+    classes included when there are two.  One member is never irreducible
+    on an even dimension."""
+    return cs.n >= 2 and cs.two_m == 2 * minimal_domain_dimension(cs.n - 1)
 
 
 # ---------------------------------------------------------------------------

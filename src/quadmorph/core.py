@@ -85,7 +85,8 @@ def as_matrix(rows):
     sequences of ints, Fractions, floats, and rational strings like "2/3".
     All-integer data (lists, integer arrays other than int64) lands in int64
     below 2^32 and in Python integers (object) beyond, exact rationals in
-    object dtype, anything float in float64; NaN and inf raise ValueError.
+    object dtype, anything float in float64; NaN and inf raise ValueError,
+    and nested data that is no rectangular table of rows ShapeMismatch.
     """
     if isinstance(rows, np.ndarray):
         if rows.dtype == object or rows.dtype == np.int64:
@@ -95,13 +96,16 @@ def as_matrix(rows):
         if np.issubdtype(rows.dtype, np.floating):
             return _finite(rows.astype(np.float64, copy=False))
         raise TypeError(f"unsupported dtype {rows.dtype}")
+    widths = {len(row) if isinstance(row, (list, tuple, np.ndarray)) else -1 for row in rows}
+    if len(widths) != 1 or -1 in widths:
+        raise ShapeMismatch("matrix data must be a rectangular table of rows")
     data = [[_coerce_scalar(x) for x in row] for row in rows]
     flat = [x for row in data for x in row]
     if any(isinstance(x, float) for x in flat):
         return _finite(np.array([[float(x) for x in row] for row in data], dtype=np.float64))
     if all(isinstance(x, int) for x in flat) and all(abs(x) < 2**32 for x in flat):
         return np.array(data, dtype=np.int64)
-    out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
+    out = np.empty((len(data), len(data[0])), dtype=object)
     for i, row in enumerate(data):
         for j, x in enumerate(row):
             out[i, j] = x

@@ -596,10 +596,10 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
 # range extension
 
 
-def clifford_system(phi: QuadraticHarmonicMorphism, report: ClassificationReport,
-                    tol: float = IDENTITY_TOL):
+def clifford_system(phi: QuadraticHarmonicMorphism, tol: float = IDENTITY_TOL):
     """The Clifford system phi / lambda of an umbilical map, lambda being its
-    common positive eigenvalue; report is classify(phi)."""
+    common positive eigenvalue from classify(phi)."""
+    report = classify(phi, tol)
     if not report.is_umbilical:
         raise NotUmbilical("only umbilical maps scale to a system")
     lam = report.positive_eigenvalues[0]
@@ -615,17 +615,13 @@ def range_extend(phi: QuadraticHarmonicMorphism,
                  seed: int = 0) -> QuadraticHarmonicMorphism:
     """Append components to a domain-minimal map up to the Radon-Hurwitz bound.
 
-    The scaled components form an irreducible system, which an orthogonal
-    certificate C conjugates onto the leading members of the canonical
-    range-maximal system; each missing canonical member P adds the
-    component lambda * C P C^T.  Raises rather than guessing when the
+    The scaled components form a Clifford system, irreducible exactly on the
+    minimal domain, which an orthogonal certificate C conjugates onto the
+    leading members of the canonical range-maximal system; each missing
+    canonical member P adds the component lambda * C P C^T, and verify_qhm
+    certifies the result once.  Raises rather than guessing when the
     profile or the certificate fails.
     """
-    report = classify(phi, tol)
-    if not report.is_q_nonsingular:
-        raise NotDomainMinimal("map has a kernel; project it away first")
-    if not report.is_umbilical:
-        raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
     if phi.n == 1:
         if phi.m != 2:
             raise NotDomainMinimal(
@@ -633,22 +629,28 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         A = phi.components[0]  # [[a, b], [b, -a]], anticommuting with [[-b, a], [a, b]]
         (a, b), _ = A
         return verify_qhm([A, np.array([[-b, a], [a, b]], dtype=A.dtype)], tol)
+    report = classify(phi, tol)
+    if not report.is_q_nonsingular:
+        raise NotDomainMinimal("map has a kernel; project it away first")
+    if not report.is_umbilical:
+        raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
     lam = report.positive_eigenvalues[0]
-    cs = clifford_system(phi, report, tol)
     m_half = phi.m // 2
     sigma = _osystem.hurwitz_radon(m_half).sigma
     if phi.n - 1 >= sigma:
         raise AlreadyRangeMaximal(
             f"{phi.n} components is the maximum for domain dimension {phi.m}")
-    if not _clifford.is_irreducible(cs):
+    # phi / lambda is a Clifford system, irreducible only on the minimal domain
+    if m_half != _clifford.minimal_domain_dimension(phi.n - 1):
         raise NotDomainMinimal("the associated system splits; the map is not domain-minimal")
     # Only 4j + 1 members have two irreducible classes (told apart by the
     # product trace), and on their minimal domain sigma = 4j already; so
     # here the class is unique and the canonical prefix needs no sign choice.
-    # Irreducibility makes m_half minimal, a power of two, so this is the
-    # doubled canonical range-maximal system on R^m_half.
+    # The minimal m_half is a power of two, so this is the doubled canonical
+    # range-maximal system on R^m_half.
     canon = _clifford.construct_irreducible(sigma).matrices
-    C = _clifford.find_orthogonal_intertwiner(cs.matrices, canon[: phi.n], seed)
+    members = [to_float(A) / lam for A in phi.components]
+    C = _clifford.find_orthogonal_intertwiner(members, canon[: phi.n], seed)
     if C is None:
         raise NotExtendable("no orthogonal intertwiner onto the canonical system")
     new_components = [lam * (C @ P @ C.T) for P in canon[phi.n:]]

@@ -482,6 +482,5 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_cli_output_is_unchanged(name, documents, tmp_path, monkeypatch):
-    monkeypatch.delenv("QHM_SEED", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     assert digest(_cases()[name], documents, tmp_path) == DIGESTS[name]

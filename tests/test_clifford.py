@@ -228,6 +228,46 @@ def test_commutant_formula_matches_the_nullity(name):
     assert clifford.is_irreducible(cs) == (reference == 1) == name.startswith("irreducible")
 
 
+def irreducibility_cases():
+    """construct_irreducible(1..9), each also with its last member negated,
+    the direct sums of those up to two_m 32, one triple sum, and every member
+    prefix of all of them (duplicates kept once)."""
+    bases = []
+    for n in range(1, 10):
+        cs = clifford.construct_irreducible(n)
+        bases += [cs, with_last_negated(cs)]
+    systems = list(bases)
+    for i, a in enumerate(bases):
+        for b in bases[i:]:
+            if a.n == b.n and a.two_m + b.two_m <= 32:
+                systems.append(clifford.direct_sum(a, b))
+    c2 = bases[2]
+    systems.append(clifford.direct_sum(clifford.direct_sum(c2, bases[3]), c2))
+    seen, cases = set(), []
+    for cs in systems:
+        for k in range(1, cs.n + 1):
+            key = b"".join(P.tobytes() for P in cs.matrices[:k])
+            if key not in seen:
+                seen.add(key)
+                cases.append(clifford.verify_clifford(cs.matrices[:k]))
+    return cases
+
+
+def test_irreducibility_by_dimension_matches_the_commutant():
+    for idx, cs in enumerate(irreducibility_cases()):
+        g = random_orthogonal(cs.two_m, idx)
+        conj = clifford.verify_clifford([g @ to_float(P) @ g.T for P in cs.matrices])
+        reference = clifford.symmetric_commutant_dimension(cs.matrices) == 1
+        assert clifford.is_irreducible(cs) == clifford.is_irreducible(conj) == reference
+
+
+def test_irreducibility_multiplies_no_product(monkeypatch):
+    cs = clifford.construct_irreducible(9)
+    traces = count_calls(monkeypatch, clifford, "_ordered_product_trace")
+    assert clifford.is_irreducible(cs)
+    assert len(traces) == 0
+
+
 def object_product_trace(mats):
     """Trace of the ordered product multiplied in Python integers."""
     prod = mats[0].astype(object)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from quadmorph import core
 from quadmorph.clifford import construct_irreducible, verify_clifford
-from quadmorph.errors import NoConvergence, VerificationError
+from quadmorph.errors import NoConvergence, ShapeMismatch, VerificationError
+from quadmorph.orthomul import verify_orthomul
 from quadmorph.osystem import verify_osystem
+from quadmorph.qhm import verify_qhm
 from conftest import count_calls, random_symmetric
 
 
@@ -64,6 +66,15 @@ class TestAsMatrix:
             core.as_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             core.as_matrix(np.array([[bad]], dtype=np.float32))
+
+    @pytest.mark.parametrize("rows", [[[1, "1/2"], [3]], [["1/2"], [3, 4]], [[1, 2], [3]],
+                                      [1, 2], [["1/1", 0], [0]]])
+    def test_ragged_rows_are_a_shape_mismatch(self, rows):
+        with pytest.raises(ShapeMismatch):
+            core.as_matrix(rows)
+        for verify in (verify_clifford, verify_osystem, verify_orthomul, verify_qhm):
+            with pytest.raises(ShapeMismatch):
+                verify([rows])
 
     def test_mode_promotion_is_one_way(self):
         exact = core.as_matrix([[1, 0], [0, 1]])

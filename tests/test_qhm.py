@@ -651,7 +651,7 @@ def test_extension_sweep_keeps_the_input_components(n):
 
 
 def test_extension_checks_the_canonical_system_once(monkeypatch):
-    # the normal form, the associated system, the canonical system and the result
+    # the normal form, the canonical system and the result
     exact = clifford.construct_irreducible(5).matrices
     g = random_orthogonal(exact[0].shape[0], 5)
     calls = count_calls(monkeypatch, core, "pairwise_relation")
@@ -659,7 +659,30 @@ def test_extension_checks_the_canonical_system_once(monkeypatch):
         phi = qhm.verify_qhm(mats)
         calls.clear()
         qhm.range_extend(phi)
-        assert len(calls) <= 4
+        assert len(calls) == 3
+
+
+def test_extension_certifies_once_through_verify_qhm(monkeypatch):
+    # minimality is read from the dimension, so the associated system is
+    # neither verified nor multiplied out; verify_qhm certifies the result
+    exact = clifford.construct_irreducible(5).matrices
+    g = random_orthogonal(exact[0].shape[0], 5)
+    verified = count_calls(monkeypatch, clifford, "verify_clifford")
+    traces = count_calls(monkeypatch, clifford, "_ordered_product_trace")
+    for mats in (exact, [2.0 * (g @ to_float(P) @ g.T) for P in exact]):
+        phi = qhm.verify_qhm(mats)
+        verified.clear()
+        traces.clear()
+        assert qhm.range_extend(phi).n == 9
+        assert len(verified) == len(traces) == 0
+
+
+def test_plane_extension_needs_no_classification(monkeypatch):
+    phi = qhm.verify_qhm([np.array([[3, 4], [4, -3]], dtype=np.int64)])
+    classified = count_calls(monkeypatch, qhm, "classify")
+    decomposed = count_calls(monkeypatch, core, "spectral_decompose")
+    assert qhm.range_extend(phi).n == 2
+    assert len(classified) == len(decomposed) == 0
 
 
 def test_two_class_member_counts_are_never_extended():
