@@ -265,7 +265,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if not 0 < args.tol < math.inf:  # NaN as well
-            raise QuadmorphError(f"--tol must be a positive number, got {args.tol}")
+            raise QuadmorphError(f"--tol must be a positive finite number, got {args.tol}")
         return args.func(args)
     except VerificationError as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -174,11 +174,16 @@ def symmetric_off_diagonal(tau):
 
 
 def frobenius(a) -> float:
+    """The Frobenius norm, bit for bit np.linalg.norm's value: the square
+    root of the flat BLAS dot product, as norm computes it for a real
+    matrix.  np.vdot runs the same ddot as ndarray.dot but raises no
+    overflow warning, so a norm beyond the float64 range is a quiet inf and
+    a NaN entry gives NaN."""
     try:
-        with np.errstate(over="ignore"):  # a norm beyond the float64 range is inf
-            return float(np.linalg.norm(to_float(a)))
+        v = to_float(a).ravel(order="K")
     except ValueError:  # exact entries beyond the float64 range
         return math.inf
+    return math.sqrt(np.vdot(v, v))
 
 
 def rel_residual(actual, expected) -> float:
@@ -284,6 +289,12 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
     or None); an exact failure reports its absolute Frobenius residual.
     Float products may overflow on finite input: an inf or NaN residual
     rejects.
+
+    An off-diagonal pair costs one product X = L(M_i) M_j, summed as X + X^T,
+    where L(M_j) M_i = X^T holds exactly: for the transposed relation, and
+    for exact members that all equal their transposes.  Float members of
+    the plain relation, symmetric only within tol, and exact members that
+    are not symmetric take both products.
     """
     exact = is_exact(mats[0])
     if exact:
@@ -292,6 +303,7 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
         if target is not None and dtype == np.float64:
             target = target.astype(np.float64)
     left = [M.T for M in mats] if transpose else mats
+    one_product = transpose or (exact and all(np.array_equal(M, M.T) for M in mats))
     if target is None:
         target = left[0] @ mats[0]
     norms = [1.0 if exact else frobenius(M) for M in mats]
@@ -302,8 +314,9 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
             if i == j:
                 value, expected, scale = left[i] @ mats[i], target, target_norm
             else:
-                value, expected = left[i] @ mats[j] + left[j] @ mats[i], 0
-                scale = norms[i] * norms[j]
+                product = left[i] @ mats[j]
+                value = product + (product.T if one_product else left[j] @ mats[i])
+                expected, scale = 0, norms[i] * norms[j]
             if exact:
                 failed = not np.all(value == expected)
                 resid = frobenius(value - expected) if failed else 0.0

@@ -19,6 +19,7 @@ come from the normal form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -610,6 +611,17 @@ def clifford_system(phi: QuadraticHarmonicMorphism, tol: float = IDENTITY_TOL):
     return _clifford.verify_clifford(mats, tol)
 
 
+@functools.lru_cache(maxsize=8)
+def _canonical_members(sigma: int) -> tuple:
+    """The members of construct_irreducible(sigma) in float64, read-only:
+    the canonical range-maximal system is built and checked once per sigma
+    per process."""
+    members = tuple(P.astype(np.float64) for P in _clifford.construct_irreducible(sigma).matrices)
+    for P in members:
+        P.flags.writeable = False
+    return members
+
+
 def range_extend(phi: QuadraticHarmonicMorphism,
                  tol: float = IDENTITY_TOL,
                  seed: int = 0) -> QuadraticHarmonicMorphism:
@@ -648,7 +660,7 @@ def range_extend(phi: QuadraticHarmonicMorphism,
     # here the class is unique and the canonical prefix needs no sign choice.
     # The minimal m_half is a power of two, so this is the doubled canonical
     # range-maximal system on R^m_half.
-    canon = _clifford.construct_irreducible(sigma).matrices
+    canon = _canonical_members(sigma)
     members = [to_float(A) / lam for A in phi.components]
     C = _clifford.find_orthogonal_intertwiner(members, canon[: phi.n], seed)
     if C is None:

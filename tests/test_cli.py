@@ -332,7 +332,7 @@ class TestSeedsAndUsage:
                      ["eval", doc, "--x", "1,0", "--y", "0,1"]):
             assert run(argv + ["--tol", tol]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err == f"error: --tol must be a positive number, got {float(tol)}\n"
+            assert out == "" and err == f"error: --tol must be a positive finite number, got {float(tol)}\n"
 
     def test_fresh_process_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "quadmorph.cli", "sigma", "8"],

@@ -415,6 +415,118 @@ def test_exact_relation_verdict_matches_python_integers(rows, transpose, identit
     assert failure == _python_first_failure(rows, transpose, identity)
 
 
+def _two_product_relation(mats, target=None, transpose=False, tol=core.IDENTITY_TOL):
+    """pairwise_relation with both products of every off-diagonal pair and
+    np.linalg.norm residuals: the reference the one-product kernel must
+    reproduce, repr for repr."""
+
+    def norm(a):
+        try:
+            with np.errstate(over="ignore"):
+                return float(np.linalg.norm(core.to_float(a)))
+        except ValueError:
+            return float("inf")
+
+    exact = core.is_exact(mats[0])
+    if exact:
+        dtype = core._product_dtype(mats, mats[0].shape[0], target)
+        mats = [M.astype(dtype, copy=False) for M in mats]
+        if target is not None and dtype == np.float64:
+            target = target.astype(np.float64)
+    left = [M.T for M in mats] if transpose else mats
+    with np.errstate(over="ignore", invalid="ignore"):
+        if target is None:
+            target = left[0] @ mats[0]
+        norms = [1.0 if exact else norm(M) for M in mats]
+        target_norm = 1.0 if exact else norm(target)
+        worst = 0.0
+        for i in range(len(mats)):
+            for j in range(i, len(mats)):
+                if i == j:
+                    value, expected, scale = left[i] @ mats[i], target, target_norm
+                else:
+                    value, expected = left[i] @ mats[j] + left[j] @ mats[i], 0
+                    scale = norms[i] * norms[j]
+                if exact:
+                    failed = not np.all(value == expected)
+                    resid = norm(value - expected) if failed else 0.0
+                else:
+                    resid = norm(value - expected) / max(1.0, scale)
+                    failed = not (resid <= tol)
+                if failed:
+                    return worst, (i + 1, j + 1, resid)
+                worst = max(worst, resid)
+    return worst, None
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical(n):
+    return construct_irreducible(n).matrices
+
+
+@st.composite
+def relation_members(draw):
+    """Members of the kinds the kernel treats differently: exact symmetric
+    (a canonical system), exact and free (small integers, rarely
+    symmetric), symmetric float conjugates g P g^T and general U P Q^T of a
+    canonical system, the float ones optionally perturbed by 1e-9."""
+    kind = draw(st.sampled_from(["exact", "free", "conjugate", "general"]))
+    if kind == "free":
+        size, count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        square = st.lists(st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+                          min_size=size, max_size=size)
+        return [np.array(M, dtype=np.int64) for M in draw(st.lists(square, min_size=count,
+                                                                      max_size=count))]
+    members = list(_canonical(draw(st.integers(1, 9))))
+    if kind == "exact":
+        return members
+    size, seed = members[0].shape[0], draw(st.integers(0, 2**16))
+    u = core.random_orthogonal(size, seed)
+    q = u if kind == "conjugate" else core.random_orthogonal(size, seed + 1)
+    members = [u @ core.to_float(P) @ q.T for P in members]
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        members = [M + 1e-9 * rng.standard_normal(M.shape) for M in members]
+    return members
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_members(), st.booleans(), st.booleans(), st.sampled_from([1e-9, 1e-6]))
+@example([np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]])], False, False, 1e-9)
+@example([np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]])], True, True, 1e-9)
+def test_one_product_kernel_matches_the_two_product_loop(mats, transpose, identity, tol):
+    target = None
+    if identity:
+        target = np.eye(mats[0].shape[0], dtype=mats[0].dtype)
+    got = core.pairwise_relation(mats, target, transpose, tol)
+    assert repr(got) == repr(_two_product_relation(mats, target, transpose, tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(-150, 150), st.integers(0, 2**16),
+       st.sampled_from(["float", "int64", "fraction", "transposed"]))
+def test_frobenius_is_bit_for_bit_the_norm(rows, cols, exponent, seed, kind):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols)) * 10.0**exponent
+    if kind == "int64":
+        a = rng.integers(-2**31, 2**31, size=(rows, cols))
+    elif kind == "fraction":
+        a = np.array([[Fraction(int(x), 7) for x in row] for row in
+                      rng.integers(-1000, 1000, size=(rows, cols))], dtype=object)
+    elif kind == "transposed":
+        a = a.T
+    value = core.frobenius(a)
+    assert type(value) is float
+    assert value == float(np.linalg.norm(a.astype(np.float64)))  # never NaN or -0.0 here
+
+
+def test_frobenius_overflow_is_a_quiet_inf_and_nan_stays_nan():
+    # filterwarnings = error: an overflow warning would fail here
+    assert core.frobenius(np.full((3, 3), 1e200)) == float("inf")
+    assert np.isnan(core.frobenius(np.array([[np.nan, 1.0]])))
+    assert core.frobenius(np.array([[10**400, 1]], dtype=object)) == float("inf")
+
+
 # ---------------------------------------------------------------------------
 # ordered products
 

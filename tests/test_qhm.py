@@ -651,15 +651,19 @@ def test_extension_sweep_keeps_the_input_components(n):
 
 
 def test_extension_checks_the_canonical_system_once(monkeypatch):
-    # the normal form, the canonical system and the result
+    # the normal form, the canonical system and the result; the canonical
+    # system is built once per sigma, so the second extension skips its check
+    qhm._canonical_members.cache_clear()
     exact = clifford.construct_irreducible(5).matrices
     g = random_orthogonal(exact[0].shape[0], 5)
     calls = count_calls(monkeypatch, core, "pairwise_relation")
-    for mats in (exact, [g @ to_float(P) @ g.T for P in exact]):
+    for mats, expected in ((exact, 3), ([g @ to_float(P) @ g.T for P in exact], 2)):
         phi = qhm.verify_qhm(mats)
         calls.clear()
         qhm.range_extend(phi)
-        assert len(calls) == 3
+        assert len(calls) == expected
+    canon = qhm._canonical_members(8)  # sigma(8) = 8: the cached entry
+    assert len(canon) == 9 and not any(P.flags.writeable for P in canon)
 
 
 def test_extension_certifies_once_through_verify_qhm(monkeypatch):
