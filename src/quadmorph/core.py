@@ -290,11 +290,11 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
     Float products may overflow on finite input: an inf or NaN residual
     rejects.
 
-    An off-diagonal pair costs one product X = L(M_i) M_j, summed as X + X^T,
-    where L(M_j) M_i = X^T holds exactly: for the transposed relation, and
-    for exact members that all equal their transposes.  Float members of
-    the plain relation, symmetric only within tol, and exact members that
-    are not symmetric take both products.
+    For the transposed relation an off-diagonal pair costs one product
+    X = M_i^T M_j, summed as X + X^T, since M_j^T M_i = X^T.  Exact
+    members give bit for bit the two-product value; float residuals equal
+    the two-product ones up to the summation order of the matrix product.
+    The plain relation takes both products.
     """
     exact = is_exact(mats[0])
     if exact:
@@ -303,7 +303,6 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
         if target is not None and dtype == np.float64:
             target = target.astype(np.float64)
     left = [M.T for M in mats] if transpose else mats
-    one_product = transpose or (exact and all(np.array_equal(M, M.T) for M in mats))
     if target is None:
         target = left[0] @ mats[0]
     norms = [1.0 if exact else frobenius(M) for M in mats]
@@ -315,7 +314,7 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
                 value, expected, scale = left[i] @ mats[i], target, target_norm
             else:
                 product = left[i] @ mats[j]
-                value = product + (product.T if one_product else left[j] @ mats[i])
+                value = product + (product.T if transpose else left[j] @ mats[i])
                 expected, scale = 0, norms[i] * norms[j]
             if exact:
                 failed = not np.all(value == expected)
