@@ -11,8 +11,12 @@ p of every workload uses seed 700 + p.  Each run's result (the dict that
 bench/run.py prints on its next-to-last line) is kept verbatim, and every
 end-to-end metric of BENCHMARK.json is summarised per workload: medians and
 inclusive quartiles of both trees, the relative change of the medians, and
-in how many pairs the change did better.  Writes ``BENCH_<label>.json`` at
-the root of this checkout; bench/ is only run, never changed.  Runs are
+in how many pairs the change did better.  A workload whose parent and
+change runs of one pair completed different cycle counts gets
+``"cycles_differ": true`` and a warning: the harness keeps every completed
+job's output, so its ``peak_rss_mb`` then compares different amounts of
+kept work (one pipeline-scale cycle against two), not the program.  Writes
+``BENCH_<label>.json`` at the root of this checkout; bench/ is only run, never changed.  Runs are
 sequential, so the trees never compete for the machine.
 """
 
@@ -76,7 +80,9 @@ def summarise(runs, metrics) -> dict:
             "relative_change": round(c_med / p_med - 1.0, 4) if p_med else None,
             "change_better_in_pairs": f"{wins} of {len(pairs)}",
         }
-    summary["cycles"] = sorted({(r["tree"], r["result"]["cycles"]) for r in runs})
+    cycles = {(r["pair"], r["tree"]): r["result"]["cycles"] for r in runs}
+    summary["cycles"] = sorted({(tree, count) for (_, tree), count in cycles.items()})
+    summary["cycles_differ"] = any(cycles[p, "parent"] != cycles[p, "change"] for p in pairs)
     summary["failed"] = sum(f["count"] for r in runs for f in r["result"]["failures"])
     return summary
 
@@ -108,6 +114,11 @@ def main(argv=None) -> int:
            "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
                        for w in WORKLOADS},
            "runs": runs}
+    for workload, summary in out["summary"].items():
+        if summary["cycles_differ"]:
+            print(f"warning: {workload} parent and change runs completed different cycle "
+                  f"counts {summary['cycles']}; its peak_rss_mb compares different amounts "
+                  f"of kept output", file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps(out["summary"], indent=1))

@@ -159,8 +159,16 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
 
 
 def _ordered_product_trace(mats) -> float:
-    """Trace of P_1 ... P_n: for exact members the float of the exact trace
-    (ValueError beyond the float64 range, as in to_float)."""
+    """Trace of Q = P_1 ... P_n for the members of a Clifford system.
+
+    Q is traceless unless n = 1 (mod 4), so for other n this is 0.0 and no
+    product is formed: for even n, Q anticommutes with P_1, so
+    tr Q = tr(P_1 Q P_1) = -tr Q; for n = 3 (mod 4), Q^2 = -I, so Q's
+    eigenvalues are +-i in conjugate pairs.  For n = 1 (mod 4) and exact
+    members it is the float of the exact trace (ValueError beyond the
+    float64 range, as in to_float)."""
+    if len(mats) % 4 != 1:
+        return 0.0
     prod = ordered_product(mats)
     if is_exact(prod):
         return float(to_float(np.array(sum(np.diagonal(prod).tolist()))))
@@ -178,7 +186,9 @@ def symmetric_commutant_dimension(matrices, tol: float = IDENTITY_TOL) -> int:
 
     This averages the character of Sym^2 R^s over the group of signed member
     products +-P_I; P_I squares to (-1)^(k(k-1)/2) I for |I| = k, and
-    anticommutation makes every P_I traceless except I and P_1...P_n.
+    anticommutation makes every P_I traceless except I and P_1...P_n.  That
+    last trace can be nonzero only for n = 1 (mod 4), so only then is the
+    product formed; for other n, t = 0.
     """
     cs = verify_clifford(matrices, tol)
     s, n, t = cs.two_m, cs.n, round(_ordered_product_trace(cs.matrices))
@@ -205,22 +215,29 @@ def is_irreducible(cs: CliffordSystem) -> bool:
 def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.ndarray]:
     """Orthogonal R with targets[i] @ R = R @ sources[i] for all i, or None.
 
-    Both lists hold the members of Clifford systems of one size, so the maps
-    X -> T_i X S_i are commuting self-adjoint involutions and the product of
-    the (I + (X -> T_i X S_i)) / 2 projects orthogonally onto the
-    intertwiners.  That projection of one seeded Gaussian matrix is
-    invertible whenever the systems are equivalent (almost surely), and its
-    orthogonal polar factor intertwines as well.  Returns None only for a
-    singular projection, as for inequivalent systems; the callers certify R
-    (R S_i R^T = T_i, which is T_i R = R S_i for orthogonal R).  Both lists
-    must be the same nonzero length; an unconstrained search is the caller's.
+    Both hold the members of Clifford systems of one size, as lists or
+    (n, m, m) stacks, so the maps X -> T_i X S_i are commuting self-adjoint
+    involutions and the product of the (I + (X -> T_i X S_i)) / 2 projects
+    orthogonally onto the intertwiners.  That projection of one seeded
+    Gaussian matrix is invertible whenever the systems are equivalent
+    (almost surely), and its orthogonal polar factor intertwines as well.
+    Returns None only for a singular projection, as for inequivalent
+    systems; the callers certify R (R S_i R^T = T_i, which is T_i R = R S_i
+    for orthogonal R).  Both must be the same nonzero length; an
+    unconstrained search is the caller's.
     """
-    if not targets or len(targets) != len(sources):
+    if not len(targets) or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
-    m = sources[0].shape[0]
+    targets, sources = to_float(np.asarray(targets)), to_float(np.asarray(sources))
+    m = sources.shape[-1]
     X = np.random.default_rng(seed).standard_normal((m, m))
+    TX, Y = np.empty_like(X), np.empty_like(X)
     for T, S in zip(targets, sources):
-        X = (X + to_float(T) @ X @ to_float(S)) / 2
+        # X = (X + T @ X @ S) / 2 in place; halving is exact
+        np.matmul(T, X, out=TX)
+        np.matmul(TX, S, out=Y)
+        X += Y
+        X *= 0.5
     u, s, vt = np.linalg.svd(X)
     if s[-1] <= 1e-10 * max(1.0, s[0]):
         return None  # not invertible enough to trust the polar factor
@@ -234,28 +251,33 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
 
     Dimension, member count and the trace of the ordered member product fix
     the class of a system, so differing product traces decide NOT_EQUIVALENT
-    and agreeing ones mean the systems are equivalent.  Differing symmetric
-    commutant dimensions need no check of their own: the dimension is a
-    function of round(trace)^2, so their traces lie at least 1 apart, which
-    any tol below 1 / two_m rejects, and the reason names the traces.  Both
-    traces are exact for exact members (core.ordered_product never wraps).
-    The certificate is the orthogonal intertwiner of the members, checked
-    once here at tol; UNKNOWN is reported only when it fails numerically.
+    and agreeing ones mean the systems are equivalent.  The traces are
+    formed only for n = 1 (mod 4) members: for other n both are 0 by the
+    Clifford relation, which the inputs are trusted to satisfy, and the
+    certificate decides.  Differing symmetric commutant dimensions need no
+    check of their own: the dimension is a function of round(trace)^2, so
+    their traces lie at least 1 apart, which any tol below 1 / two_m
+    rejects, and the reason names the traces.  Both traces are exact for
+    exact members (core.ordered_product never wraps).  The certificate is
+    the orthogonal intertwiner of the members, checked once here at tol on
+    one float64 stack per system; UNKNOWN is reported only when it fails
+    numerically, a NaN residual included.
     """
     if a.two_m != b.two_m or a.n != b.n:
         raise ShapeMismatch("systems must share dimension and member count")
     trace_a = _ordered_product_trace(a.matrices)
     trace_b = _ordered_product_trace(b.matrices)
-    if abs(trace_a - trace_b) > tol * max(1.0, abs(trace_a), abs(trace_b)):
+    if trace_a != trace_b and abs(trace_a - trace_b) > tol * max(1.0, abs(trace_a), abs(trace_b)):
         return EquivalenceVerdict(
             EquivalenceStatus.NOT_EQUIVALENT, None,
             f"ordered product traces differ ({trace_a:g} vs {trace_b:g})")
-    R = find_orthogonal_intertwiner(b.matrices, a.matrices, seed)
+    stack_a, stack_b = to_float(np.asarray(a.matrices)), to_float(np.asarray(b.matrices))
+    R = find_orthogonal_intertwiner(stack_b, stack_a, seed)
     if R is None:
         return EquivalenceVerdict(EquivalenceStatus.UNKNOWN, None,
                                   "the projected intertwiner failed verification")
-    worst = max(rel_residual(R @ to_float(P) @ R.T, to_float(Q))
-                for P, Q in zip(a.matrices, b.matrices))
+    worst = float(np.max([rel_residual(moved, Q)
+                          for moved, Q in zip(R @ stack_a @ R.T, stack_b)]))
     if worst <= tol:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, R,
                                   f"projected onto the intertwiners; certificate residual {worst:.3e}")

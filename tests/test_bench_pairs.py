@@ -1,0 +1,29 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(pair, tree, value, cycles):
+    return {"pair": pair, "tree": tree,
+            "result": {"metrics": {"peak_rss_mb": {"value": value}}, "cycles": cycles,
+                       "failures": []}}
+
+
+def test_summary_flags_pairs_whose_trees_completed_different_cycle_counts():
+    summarise = load_bench_pairs().summarise
+    metrics = {"peak_rss_mb": "lower"}
+    same = [run(1, "parent", 70.0, 1), run(1, "change", 70.5, 1),
+            run(2, "parent", 83.0, 2), run(2, "change", 82.0, 2)]
+    assert summarise(same, metrics)["cycles_differ"] is False
+    crossed = same[:1] + [run(1, "change", 83.0, 2)] + same[2:]
+    summary = summarise(crossed, metrics)
+    assert summary["cycles_differ"] is True
+    assert summary["cycles"] == [("change", 2), ("parent", 1), ("parent", 2)]

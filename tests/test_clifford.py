@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadmorph import clifford, core, osystem
+from quadmorph import clifford, core, osystem, qhm
 from quadmorph.clifford import EquivalenceStatus
 from quadmorph.core import identity_matrix, random_orthogonal, rel_residual, to_float
 from quadmorph.errors import (
@@ -285,9 +285,28 @@ def test_ordered_product_trace_is_exact(n):
 
 
 def test_ordered_product_trace_does_not_wrap_around():
-    # int64 reads (2^31 I)^3 = 2^93 I as 0
+    # int64 reads (2^31 I)^5 = 2^155 I as 0; five members, since the product
+    # is formed only for n = 1 (mod 4)
     big = 2**31 * np.eye(2, dtype=np.int64)
-    assert clifford._ordered_product_trace([big] * 3) == 2.0**94
+    assert clifford._ordered_product_trace([big] * 5) == 2.0**156
+
+
+def test_ordered_product_traces_vanish_unless_n_is_1_mod_4():
+    # the theorem behind _ordered_product_trace's closed form, on exact systems
+    # and on seeded float conjugates of them
+    for idx, cs in enumerate(irreducibility_cases()):
+        g = random_orthogonal(cs.two_m, idx)
+        conj = [g @ to_float(P) @ g.T for P in cs.matrices]
+        exact_trace = sum(np.diagonal(core.ordered_product(cs.matrices)).tolist())
+        float_trace = float(np.trace(core.ordered_product(conj)))
+        if cs.n % 4 != 1:
+            assert exact_trace == 0
+            assert abs(float_trace) <= 1e-9 * cs.two_m
+            assert clifford._ordered_product_trace(cs.matrices) == 0.0
+            assert clifford._ordered_product_trace(conj) == 0.0
+        else:
+            assert clifford._ordered_product_trace(cs.matrices) == exact_trace
+            assert clifford._ordered_product_trace(conj) == float_trace
 
 
 def test_commutant_requires_a_clifford_system():
@@ -399,3 +418,126 @@ def test_intertwiner_rejects_mismatched_lists():
         clifford.find_orthogonal_intertwiner([], [])
     with pytest.raises(ValueError):
         clifford.find_orthogonal_intertwiner([np.eye(2)], [])
+    with pytest.raises(ValueError):
+        clifford.find_orthogonal_intertwiner(np.empty((0, 2, 2)), np.empty((0, 2, 2)))
+    with pytest.raises(ValueError):
+        clifford.find_orthogonal_intertwiner(np.eye(2)[None], np.empty((0, 2, 2)))
+
+
+def test_intertwiner_takes_member_stacks(c85):
+    g = random_orthogonal(8, 5)
+    sources = [to_float(P) for P in c85.matrices]
+    targets = [g @ P @ g.T for P in sources]
+    from_lists = clifford.find_orthogonal_intertwiner(targets, sources, seed=3)
+    from_stacks = clifford.find_orthogonal_intertwiner(np.stack(targets), np.stack(sources), seed=3)
+    from_exact = clifford.find_orthogonal_intertwiner(np.stack(targets), np.stack(c85.matrices),
+                                                      seed=3)
+    assert np.array_equal(from_stacks, from_lists) and np.array_equal(from_exact, from_lists)
+    assert max(rel_residual(from_stacks @ P @ from_stacks.T, T)
+               for P, T in zip(sources, targets)) < 1e-12
+
+
+def reference_intertwiner(targets, sources, seed=0):
+    """Reference projection, formula for formula the earlier
+    find_orthogonal_intertwiner: one to_float per member and use, out of place."""
+    m = sources[0].shape[0]
+    X = np.random.default_rng(seed).standard_normal((m, m))
+    for T, S in zip(targets, sources):
+        X = (X + to_float(T) @ X @ to_float(S)) / 2
+    u, s, vt = np.linalg.svd(X)
+    return None if s[-1] <= 1e-10 * max(1.0, s[0]) else u @ vt
+
+
+def reference_equivalence(a, b, tol=core.IDENTITY_TOL, seed=0):
+    """Reference decision, formula for formula the earlier algebraically_equivalent:
+    both product traces for every n, the reference projection and one
+    rel_residual per member."""
+    traces = []
+    for mats in (a.matrices, b.matrices):
+        prod = core.ordered_product(mats)
+        traces.append(float(to_float(np.array(sum(np.diagonal(prod).tolist()))))
+                      if core.is_exact(prod) else float(np.trace(prod)))
+    trace_a, trace_b = traces
+    if abs(trace_a - trace_b) > tol * max(1.0, abs(trace_a), abs(trace_b)):
+        return (EquivalenceStatus.NOT_EQUIVALENT, None,
+                f"ordered product traces differ ({trace_a:g} vs {trace_b:g})")
+    R = reference_intertwiner(b.matrices, a.matrices, seed)
+    if R is None:
+        return EquivalenceStatus.UNKNOWN, None, "the projected intertwiner failed verification"
+    worst = max(rel_residual(R @ to_float(P) @ R.T, to_float(Q))
+                for P, Q in zip(a.matrices, b.matrices))
+    if worst <= tol:
+        return (EquivalenceStatus.EQUIVALENT, R,
+                f"projected onto the intertwiners; certificate residual {worst:.3e}")
+    return (EquivalenceStatus.UNKNOWN, None,
+            f"candidate conjugation failed verification ({worst:.3e})")
+
+
+def test_equivalence_is_bit_identical_to_the_reference_decision():
+    decided = set()
+    for n in range(3, 10):
+        cs = clifford.construct_irreducible(n)
+        flipped = with_last_negated(cs)
+        for seed in range(3):
+            def conj(system, salt):
+                g = random_orthogonal(system.two_m, 100 * n + 10 * seed + salt)
+                return clifford.verify_clifford([g @ to_float(P) @ g.T for P in system.matrices])
+            pairs = [(cs, conj(cs, 0)), (cs, conj(flipped, 1)), (conj(cs, 2), conj(flipped, 3)),
+                     (clifford.direct_sum(cs, cs), conj(clifford.direct_sum(cs, flipped), 4))]
+            for a, b in pairs:
+                verdict = clifford.algebraically_equivalent(a, b, seed=seed)
+                status, certificate, reason = reference_equivalence(a, b, seed=seed)
+                assert (verdict.status, verdict.reason) == (status, reason)
+                if certificate is None:
+                    assert verdict.certificate is None
+                else:
+                    assert np.array_equal(verdict.certificate, certificate)
+                decided.add(status)
+    assert decided == {EquivalenceStatus.EQUIVALENT, EquivalenceStatus.NOT_EQUIVALENT}
+
+
+def test_range_extension_is_bit_identical_with_the_reference_projection(monkeypatch):
+    maps = []
+    for n in (3, 5, 6, 7):
+        exact = clifford.construct_irreducible(n).matrices
+        g = random_orthogonal(exact[0].shape[0], n)
+        maps += [qhm.verify_qhm(exact), qhm.verify_qhm([g @ to_float(P) @ g.T for P in exact])]
+    extended = [qhm.range_extend(phi, seed=n) for n, phi in enumerate(maps)]
+    monkeypatch.setattr(clifford, "find_orthogonal_intertwiner", reference_intertwiner)
+    for n, (phi, ours) in enumerate(zip(maps, extended)):
+        theirs = qhm.range_extend(phi, seed=n)
+        assert len(ours.components) == len(theirs.components) > phi.n
+        assert all(np.array_equal(A, B) for A, B in zip(ours.components, theirs.components))
+
+
+def test_traces_are_formed_only_for_n_1_mod_4(monkeypatch, c85, c85_flipped):
+    products = count_calls(monkeypatch, clifford, "ordered_product")
+    c3 = clifford.construct_irreducible(2)  # three members
+    assert clifford.algebraically_equivalent(c3, c3).status is EquivalenceStatus.EQUIVALENT
+    assert len(products) == 0
+    verdict = clifford.algebraically_equivalent(c85, c85_flipped)  # five members
+    assert verdict.status is EquivalenceStatus.NOT_EQUIVALENT and len(products) == 2
+    # Stated change: traces that agree never read as differing, so with a
+    # non-positive tol the uncertifiable pair is UNKNOWN, not NOT_EQUIVALENT
+    for tol in (0.0, -1.0):
+        assert clifford.algebraically_equivalent(c3, c3, tol).status is EquivalenceStatus.UNKNOWN
+    # A hand-built non-Clifford system is trusted to be one: its commuting
+    # members (product trace 4) are not told apart by a trace, and the
+    # certificate check leaves it UNKNOWN
+    diagonals = tuple(np.diag(d).astype(np.int64)
+                      for d in ([1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]))
+    commuting = clifford.CliffordSystem(two_m=4, n=3, matrices=diagonals)
+    verdict = clifford.algebraically_equivalent(c3, commuting)
+    assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
+
+
+def test_a_nan_residual_is_unknown():
+    # one member scaled by 1e300: its certificate residual is inf / inf = NaN,
+    # which must not be read past as the others' passing residuals
+    c4 = clifford.construct_irreducible(3)
+    mats = [to_float(P) for P in c4.matrices]
+    mats[-1] = 1e300 * mats[-1]
+    huge = clifford.CliffordSystem(two_m=c4.two_m, n=c4.n, matrices=tuple(mats))  # unverified
+    verdict = clifford.algebraically_equivalent(c4, huge)
+    assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
+    assert verdict.reason == "candidate conjugation failed verification (nan)"

@@ -114,6 +114,11 @@ def test_exact_entries_beyond_the_float_range_are_a_value_error(tmp_path):
                   lambda mats: spectral_decompose(as_matrix(mats[0]))):
         with pytest.raises(ValueError):
             route([huge])
+    # the equivalence decision's one float64 stack per system follows to_float
+    c2 = clifford.construct_irreducible(1)
+    big = clifford.CliffordSystem(two_m=2, n=2, matrices=(as_matrix(huge), c2.matrices[1]))
+    with pytest.raises(ValueError):
+        clifford.algebraically_equivalent(c2, big)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(document("qhm", huge, "rational")))
     assert cli(["verify", str(path)]) == (2, "")
