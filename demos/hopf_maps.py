@@ -7,10 +7,13 @@ from quadmorph import orthomul, qhm
 
 for n in (1, 2, 4, 8):
     phi = orthomul.hopf_construction(orthomul.standard_multiplication(n))
-    sphere = qhm.sphere_restriction_check(phi, samples=200, seed=2)
+    sphere = qhm.sphere_restriction_check(phi)
     print(f"n={n}: map R^{phi.m} -> R^{phi.n}, "
-          f"unit sphere -> sphere of radius {sphere.radius:g} "
-          f"(defect {sphere.max_defect:.2e})")
+          f"unit sphere -> sphere of radius {sphere.radius:g}: {sphere.holds}")
+
+# without its last component the map sends some unit vector to 0
+cut = qhm.sphere_restriction_check(qhm.verify_qhm(phi.components[:-1]))
+print(f"R^16 -> R^8: spheres to spheres {cut.holds}, defect {cut.max_defect:g}")
 
 # the n=1 case is just z^2 on the complex plane
 z2 = orthomul.hopf_construction(orthomul.standard_multiplication(1))

@@ -38,5 +38,11 @@ rect = orthomul.verify_orthomul([np.array([[1.0], [0.0]])])
 print(f"padding product: R^{rect.p} x R^{rect.q} -> R^{rect.n_out}, "
       f"mu(2, 3) = {orthomul.multiply(rect, [2.0], [3.0])}")
 
-rep = orthomul.measure(oc, samples=256, seed=5)
-print(f"octonion norm defect over {rep.samples} samples: {rep.max_defect:.3e}")
+# measure reports the slice identities' worst residual instead of raising
+rep = orthomul.measure(oc)
+print(f"octonion slice residual {rep.max_defect:.3e}, exact: {rep.exact}")
+bent = orthomul.OrthogonalMultiplication(p=2, q=2, n_out=2,
+                                         slices=(np.eye(2), np.diag([1.0, -1.0])))
+rep = orthomul.measure(bent)
+print(f"(1, diag(1, -1)) preserves norms: {rep.norm_preserving} "
+      f"(residual {rep.max_defect:.3e})")

@@ -17,7 +17,10 @@ change runs of one pair completed different cycle counts gets
 job's output, so its ``peak_rss_mb`` then compares different amounts of
 kept work (one pipeline-scale cycle against two), not the program.  Writes
 ``BENCH_<label>.json`` at the root of this checkout; bench/ is only run, never changed.  Runs are
-sequential, so the trees never compete for the machine.
+sequential, so the trees never compete for the machine.  Before the first
+pair, ``python -m compileall -q`` writes the bytecode of both trees' src
+(it does so even under PYTHONDONTWRITEBYTECODE=1), so no CLI job of either
+tree pays for compiling quadmorph from source.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-2])
 
 
+def compile_sources(trees) -> None:
+    """Write the bytecode of every tree's src."""
+    for tree in trees:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
+
+
 def quartiles(values):
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [round(q1, 4), round(q3, 4)]
@@ -92,6 +101,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    compile_sources(trees.values())
     runs = []
     for workload in WORKLOADS:
         for pair in range(1, PAIRS + 1):

@@ -29,10 +29,6 @@ class DimensionMismatch(QuadmorphError):
     """A vector argument has the wrong length."""
 
 
-class BadIndices(QuadmorphError):
-    """Subsystem selection indices are empty, repeated, or out of range."""
-
-
 class NotSquare(QuadmorphError):
     """Slices of an orthogonal multiplication are not square."""
 

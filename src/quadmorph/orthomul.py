@@ -4,7 +4,8 @@ A multiplication is stored through its coefficient slices: slice i is the
 matrix sending y to the i-th block of mu(e_i, y), so mu(x, y) = sum_i x_i *
 (slices[i] @ y).  Norm preservation |mu(x, y)| = |x| |y| polarizes to the
 slice identities s_i^T s_j + s_j^T s_i = 2 delta_ij I, which verification
-checks for every slice shape; measure only reports sampled norm defects.
+checks for every slice shape; measure reports the same residual without
+raising.
 
 The square case is interchangeable with orthogonal member tuples, and every
 multiplication with matching factor and output dimensions induces a
@@ -25,7 +26,6 @@ from .core import (
     identity_matrix,
     is_exact,
     pairwise_relation,
-    sample_points,
     symmetric_off_diagonal,
     to_float,
     to_point,
@@ -64,7 +64,6 @@ class MultiplicationReport:
     norm_preserving: bool
     max_defect: float
     exact: bool
-    samples: int
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -91,8 +90,7 @@ def check_orthomul(candidate_slices, tol: float = IDENTITY_TOL):
     if any(s.ndim != 2 or s.shape != (d, q) for s in mats):
         raise ShapeMismatch("all slices must share one shape")
     mats = list(common_mode(*mats))
-    eye = identity_matrix(q, exact=is_exact(mats[0]))
-    worst, failure = pairwise_relation(mats, eye, transpose=True, tol=tol)
+    worst, failure = _slice_relation(mats, tol)
     if failure:
         raise NotNormPreserving(*failure)
     mu = OrthogonalMultiplication(p=len(mats), q=q, n_out=d, slices=tuple(mats))
@@ -107,23 +105,22 @@ def verify_orthomul(candidate_slices,
     return check_orthomul(candidate_slices, tol)[0]
 
 
-def measure(mu: OrthogonalMultiplication, samples: int = 64, seed: int = 0,
+def measure(mu: OrthogonalMultiplication,
             tol: float = IDENTITY_TOL) -> MultiplicationReport:
-    """Sampled norm defects |mu(x, y)| - |x| |y| at seeded pairs, as a
-    report; no verifier consults it."""
-    floats = np.stack([to_float(s) for s in mu.slices])
-    X = sample_points(mu.p, samples, seed)
-    Y = sample_points(mu.q, samples, seed + 1)
-    # mu(x, y)_d = sum_q (sum_i x_i slices[i])_dq y_q, the sum over i as one product
-    prods = (X @ floats.reshape(mu.p, -1)).reshape(samples, mu.n_out, mu.q)
-    prods *= Y[:, None, :]
-    prods = prods.sum(axis=-1)
-    lhs = np.sqrt(np.sum(prods * prods, axis=1))
-    rhs = np.sqrt(np.sum(X * X, axis=1) * np.sum(Y * Y, axis=1))
-    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))
-    exact = is_exact(mu.slices[0]) and mu.q == mu.n_out
-    return MultiplicationReport(norm_preserving=worst <= tol,
-                                max_defect=worst, exact=exact, samples=samples)
+    """The slice identities of a multiplication as a report: max_defect is
+    the worst residual, check_orthomul's max_norm_defect, or on slices that
+    fail them the failing pair's residual, with norm_preserving False."""
+    worst, failure = _slice_relation(list(mu.slices), tol)
+    return MultiplicationReport(norm_preserving=failure is None,
+                                max_defect=failure[2] if failure else worst,
+                                exact=is_exact(mu.slices[0]))
+
+
+def _slice_relation(mats, tol):
+    """pairwise_relation of s_i^T s_j + s_j^T s_i = 2 delta_ij I_q for
+    d x q slices of one mode."""
+    eye = identity_matrix(mats[0].shape[1], exact=is_exact(mats[0]))
+    return pairwise_relation(mats, eye, transpose=True, tol=tol)
 
 
 def from_osystem(os, tol: float = IDENTITY_TOL) -> OrthogonalMultiplication:

@@ -8,8 +8,7 @@ The maximal n for given m is the classical Radon-Hurwitz number sigma(m),
 which generators.hurwitz_radon computes and this module re-exports with
 SigmaDecomposition.  The module verifies the relation, builds
 range-maximal integer families, moves back and forth to Clifford systems
-(one extra member, doubled dimension), and provides transpose, subset and
-direct-sum closure operations.
+(one extra member, doubled dimension), and forms direct sums.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .core import (
     square_matrices,
     symmetric_off_diagonal,
 )
-from .errors import AnticommutationViolated, ArityMismatch, BadIndices, NotOrthogonal
+from .errors import AnticommutationViolated, ArityMismatch, NotOrthogonal
 from .generators import SigmaDecomposition, hurwitz_radon, skew_anticommuting_family
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "construct_range_maximal",
     "from_clifford",
     "to_clifford",
-    "transpose_system",
-    "sub_system",
     "direct_sum",
 ]
 
@@ -113,23 +110,7 @@ def from_clifford(cs: CliffordSystem, tol: float = IDENTITY_TOL) -> OSystem:
 
 
 # ---------------------------------------------------------------------------
-# closure operations
-
-
-def transpose_system(os: OSystem) -> OSystem:
-    return verify_osystem([M.T.copy() for M in os.matrices])
-
-
-def sub_system(os: OSystem, indices) -> OSystem:
-    """Subsystem at the given 0-based positions (order preserved)."""
-    idx = list(indices)
-    if not idx:
-        raise BadIndices("need at least one index")
-    if len(set(idx)) != len(idx):
-        raise BadIndices("indices must be distinct")
-    if any(i < 0 or i >= os.n for i in idx):
-        raise BadIndices(f"indices must lie in [0, {os.n - 1}]")
-    return verify_osystem([os.matrices[i] for i in idx])
+# direct sums
 
 
 def direct_sum(a: OSystem, b: OSystem) -> OSystem:

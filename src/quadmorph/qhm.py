@@ -5,16 +5,18 @@ when every A_alpha is traceless, distinct components anticommute, and all
 A_alpha^2 agree.  Verification runs those matrix identities and, as an
 independent oracle, a finite-difference check of the harmonicity and
 conformality conditions at seeded sample points (central differences are
-exact for quadratics, so both paths must agree).
+exact for quadratics, so both paths must agree).  sampled_check is the one
+routine that samples the finite differences.
 
 On top of verification: rank/spectrum classification, the block normal form
 of full-rank maps, kernel projection for rank-deficient ones, splitting into
 scaled umbilical summands, representation of all components as one quadratic
 function composed with orthogonal maps, extension of domain-minimal maps
 with additional components up to the Radon-Hurwitz bound, counting of sign
-classes, and sphere-restriction / isoparametric sample checks.  The normal
-form comes from core.eigenspace_split, and the single-function transforms
-come from the normal form.
+classes, and the sphere-restriction and isoparametric reports, read from
+classify and from the identity M^2 = s^2 I.  The normal form comes from
+core.eigenspace_split, and the single-function transforms come from the
+normal form.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .core import (
     eigenspace_split,
     eigenvalue_clusters,
     frobenius,
+    identity_matrix,
     is_exact,
     is_exactly_zero,
     numeric_rank,
@@ -171,7 +174,6 @@ class IsoparametricReport:
     laplacian_coefficient: float
     max_gradient_defect: float
     max_laplacian_defect: float
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,6 @@ class SphereRestrictionReport:
     holds: bool
     radius: float
     max_defect: float
-    samples: int
 
 
 # ---------------------------------------------------------------------------
@@ -682,46 +683,62 @@ def count_biequivalence_classes(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sampled geometric checks
+# geometric reports
 
 
-def verify_isoparametric(f_matrix, samples: int = 64, seed: int = 0,
-                         tol: float = IDENTITY_TOL) -> IsoparametricReport:
-    """Sample check that F(x) = x^T M x has gradient norm 4*scale^2*|x|^2 and
-    constant Laplacian; scale^2 is estimated as trace(M^2)/m; M is judged at unit scale."""
+def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricReport:
+    """Whether F(x) = x^T M x has gradient norm |grad F|^2 = 4 scale^2 |x|^2
+    and constant Laplacian.
+
+    |grad F|^2 = 4 x^T M^2 x, so the gradient condition holds for every x
+    iff M^2 = scale^2 I, and then scale^2 = tr(M^2) / m.  That identity is
+    checked at unit scale (_unit_scale) through pairwise_relation: bit for
+    bit on exact input, with scale^2 a Fraction, and within tol on float
+    input; max_gradient_defect is its residual.  The Laplacian of x^T M x is
+    the constant 2 tr M (laplacian_coefficient), so max_laplacian_defect is
+    0.0 by construction.
+    """
     (M,), u = _unit_scale(square_matrices([f_matrix], "function matrices"))
     check_symmetric([M], tol)
     Mf = to_float(M)
     m = Mf.shape[0]
     scale_sq = float(np.trace(Mf @ Mf)) / m
-    c = 2.0 * float(np.trace(Mf))
-    X = sample_points(m, samples, seed)
-    grads, laps = _central_differences([Mf], X)
-    grad, lap = grads[0], laps[0]
-    grad_sq = np.sum(grad * grad, axis=1)
-    target = 4.0 * scale_sq * np.sum(X * X, axis=1)
-    grad_defect = float(np.max(np.abs(grad_sq - target) / np.maximum(1.0, target)))
-    lap_defect = float(np.max(np.abs(lap - c))) / max(1.0, abs(c))
-    holds = grad_defect <= tol and lap_defect <= tol
-    return IsoparametricReport(holds=holds, scale=math.sqrt(scale_sq) * u,
-                               laplacian_coefficient=c * u,
-                               max_gradient_defect=grad_defect,
-                               max_laplacian_defect=lap_defect, samples=samples)
+    if is_exact(M):  # tr(M^2) of a symmetric M is the sum of its squared entries
+        target = identity_matrix(m) * Fraction(sum(v * v for v in M.ravel().tolist()), m)
+    else:
+        target = scale_sq * np.eye(m)
+    worst, failure = pairwise_relation([M], target, tol=tol)
+    return IsoparametricReport(holds=failure is None, scale=math.sqrt(scale_sq) * u,
+                               laplacian_coefficient=2.0 * float(np.trace(Mf)) * u,
+                               max_gradient_defect=failure[2] if failure else worst,
+                               max_laplacian_defect=0.0)
 
 
-def sphere_restriction_check(phi: QuadraticHarmonicMorphism, samples: int = 64,
-                             seed: int = 0,
+def sphere_restriction_check(phi: QuadraticHarmonicMorphism,
                              tol: float = IDENTITY_TOL) -> SphereRestrictionReport:
-    """Check |phi(x)| = radius * |x|^2 at seeded points, where radius is the
-    common positive eigenvalue of an umbilical map (so spheres map to spheres)."""
+    """Whether |phi(x)| = radius * |x|^2, radius being the common positive
+    eigenvalue lambda of an umbilical map (classify), so that spheres map
+    to spheres.
+
+    It holds iff phi has no kernel and n = m/2 + 1.  max_defect is the
+    supremum of ||phi(x)| - lambda |x|^2| / (lambda |x|^2) over the unit
+    sphere: 0.0 when it holds, 1.0 otherwise.  Write m = 2l and
+    P_i = A_i / lambda on a map without kernel.
+    * The vectors P_i x are orthogonal with length |x|, so
+      sum_i <P_i x, x>^2 <= |x|^4 and |phi(x)| <= lambda |x|^2; with a
+      kernel the same holds for the projected point, no longer than x.
+    * The mean of that sum over the unit sphere is n / (l + 1), since
+      E <P x, x>^2 = 2 tr P^2 / (2l (2l + 2)) for traceless P with P^2 = I;
+      so n <= l + 1, and for n = l + 1 the gap |x|^4 - sum is nonnegative
+      with mean 0, so it vanishes everywhere.
+    * For n <= l, write x = (a, b) in to_standard_representation
+      coordinates, where phi(x) / lambda = (|a|^2 - |b|^2, 2 <a, tau_1 b>,
+      ..., 2 <a, tau_(n-1) b>).  A unit b and a unit a orthogonal to
+      tau_1 b, ..., tau_(n-1) b give phi(x) = 0, and so does a kernel vector.
+    """
     report = classify(phi, tol)
     if not report.is_umbilical:
         raise NotUmbilical("positive eigenvalues are not all equal")
-    radius = report.positive_eigenvalues[0]
-    X = sample_points(phi.m, samples, seed)
-    vals = np.column_stack([_form_values(to_float(A), X) for A in phi.components])
-    norms = np.sqrt(np.sum(vals * vals, axis=1))
-    target = radius * np.sum(X * X, axis=1)
-    defect = float(np.max(np.abs(norms - target) / target))
-    return SphereRestrictionReport(holds=defect <= tol, radius=radius,
-                                   max_defect=defect, samples=samples)
+    holds = report.is_q_nonsingular and phi.n == phi.m // 2 + 1
+    return SphereRestrictionReport(holds=holds, radius=report.positive_eigenvalues[0],
+                                   max_defect=0.0 if holds else 1.0)

@@ -27,3 +27,15 @@ def test_summary_flags_pairs_whose_trees_completed_different_cycle_counts():
     summary = summarise(crossed, metrics)
     assert summary["cycles_differ"] is True
     assert summary["cycles"] == [("change", 2), ("parent", 1), ("parent", 2)]
+
+
+def test_both_trees_get_bytecode_even_when_python_writes_none(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    load_bench_pairs().compile_sources(trees)
+    for tree in trees:
+        assert [path.name.split(".")[0] for path in
+                (tree / "src" / "pkg" / "__pycache__").glob("*.pyc")] == ["mod"]

@@ -95,6 +95,43 @@ class TestVerify:
             orthomul.verify_orthomul([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
 
 
+class TestMeasure:
+    """measure reports the slice identities' residual and never raises."""
+
+    @pytest.mark.parametrize("slices", [
+        [np.array([[1], [0]], dtype=np.int64)],
+        [np.vstack([s, np.zeros((1, 2), dtype=np.int64)])
+         for s in orthomul.standard_multiplication(2).slices],
+        orthomul.standard_multiplication(8).slices,
+    ])
+    def test_exact_slices_of_every_shape_are_exact(self, slices):
+        rep = orthomul.measure(orthomul.verify_orthomul(slices))
+        assert rep == orthomul.MultiplicationReport(norm_preserving=True, max_defect=0.0,
+                                                    exact=True)
+
+    def test_float_slices_report_the_verified_residual(self):
+        g = random_orthogonal(4, 5)
+        rotated = [g @ to_float(s) for s in orthomul.standard_multiplication(4).slices]
+        mu, residuals = orthomul.check_orthomul(rotated)
+        rep = orthomul.measure(mu)
+        assert rep.norm_preserving and not rep.exact
+        assert rep.max_defect == residuals["max_norm_defect"]
+
+    @pytest.mark.parametrize("slices", [
+        [np.eye(2, dtype=np.int64), np.diag([1, -1]).astype(np.int64)],
+        [np.eye(2, dtype=np.int64), np.array([[0, 2], [-2, 0]], dtype=np.int64)],
+        [to_float(s) + (0.01 if k == 2 else 0.0)
+         for k, s in enumerate(orthomul.standard_multiplication(4).slices)],
+    ])
+    def test_failing_slices_report_the_failing_residual(self, slices):
+        with pytest.raises(NotNormPreserving) as failure:
+            orthomul.verify_orthomul(slices)
+        d, q = slices[0].shape
+        mu = orthomul.OrthogonalMultiplication(p=len(slices), q=q, n_out=d, slices=tuple(slices))
+        rep = orthomul.measure(mu)
+        assert not rep.norm_preserving and rep.max_defect == failure.value.residual > 0
+
+
 def _outcome(check, mats):
     """(None, worst residual) when check accepts, else (failing pair, residual)."""
     try:

@@ -9,7 +9,6 @@ from quadmorph.core import random_orthogonal, to_float
 from quadmorph.errors import (
     AnticommutationViolated,
     ArityMismatch,
-    BadIndices,
     NotOrthogonal,
     ShapeMismatch,
     VerificationError,
@@ -168,29 +167,6 @@ class TestCliffordCorrespondence:
 
 
 class TestCombinators:
-    def test_transpose_system_is_valid(self):
-        os_ = osystem.construct_range_maximal(8)
-        t = osystem.transpose_system(os_)
-        assert t.n == os_.n
-        for a, b in zip(t.matrices, os_.matrices):
-            assert np.array_equal(a, b.T)
-
-    def test_sub_system_selects_in_order(self):
-        os_ = osystem.construct_range_maximal(8)
-        sub = osystem.sub_system(os_, [2, 0])
-        assert sub.n == 2
-        assert np.array_equal(sub.matrices[0], os_.matrices[2])
-        assert np.array_equal(sub.matrices[1], os_.matrices[0])
-
-    def test_sub_system_rejects_bad_indices(self):
-        os_ = osystem.construct_range_maximal(4)
-        with pytest.raises(BadIndices):
-            osystem.sub_system(os_, [])
-        with pytest.raises(BadIndices):
-            osystem.sub_system(os_, [0, 0])
-        with pytest.raises(BadIndices):
-            osystem.sub_system(os_, [7])
-
     def test_direct_sum(self):
         a = osystem.construct_range_maximal(2)
         b = osystem.construct_range_maximal(2)

@@ -129,10 +129,7 @@ def test_every_sampled_function_rejects_a_nonpositive_sample_count(samples):
     phi = qhm.from_clifford(clifford.construct_irreducible(2))
     calls = [
         lambda: qhm.sampled_check(phi.components, samples=samples),
-        lambda: qhm.verify_isoparametric(phi.components[0], samples=samples),
-        lambda: qhm.sphere_restriction_check(phi, samples=samples),
         lambda: qhm.single_function_representation(phi, samples=samples),
-        lambda: orthomul.measure(orthomul.standard_multiplication(4), samples=samples),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="samples must be >= 1"):
@@ -728,7 +725,7 @@ def test_class_counts():
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 def test_balanced_difference_form_is_isoparametric(m):
     f = np.diag([1.0] * m + [-1.0] * m)
-    rep = qhm.verify_isoparametric(f, samples=128, seed=7)
+    rep = qhm.verify_isoparametric(f)
     assert rep.holds
     assert rep.laplacian_coefficient == 0.0
     assert rep.scale == pytest.approx(1.0)
@@ -736,7 +733,7 @@ def test_balanced_difference_form_is_isoparametric(m):
 
 
 def test_unbalanced_involution_is_isoparametric():
-    rep = qhm.verify_isoparametric(np.diag([1.0, 1.0, 1.0, -1.0]), samples=64, seed=8)
+    rep = qhm.verify_isoparametric(np.diag([1.0, 1.0, 1.0, -1.0]))
     assert rep.holds
     assert rep.laplacian_coefficient == pytest.approx(4.0)
 
@@ -744,7 +741,7 @@ def test_unbalanced_involution_is_isoparametric():
 def test_single_coordinate_square_is_not_isoparametric():
     m = np.zeros((3, 3))
     m[0, 0] = 1.0
-    rep = qhm.verify_isoparametric(m, samples=64, seed=9)
+    rep = qhm.verify_isoparametric(m)
     assert not rep.holds and rep.max_gradient_defect > 1e-2
 
 
@@ -755,17 +752,176 @@ def test_isoparametric_input_gates():
         qhm.verify_isoparametric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def isoparametric_sweep_matrices():
+    """Random symmetric matrices, 2.5 times seeded conjugates of signed
+    involutions, and the hand-picked cases of the tests above."""
+    rng = np.random.default_rng(24)
+    mats = [random_symmetric(m, seed) for m in range(1, 13) for seed in range(17)]
+    for m in range(1, 13):
+        for seed in range(17):
+            g = random_orthogonal(m, seed)
+            mats.append(2.5 * (g * rng.choice([-1.0, 1.0], size=m)) @ g.T)
+    mats += [np.diag([1.0] * m + [-1.0] * m) for m in (1, 2, 4, 8)]
+    mats += [np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, 0.0, 0.0]),
+             np.diag([1.0, 2.0, -3.0]), 1e-6 * np.diag([1.0, 1.0, 1.0, -1.0])]
+    return mats
+
+
+def sampled_isoparametric_verdict(M, samples=64, seed=0):
+    """The central-difference test at unit scale that the identity replaced."""
+    (U,), _ = qhm._unit_scale([M])
+    m, h = U.shape[0], 0.5
+    X = sample_points(m, samples, seed)
+
+    def form(P):
+        return np.einsum("...i,ij,...j->...", P, U, P)
+
+    plus, minus = form(X[:, None, :] + h * np.eye(m)), form(X[:, None, :] - h * np.eye(m))
+    grad_sq = np.sum(((plus - minus) / (2 * h)) ** 2, axis=1)
+    lap = np.sum(plus + minus - 2 * form(X)[:, None], axis=1) / h**2
+    target = 4.0 * np.trace(U @ U) / m * np.sum(X * X, axis=1)
+    c = 2.0 * np.trace(U)
+    grad_defect = np.max(np.abs(grad_sq - target) / np.maximum(1.0, target))
+    lap_defect = np.max(np.abs(lap - c)) / max(1.0, abs(c))
+    return bool(grad_defect <= IDENTITY_TOL and lap_defect <= IDENTITY_TOL)
+
+
+def test_isoparametric_identity_matches_the_sampled_verdict():
+    mats = isoparametric_sweep_matrices()
+    assert len(mats) == 416
+    verdicts = [qhm.verify_isoparametric(M) for M in mats]
+    assert [rep.holds for rep in verdicts] == [sampled_isoparametric_verdict(M) for M in mats]
+    assert sum(rep.holds for rep in verdicts) == 17 + 204 + 6  # every 1 x 1 matrix holds
+    for M, rep in zip(mats, verdicts):
+        assert rep.max_laplacian_defect == 0.0
+        assert rep.laplacian_coefficient == 2.0 * np.trace(M)
+        assert (rep.max_gradient_defect <= 1e-14) == rep.holds
+
+
+@pytest.mark.parametrize("rows, holds", [
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], True),
+    ([[0, 2**32 - 1], [2**32 - 1, 0]], True),  # its square wraps around in int64
+    ([[1, 0], [0, 2]], False),  # scale^2 = 5/2 is no integer
+    ([[1, 0, 0], [0, 2, 0], [0, 0, -3]], False),
+    ([["1/2", 0], [0, "1/3"]], False),
+    ([["3/2", "-2"], ["-2", "-3/2"]], True),  # 5/2 times a rational reflection
+])
+def test_exact_isoparametric_input_is_decided_exactly(rows, holds):
+    M = core.as_matrix(rows)
+    rep = qhm.verify_isoparametric(M)
+    assert core.is_exact(M) and rep.holds == holds
+    assert (rep.max_gradient_defect == 0.0) == holds
+    assert rep.holds == sampled_isoparametric_verdict(to_float(M))
+
+
+def test_isoparametric_verdicts_that_flip_at_the_tolerance_edge():
+    """The identity's residual |M^2 - s^2 I| / max(1, s^2 sqrt(m)) and the
+    sampled max |4 x^T (M^2 - s^2 I) x| / max(1, 4 s^2 |x|^2) normalise
+    differently, so a float matrix with a defect near tol can flip.  On
+    diag(1 + d, -1, 1, -1, ...) these do: the sampled defect (64 samples,
+    seed 0) was above tol, the identity's is below."""
+    for m, d in [(4, 1e-9), (16, 1.78e-9)]:
+        M = np.diag([1.0 + d] + [(-1.0) ** i for i in range(1, m)])
+        rep = qhm.verify_isoparametric(M)
+        assert rep.holds and 0.8e-9 < rep.max_gradient_defect <= IDENTITY_TOL
+        assert not sampled_isoparametric_verdict(M)
+
+
 def test_spheres_map_to_spheres():
-    rep = qhm.sphere_restriction_check(hopf(4), samples=64, seed=15)
+    rep = qhm.sphere_restriction_check(hopf(4))
     assert rep.holds and rep.radius == pytest.approx(1.0)
     assert rep.max_defect < 1e-12
-    scaled = qhm.sphere_restriction_check(qhm.scale(hopf(4), 3.0), samples=64, seed=15)
+    scaled = qhm.sphere_restriction_check(qhm.scale(hopf(4), 3.0))
     assert scaled.holds and scaled.radius == pytest.approx(3.0)
 
 
 def test_sphere_check_needs_one_scale(split_scale_map):
     with pytest.raises(NotUmbilical):
         qhm.sphere_restriction_check(split_scale_map)
+
+
+def sphere_sweep_maps():
+    """The maps of construct_irreducible(1..9) and of their doubles, every
+    component prefix of each, exact and as three seeded float conjugates,
+    plus the Hopf maps padded with a two-dimensional kernel."""
+    maps = []
+    for n in range(1, 10):
+        base = qhm.from_clifford(clifford.construct_irreducible(n))
+        for phi in (base, qhm.direct_sum(base, base)):
+            for k in range(1, phi.n + 1):
+                prefix = qhm.verify_qhm(phi.components[:k])
+                maps.append(prefix)
+                for seed in range(3):
+                    g = random_orthogonal(phi.m, seed)
+                    maps.append(qhm.verify_qhm([g @ to_float(A) @ g.T for A in prefix.components]))
+    for n in (1, 2, 4, 8):
+        maps.append(qhm.verify_qhm([core.block_diag2(A, np.zeros((2, 2), dtype=np.int64))
+                                    for A in hopf(n).components]))
+    return maps
+
+
+@pytest.fixture(scope="module")
+def sphere_sweep():
+    return [(phi, qhm.sphere_restriction_check(phi)) for phi in sphere_sweep_maps()]
+
+
+def sampled_sphere_verdict(phi, samples=200, seed=3):
+    """The sampled test of |phi(x)| = radius |x|^2 that the closed form replaced."""
+    radius = qhm.classify(phi).positive_eigenvalues[0]
+    X = sample_points(phi.m, samples, seed)
+    vals = batch_eval(phi.components, X)
+    target = radius * np.sum(X * X, axis=1)
+    defect = np.max(np.abs(np.sqrt(np.sum(vals * vals, axis=1)) - target) / target)
+    return bool(defect <= IDENTITY_TOL)
+
+
+def test_sphere_verdict_matches_the_sampled_verdict(sphere_sweep):
+    assert len(sphere_sweep) == 436
+    assert sum(rep.holds for _, rep in sphere_sweep) == 16
+    for phi, rep in sphere_sweep:
+        assert rep.holds == sampled_sphere_verdict(phi), (phi.m, phi.n)
+        assert rep.max_defect == (0.0 if rep.holds else 1.0)
+        assert rep.holds == (phi.n == phi.m // 2 + 1 and qhm.classify(phi).is_q_nonsingular)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_a_kernel_breaks_the_sphere_restriction_even_when_n_is_m_half_plus_one(n):
+    """A Hopf map padded by one zero coordinate has n = m // 2 + 1 on odd m,
+    and sends that coordinate's unit vector to 0."""
+    phi = qhm.verify_qhm([core.block_diag2(A, np.zeros((1, 1), dtype=np.int64))
+                          for A in hopf(n).components])
+    rep = qhm.sphere_restriction_check(phi)
+    assert phi.n == phi.m // 2 + 1 and not rep.holds and rep.max_defect == 1.0
+    assert not sampled_sphere_verdict(phi)
+    assert not np.any(qhm.evaluate(phi, np.eye(phi.m)[-1]))
+
+
+def test_a_failing_sphere_verdict_has_a_point_mapped_to_zero(sphere_sweep):
+    """x = (a, b) in to_standard_representation coordinates, with b a unit
+    vector and a a unit vector orthogonal to tau_1 b, ..., tau_(n-1) b; on a
+    map with a kernel, a kernel vector."""
+    witnessed = 0
+    for phi, rep in sphere_sweep:
+        if rep.holds:
+            continue
+        report = qhm.classify(phi)
+        lam, half = report.positive_eigenvalues[0], phi.m // 2
+        members = [to_float(A) / lam for A in phi.components]
+        if not report.is_q_nonsingular:
+            x = np.linalg.svd(members[0])[2][-1]
+        else:
+            if phi.n == 1:
+                change, taus = core.spectral_decompose(members[0]).eigenvectors.T, ()
+            else:
+                cs = clifford.verify_clifford(members)
+                change, os_ = clifford.to_standard_representation(cs)
+                taus = os_.matrices
+            b = np.eye(half)[0]
+            a = np.linalg.svd(np.array([to_float(t) @ b for t in taus]))[2][-1] if taus else b
+            x = to_float(change).T @ np.concatenate([a, b])
+        assert np.max(np.abs(qhm.evaluate(phi, x))) <= 1e-12 * lam * (x @ x), (phi.m, phi.n)
+        witnessed += 1
+    assert witnessed == len(sphere_sweep) - 16
 
 
 def test_component_one_is_decomposed_once(monkeypatch):
@@ -1125,17 +1281,17 @@ def test_exact_outputs_keep_their_mode_and_units():
 
 def test_isoparametric_verdict_does_not_depend_on_scale():
     f = np.diag([1.0, 2.0, -3.0])
-    ref = qhm.verify_isoparametric(f, samples=64, seed=0)
+    ref = qhm.verify_isoparametric(f)
     assert not ref.holds and ref.max_gradient_defect > 0.5
     for k in (-40, -1, 3):
-        rep = qhm.verify_isoparametric(np.ldexp(f, k), samples=64, seed=0)
+        rep = qhm.verify_isoparametric(np.ldexp(f, k))
         assert (rep.holds, rep.max_gradient_defect, rep.max_laplacian_defect) == (
             ref.holds, ref.max_gradient_defect, ref.max_laplacian_defect)
         assert rep.scale == np.ldexp(ref.scale, k)
-    rep = qhm.verify_isoparametric(1e-6 * f, samples=64, seed=0)
+    rep = qhm.verify_isoparametric(1e-6 * f)
     assert not rep.holds and rep.max_gradient_defect > 0.5
     assert rep.scale == pytest.approx(1e-6 * np.sqrt(14 / 3), rel=1e-12)
-    rep = qhm.verify_isoparametric(1e-6 * np.diag([1.0, 1.0, 1.0, -1.0]), samples=64, seed=8)
+    rep = qhm.verify_isoparametric(1e-6 * np.diag([1.0, 1.0, 1.0, -1.0]))
     assert rep.holds and rep.laplacian_coefficient == pytest.approx(4e-6, rel=1e-12)
 
 
