@@ -1,5 +1,6 @@
 """A two-scale map on R^8: verification, spectrum, block normal form, the
-single quadratic function behind all components, and the splitting."""
+single quadratic function behind all components (also with a kernel), and
+the splitting."""
 
 import numpy as np
 
@@ -41,6 +42,16 @@ for x in X:
     via_f = [qhm.quadratic_form_value(rep.matrix, t @ x) for t in rep.transforms]
     assert np.allclose(direct, via_f)
 print("phi^alpha(X) == F(G_alpha X) at sampled points")
+
+# with two kernel directions appended, F gains two zero eigenvalues
+padded = qhm.verify_qhm([np.pad(a, (0, 2)) for a in (a1, a2, a3)])
+rep = qhm.single_function_representation(padded)
+print("with a kernel: F = diag", np.diag(rep.matrix))
+for x in sample_points(10, 5, seed=2):
+    direct = qhm.evaluate(padded, x)
+    via_f = [qhm.quadratic_form_value(rep.matrix, t @ x) for t in rep.transforms]
+    assert np.allclose(direct, via_f)
+print("phi^alpha(X) == F(G_alpha X) on R^10 at sampled points")
 
 # the splitting reassembles the map from two unit-scale summands
 Z = sample_points(8, 5, seed=1) @ to_float(report.split_change).T

@@ -8,7 +8,8 @@ tree (the parent tree and this checkout, the change) one after the other,
 in ten pairs per workload: odd pairs run the parent first, even pairs the
 change first, because the first run of a pair tends to drift faster.  Pair
 p of every workload uses seed 700 + p.  Each run's result (the dict that
-bench/run.py prints on its next-to-last line) is kept verbatim, and every
+bench/run.py prints on its next-to-last line) is kept verbatim, except that
+its per-job wall-time lists are condensed to {job: {count, p50, max}}, and every
 end-to-end metric of BENCHMARK.json is summarised per workload: medians and
 inclusive quartiles of both trees, the relative change of the medians, and
 in how many pairs the change did better.  A workload whose parent and
@@ -58,7 +59,15 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     if not json.loads(lines[-1])["correct"]:
         print(f"warning: {workload} seed {seed} in {tree} reported wrong answers", file=sys.stderr)
-    return json.loads(lines[-2])
+    return condense(json.loads(lines[-2]))
+
+
+def condense(result: dict) -> dict:
+    """The result with each job's list of wall times in ms replaced by its
+    count, median and maximum; nothing else reads the lists."""
+    walls = result["job_wall_ms"]
+    return {**result, "job_wall_ms": {job: {"count": len(ms), "p50": statistics.median(ms),
+                                            "max": max(ms)} for job, ms in walls.items()}}
 
 
 def compile_sources(trees) -> None:
@@ -119,7 +128,8 @@ def main(argv=None) -> int:
         f"bench/run.py --seconds {SECONDS:g} --trace 0, alternating parent/change pairs "
         f"with the order flipped every pair (odd pairs: parent first; even pairs: change "
         f"first), seed {SEED_BASE} + pair. Each 'result' is the bench/out/result-*.json "
-        f"dict, copied verbatim; the environment of each run is in its result.")
+        f"dict, copied verbatim but for job_wall_ms, condensed to {{job: {{count, p50, "
+        f"max}}}}; the environment of each run is in its result.")
     out = {"label": args.label, "description": description,
            "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
                        for w in WORKLOADS},

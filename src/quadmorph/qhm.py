@@ -6,7 +6,7 @@ A_alpha^2 agree.  Verification runs those matrix identities and, as an
 independent oracle, a finite-difference check of the harmonicity and
 conformality conditions at seeded sample points (central differences are
 exact for quadratics, so both paths must agree).  sampled_check is the one
-routine that samples the finite differences.
+routine that draws sample points.
 
 On top of verification: rank/spectrum classification, the block normal form
 of full-rank maps, kernel projection for rank-deficient ones, splitting into
@@ -15,8 +15,8 @@ function composed with orthogonal maps, extension of domain-minimal maps
 with additional components up to the Radon-Hurwitz bound, counting of sign
 classes, and the sphere-restriction and isoparametric reports, read from
 classify and from the identity M^2 = s^2 I.  The normal form comes from
-core.eigenspace_split, and the single-function transforms come from the
-normal form.
+core.eigenspace_split; the single-function transforms come from the normal
+form of the kernel-free core, certified by the identity T^T F T = A_alpha.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ class ClassificationReport:
 class SingleFunctionRepresentation:
     """One quadratic function reproducing every component.
 
-    matrix is diag(D, -D) in descending order; scales/block_sizes describe
-    its block structure (distinct positive eigenvalues with multiplicities).
-    transforms[alpha] is orthogonal with
-    phi^alpha(X) = quadratic_form_value(matrix, transforms[alpha] @ X).
+    matrix is diag(D, -D, 0) with D descending and one 0 per kernel
+    dimension; scales/block_sizes describe its block structure (distinct
+    positive eigenvalues with multiplicities).  transforms[alpha] is
+    orthogonal with phi^alpha(X) = quadratic_form_value(matrix, transforms[alpha] @ X).
     """
 
     scales: tuple
@@ -525,12 +525,6 @@ def _check_block_relations(nf: NormalForm, tol):
                            "blocks fail the transpose anticommutation relation")
 
 
-def _require_full_rank(phi):
-    """QSingular unless component 1, and so every component, has full rank."""
-    if numeric_rank(phi.components[0]) != phi.m:
-        raise QSingular("components are rank-deficient; project the kernel away first")
-
-
 def normal_form(phi: QuadraticHarmonicMorphism,
                 tol: float = IDENTITY_TOL) -> NormalForm:
     """Block normal form of a full-rank map with at least two components, at unit scale."""
@@ -539,7 +533,8 @@ def normal_form(phi: QuadraticHarmonicMorphism,
         raise ValueError("normal form needs at least two components")
     if phi.m % 2 != 0:
         raise QSingular(f"odd domain dimension {phi.m} cannot carry a full-rank map")
-    _require_full_rank(phi)
+    if numeric_rank(phi.components[0]) != phi.m:
+        raise QSingular("components are rank-deficient; project the kernel away first")
     nf = _normal_form_core(phi, tol)
     return replace(nf, D=_times(nf.D, u), B=tuple(_times(B, u) for B in nf.B))
 
@@ -557,40 +552,43 @@ def assemble_normal_form(nf: NormalForm):
 
 
 def single_function_representation(phi: QuadraticHarmonicMorphism,
-                                   tol: float = IDENTITY_TOL,
-                                   samples: int = 100,
-                                   seed: int = 0) -> SingleFunctionRepresentation:
+                                   tol: float = IDENTITY_TOL) -> SingleFunctionRepresentation:
     """Express every component as F composed with an orthogonal map.
 
-    F's matrix is diag(D, -D) of the normal form (G, D, B_alpha):
-    transform_1 = G, transform_alpha = H diag(I, D^-1 B_alpha) G with
-    H = [[I, I], [I, -I]] / sqrt(2), orthogonal as D B = B D and B^T B = D^2,
-    and H diag(D, -D) H = [[0, D], [D, 0]] carries F to A_alpha.  The
-    identity phi^alpha(X) = F(transform_alpha @ X) is verified at seeded
-    points, at unit scale.
+    With classify's kernel projection P (orthonormal rows, completed by an
+    orthonormal kernel basis K) and the core's normal form (G, D, B_alpha):
+    F = diag(D, -D, 0) and transform_alpha stacks S_alpha P over K, where
+    S_1 = G and S_alpha = H diag(I, D^-1 B_alpha) G, H = [[I, I], [I, -I]]
+    / sqrt(2), is orthogonal as D B = B D and B^T B = D^2.  phi^alpha(X) =
+    F(transform_alpha @ X) for every X iff transform_alpha^T F
+    transform_alpha = A_alpha; that identity is checked at unit scale, and
+    the first component that fails raises NotHorizontallyConformal(1, alpha).
     """
     phi, u = _unit_map(phi)
-    _require_full_rank(phi)
-    nf = _normal_form_core(phi, tol)
+    q_rank = numeric_rank(phi.components[0])
+    if q_rank == 0:
+        raise RankMismatch("all components are zero")
+    proj, core = _project_nonsingular(phi, tol, q_rank) if q_rank < phi.m else (None, phi)
+    nf = _normal_form_core(core, tol)
     d = np.diag(to_float(nf.D))
-    MF = np.diag(np.concatenate([d, -d]))
+    MF = np.diag(np.concatenate([d, -d, np.zeros(phi.m - q_rank)]))
     G, eye = to_float(nf.change_of_coords), np.eye(len(d))
     H = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2)
     transforms = [G] + [H @ block_diag2(eye, to_float(B) / d[:, None]) @ G for B in nf.B]
+    if proj is not None:
+        proj = to_float(proj)
+        kernel = np.linalg.svd(proj)[2][q_rank:]
+        transforms = [np.vstack([S @ proj, kernel]) for S in transforms]
+    T = np.stack(transforms)
+    residuals = [rel_residual(rebuilt, to_float(A))
+                 for rebuilt, A in zip(T.transpose(0, 2, 1) @ MF @ T, phi.components)]
+    if not np.max(residuals) <= tol:  # np.max propagates a NaN, which fails
+        alpha = next(a for a, r in enumerate(residuals, start=1) if not r <= tol)
+        raise NotHorizontallyConformal(1, alpha, residuals[alpha - 1],
+                                       note="component is not F composed with its transform")
     groups = eigenvalue_clusters(d, EIG_PAIR_TOL)
-    scales = tuple(float(d[lo]) * u for lo, _ in groups)
-    block_sizes = tuple(hi - lo for lo, hi in groups)
-    X = sample_points(phi.m, samples, seed)
-    defects = []
-    for A, Gt in zip(phi.components, transforms):
-        lhs = _form_values(to_float(A), X)
-        rhs = _form_values(MF, X @ Gt.T)
-        defects.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
-    worst = float(np.max(defects))
-    if not worst <= tol:
-        raise SampleDisagreement(
-            f"single-function identity fails at sample points (defect {worst:.3e})")
-    return SingleFunctionRepresentation(scales=scales, block_sizes=block_sizes,
+    return SingleFunctionRepresentation(scales=tuple(float(d[lo]) * u for lo, _ in groups),
+                                        block_sizes=tuple(hi - lo for lo, hi in groups),
                                         matrix=MF * u, transforms=tuple(transforms))
 
 

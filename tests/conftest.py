@@ -52,15 +52,15 @@ def broken_canonical():
     return mats
 
 
-def leaky_pair(seed: int = 17):
+def leaky_pair(seed: int = 17, leak: float = 1e-3):
     """Two 4x4 float members, rotated by a seeded orthogonal matrix: P_1 with
     eigenvalues (1, 1, -1, -1), and a second member whose diagonal blocks in
-    P_1's eigenbasis carry relative mass 1e-3, so it cannot reach
+    P_1's eigenbasis carry relative mass leak; at 1e-3 it cannot reach
     off-diagonal block form."""
     g = random_orthogonal(4, seed)
     second = np.zeros((4, 4))
     second[:2, 2:] = second[2:, :2] = np.eye(2)
-    second[:2, :2] = np.sqrt(2.0) * 1e-3 * np.diag([1.0, -1.0])
+    second[:2, :2] = np.sqrt(2.0) * leak * np.diag([1.0, -1.0])
     return g @ np.diag([1.0, 1.0, -1.0, -1.0]) @ g.T, g @ second @ g.T
 
 

@@ -41,7 +41,7 @@ def test_criterion_03_two_scale_golden_example():
     assert report.positive_eigenvalues == pytest.approx((3.0, 3.0, 2.0, 2.0), abs=1e-12)
     assert not report.is_umbilical
     assert [lam for lam, _ in report.splitting] == pytest.approx([3.0, 2.0], abs=1e-12)
-    rep = qhm.single_function_representation(phi, samples=100, seed=0)
+    rep = qhm.single_function_representation(phi)
     assert rep.scales == pytest.approx((3.0, 2.0), abs=1e-12)
     assert rep.block_sizes == (2, 2)
     assert sorted(np.diag(rep.matrix)) == pytest.approx([-3, -3, -2, -2, 2, 2, 3, 3])

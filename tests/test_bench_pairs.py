@@ -39,3 +39,18 @@ def test_both_trees_get_bytecode_even_when_python_writes_none(tmp_path, monkeypa
     for tree in trees:
         assert [path.name.split(".")[0] for path in
                 (tree / "src" / "pkg" / "__pycache__").glob("*.pyc")] == ["mod"]
+
+
+def test_condensed_wall_times_leave_the_summary_unchanged():
+    bench_pairs = load_bench_pairs()
+    metrics = {"peak_rss_mb": "lower"}
+    runs = [run(1, "parent", 70.0, 1), run(1, "change", 70.5, 1),
+            run(2, "parent", 83.0, 2), run(2, "change", 82.0, 2)]
+    for r, walls in zip(runs, ([5.0, 1.0, 3.0], [2.0], [4.0, 6.0], [7.0, 9.0, 8.0, 1.0])):
+        r["result"]["job_wall_ms"] = {"verify": walls, "split": [walls[0]]}
+    condensed = [{**r, "result": bench_pairs.condense(r["result"])} for r in runs]
+    assert condensed[0]["result"]["job_wall_ms"] == {
+        "verify": {"count": 3, "p50": 3.0, "max": 5.0},
+        "split": {"count": 1, "p50": 5.0, "max": 5.0}}
+    assert condensed[3]["result"]["job_wall_ms"]["verify"] == {"count": 4, "p50": 7.5, "max": 9.0}
+    assert bench_pairs.summarise(condensed, metrics) == bench_pairs.summarise(runs, metrics)

@@ -1,5 +1,7 @@
+import hashlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,6 @@ from quadmorph.errors import (
     OddRank,
     QSingular,
     RankMismatch,
-    SampleDisagreement,
     ShapeMismatch,
     SharedKernelViolated,
     VerificationError,
@@ -129,7 +130,6 @@ def test_every_sampled_function_rejects_a_nonpositive_sample_count(samples):
     phi = qhm.from_clifford(clifford.construct_irreducible(2))
     calls = [
         lambda: qhm.sampled_check(phi.components, samples=samples),
-        lambda: qhm.single_function_representation(phi, samples=samples),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="samples must be >= 1"):
@@ -528,17 +528,17 @@ def test_single_function_for_two_scale_map(split_scale_map):
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 3), lams=st.lists(st.sampled_from([1, 1.5, 2, 3]), min_size=1, max_size=2),
-       seed=st.integers(0, 2**16))
-def test_single_function_transforms_come_from_one_normal_form(k, lams, seed):
+       seed=st.integers(0, 2**16), pad=st.integers(0, 2))
+def test_single_function_transforms_come_from_one_normal_form(k, lams, seed, pad):
     base = qhm.from_clifford(clifford.construct_irreducible(k))
     summands = [qhm.scale(base, lam) for lam in lams]
     phi0 = summands[0] if len(lams) == 1 else qhm.direct_sum(*summands)
-    g = random_orthogonal(phi0.m, seed)
-    phi = qhm.verify_qhm([g.T @ to_float(a) @ g for a in phi0.components])
+    g = random_orthogonal(phi0.m + pad, seed)
+    phi = qhm.verify_qhm([g.T @ np.pad(to_float(a), (0, pad)) @ g for a in phi0.components])
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, core, "spectral_decompose")
         rep = qhm.single_function_representation(phi)
-    assert len(calls) <= 1
+    assert len(calls) <= (2 if pad else 1)  # as in classify: the kernel, then the core
     assert rep.scales == pytest.approx(sorted(set(lams), reverse=True))
     X = sample_points(phi.m, 37, 1000 + seed)  # not the function's own points
     for a, t in zip(phi.components, rep.transforms):
@@ -548,20 +548,107 @@ def test_single_function_transforms_come_from_one_normal_form(k, lams, seed):
         assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct)))
 
 
-def test_single_function_defect_is_never_a_nan_read_as_zero(monkeypatch, split_scale_map):
-    def nan_points(dim, count, seed):
-        X = sample_points(dim, count, seed)
-        X[0, 0] = np.nan
-        return X
+def test_single_function_residual_is_never_a_nan_read_as_zero(monkeypatch, split_scale_map):
+    original = qhm._normal_form_core
 
-    monkeypatch.setattr(qhm, "sample_points", nan_points)
-    with pytest.raises(SampleDisagreement):
+    def nan_in_component_3(*args, **kwargs):
+        nf = original(*args, **kwargs)
+        block = to_float(nf.B[1]).copy()
+        block[0, 0] = np.nan
+        return replace(nf, B=(nf.B[0], block))
+
+    monkeypatch.setattr(qhm, "_normal_form_core", nan_in_component_3)
+    with pytest.raises(VerificationError) as err:
         qhm.single_function_representation(split_scale_map)
+    assert (err.value.i, err.value.j) == (1, 3)
 
 
-def test_single_function_requires_full_rank():
-    with pytest.raises(QSingular):
-        qhm.single_function_representation(qhm.verify_qhm(padded_triple()))
+def test_single_function_of_an_all_zero_map_is_a_rank_mismatch():
+    zero = qhm.QuadraticHarmonicMorphism(m=4, n=2, components=(np.zeros((4, 4)),) * 2)
+    with pytest.raises(RankMismatch):
+        qhm.single_function_representation(zero)  # deliberately unverified
+
+
+@pytest.mark.parametrize("leak", [3e-10, 1e-10])
+def test_single_function_represents_every_map_that_verify_qhm_accepts(leak):
+    phi = qhm.verify_qhm(list(leaky_pair(leak=leak)))
+    rep = qhm.single_function_representation(phi)
+    for a, t in zip(phi.components, rep.transforms):
+        assert core.rel_residual(t.T @ rep.matrix @ t, a) <= IDENTITY_TOL
+
+
+def test_single_function_names_the_component_that_is_not_f_composed_with_a_transform():
+    phi = qhm.QuadraticHarmonicMorphism(m=4, n=2, components=leaky_pair(leak=1e-7))
+    with pytest.raises(NotHorizontallyConformal) as err:
+        qhm.single_function_representation(phi)  # deliberately unverified
+    assert (err.value.i, err.value.j) == (1, 2)
+    assert err.value.residual == pytest.approx(1e-7, rel=1e-3)
+
+
+def test_single_function_of_a_map_with_a_kernel():
+    phi = qhm.verify_qhm(padded_triple())
+    rep = qhm.single_function_representation(phi)
+    assert np.array_equal(rep.matrix, np.diag([3.0, 3, 2, 2, -3, -3, -2, -2, 0, 0]))
+    assert rep.scales == tuple(lam for lam, _ in qhm.classify(phi).splitting)
+    assert rep.block_sizes == (2, 2)
+    for t in rep.transforms:
+        assert t.shape == (10, 10)
+        assert np.max(np.abs(t @ t.T - np.eye(10))) < 1e-12
+
+
+def single_function_sweep():
+    """(full-rank maps, maps with a kernel), all verified.  The first are
+    every member prefix of construct_irreducible(1..9): exact, conjugated by
+    a seeded rotation, and the conjugated sum 3 phi + 2 phi (162 maps); the
+    second are each prefix with two zero coordinates appended, exact and
+    conjugated (108 maps)."""
+    def conjugate(mats, seed):
+        g = random_orthogonal(mats[0].shape[0], seed)
+        return [g.T @ to_float(a) @ g for a in mats]
+
+    full, kernel = [], []
+    for k in range(1, 10):
+        members = clifford.construct_irreducible(k).matrices
+        for count in range(1, len(members) + 1):
+            prefix, seed = list(members[:count]), 100 * k + count
+            padded = [np.pad(a, (0, 2)) for a in prefix]
+            full += [prefix, conjugate(prefix, seed),
+                     conjugate([core.block_diag2(3 * a, 2 * a) for a in prefix], seed)]
+            kernel += [padded, conjugate(padded, seed)]
+    return [qhm.verify_qhm(m) for m in full], [qhm.verify_qhm(m) for m in kernel]
+
+
+@pytest.fixture(scope="module")
+def sweep_maps():
+    full, kernel = single_function_sweep()
+    assert (len(full), len(kernel)) == (162, 108)
+    return full, kernel
+
+
+# SHA-256 of the full-rank outputs, taken before the identity replaced the samples
+FULL_RANK_SWEEP_SHA256 = "3fa7f0267ec4986e09c8a279a00edb7758a36375af2b385d4643721d32db9764"
+
+
+def test_single_function_keeps_every_full_rank_output(sweep_maps):
+    digest = hashlib.sha256()
+    for rep in map(qhm.single_function_representation, sweep_maps[0]):
+        digest.update(repr((rep.scales, rep.block_sizes)).encode())
+        for array in (rep.matrix, *rep.transforms):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == FULL_RANK_SWEEP_SHA256
+
+
+def test_single_function_sweep_matches_a_pointwise_reference(sweep_maps):
+    for index, phi in enumerate(sweep_maps[0] + sweep_maps[1]):
+        rep = qhm.single_function_representation(phi)
+        X = sample_points(phi.m, 16, 5000 + index)
+        assert rep.scales == pytest.approx([lam for lam, _ in qhm.classify(phi).splitting])
+        for a, t in zip(phi.components, rep.transforms):
+            assert np.max(np.abs(t @ t.T - np.eye(phi.m))) < 1e-12, index
+            assert core.rel_residual(t.T @ rep.matrix @ t, a) <= IDENTITY_TOL, index
+            direct = batch_eval([a], X)[:, 0]
+            via_f = batch_eval([rep.matrix], X @ t.T)[:, 0]
+            assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct))), index
 
 
 # ---------------------------------------------------------------------------

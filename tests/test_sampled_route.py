@@ -1,6 +1,7 @@
 """One routine runs the sampled route: inside the package, the central
-differences are taken only by qhm.sampled_check, and seeded points are drawn
-only by it and by single_function_representation's certificate."""
+differences are taken and seeded points are drawn only by qhm.sampled_check,
+and only check_qhm, its one caller, raises SampleDisagreement when the
+sampled route rejects what the identities accept."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "quadmorph").glo
 
 ALLOWED = {
     "_central_differences": {"qhm.sampled_check"},
-    "sample_points": {"qhm.sampled_check", "qhm.single_function_representation"},
+    "sample_points": {"qhm.sampled_check"},
+    "SampleDisagreement": {"qhm.check_qhm"},
 }
 
 
