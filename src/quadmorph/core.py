@@ -486,8 +486,6 @@ def numeric_rank(a) -> int:
     it, so int64 input never wraps around.  Approx mode counts
     the singular values above RANK_TOL times the largest.
     """
-    if a.size == 0:
-        return 0
     if is_exact(a):
         M = a.astype(_product_dtype([a], a.shape[1]), copy=False)
         gram = M @ M.T

@@ -45,15 +45,17 @@ class NoConvergence(QuadmorphError):
     """The eigensolver failed to converge."""
 
 
-class SampleDisagreement(QuadmorphError):
-    """Matrix criteria and the independent sampled check disagree.
-
-    This is an internal-consistency failure, not a property of the input.
-    """
-
-
 class VerificationError(QuadmorphError):
     """Base class for mathematical rejections."""
+
+
+class SampleDisagreement(VerificationError):
+    """The matrix identities accept within tol but the sampled check rejects.
+
+    The two routes judge the same map at the same tol by different
+    residuals, so a map close to the tolerance edge can pass one and fail
+    the other; the map is then not accepted.
+    """
 
 
 class NotSymmetric(VerificationError):

@@ -32,7 +32,6 @@ __all__ = [
     "hurwitz_radon",
     "minimal_domain_dimension",
     "cayley_dickson_multiply",
-    "left_multiplication_matrix",
     "left_multiplication_matrices",
     "skew_anticommuting_family",
 ]
@@ -128,11 +127,6 @@ def left_multiplication_matrices(dim: int) -> list:
         M[idx[i], np.arange(dim)] = sgn[i]
         mats.append(M)
     return mats
-
-
-def left_multiplication_matrix(dim: int, i: int) -> np.ndarray:
-    """Matrix of y -> e_i * y in the dim-dimensional Cayley-Dickson algebra."""
-    return left_multiplication_matrices(dim)[i]
 
 
 def _doubling_family_16():

@@ -14,9 +14,12 @@ scaled umbilical summands, representation of all components as one quadratic
 function composed with orthogonal maps, extension of domain-minimal maps
 with additional components up to the Radon-Hurwitz bound, counting of sign
 classes, and the sphere-restriction and isoparametric reports, read from
-classify and from the identity M^2 = s^2 I.  The normal form comes from
-core.eigenspace_split; the single-function transforms come from the normal
-form of the kernel-free core, certified by the identity T^T F T = A_alpha.
+classify and from the identity M^2 = s^2 I.  classify, normal_form and
+single_function_representation read one decomposition (_decompose): the
+rank and +/- pairing of A_1's eigenvalues, the kernel projection, the
+normal form of the kernel-free core from core.eigenspace_split and its
+eigenvalue groups, so each gate gives all three one verdict.  The
+single-function transforms are certified by the identity T^T F T = A_alpha.
 """
 
 from __future__ import annotations
@@ -375,18 +378,17 @@ def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
 # rank, spectrum, projection
 
 
-def classify(phi: QuadraticHarmonicMorphism,
-             tol: float = IDENTITY_TOL) -> ClassificationReport:
-    """Rank and spectrum facts plus the splitting into scaled umbilical pieces.
+def _decompose(phi, tol):
+    """The decomposition that classify, normal_form and
+    single_function_representation read, at unit scale (_unit_scale): (unit
+    map, u, A_1's positive eigenvalues, projection and kernel rows or None,
+    the core's normal form, its diagonal d, d's groups as (lo, hi) ranges).
 
-    Rank-deficient maps are first projected onto the shared non-kernel
-    subspace; the splitting then regroups block-form coordinates by distinct
-    positive eigenvalue.  Of the components only the first is ranked and
-    decomposed (the projected core once more): A_i^2 = A_1^2 and
-    anticommutation give every component the rank and spectrum of A_1, and
-    the shared-kernel check, the normal form's corner bound and the block
-    relations re-check every later component.  All of it runs at unit scale
-    (_unit_scale): 2^k phi gives phi's report, eigenvalues and scales * 2^k.
+    Only A_1 is ranked and decomposed (the projected core once more):
+    A_i^2 = A_1^2 and anticommutation give every component A_1's rank and
+    spectrum, whose kept eigenvalues must pair as +/- by count and by value;
+    the shared-kernel check, the corner bound and the block relations
+    re-check every later component.
     """
     phi, u = _unit_map(phi)
     q_rank = numeric_rank(phi.components[0])
@@ -397,21 +399,32 @@ def classify(phi: QuadraticHarmonicMorphism,
     sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
     cutoff = RANK_TOL * float(np.max(np.abs(eigs)))
-    pos = eigs[eigs > cutoff]
-    neg = eigs[eigs < -cutoff]
-    zero_count = phi.m - len(pos) - len(neg)
-    if len(pos) != q_rank // 2 or len(neg) != q_rank // 2:
+    pos, neg = eigs[eigs > cutoff], eigs[eigs < -cutoff]
+    if (len(pos) != q_rank // 2 or len(neg) != q_rank // 2
+            or np.max(np.abs(pos + neg[::-1])) > EIG_PAIR_TOL * max(1.0, float(pos[0]))):
         raise RankMismatch("the nonzero eigenvalues of component 1 do not pair as +/-, "
                            "so the map has no umbilical splitting")
-    is_nonsingular = q_rank == phi.m
-    projection = None
+    projection = kernel = None
     core = phi
-    if not is_nonsingular:
-        projection, core = _project_nonsingular(phi, tol, q_rank, sd)
+    if q_rank < phi.m:
+        projection, kernel, core = _project_nonsingular(phi, tol, q_rank, sd)
     nf = _normal_form_core(core, tol, sd if projection is None else None)
     d = np.diag(to_float(nf.D))
+    return phi, u, pos, projection, kernel, nf, d, eigenvalue_clusters(d, EIG_PAIR_TOL)
+
+
+def classify(phi: QuadraticHarmonicMorphism,
+             tol: float = IDENTITY_TOL) -> ClassificationReport:
+    """Rank and spectrum facts plus the splitting into scaled umbilical pieces.
+
+    Rank-deficient maps are first projected onto the shared non-kernel
+    subspace; the splitting then regroups block-form coordinates by distinct
+    positive eigenvalue.  All of it reads _decompose, at unit scale:
+    2^k phi gives phi's report, eigenvalues and scales * 2^k.
+    """
+    phi, u, pos, projection, _, nf, d, clusters = _decompose(phi, tol)
     k = len(d)
-    groups = [list(range(lo, hi)) for lo, hi in eigenvalue_clusters(d, EIG_PAIR_TOL)]
+    groups = [list(range(lo, hi)) for lo, hi in clusters]
     bmats = [to_float(B) for B in nf.B]
     label = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     off_group = label[:, None] != label[None, :]
@@ -435,10 +448,10 @@ def classify(phi: QuadraticHarmonicMorphism,
         summand = QuadraticHarmonicMorphism(m=2 * kk, n=phi.n, components=tuple(members))
         splitting.append((lam * u, summand))
     return ClassificationReport(
-        q_rank=q_rank,
+        q_rank=2 * k,
         positive_eigenvalues=tuple(float(v) * u for v in pos),
-        zero_count=zero_count,
-        is_q_nonsingular=is_nonsingular,
+        zero_count=phi.m - 2 * k,
+        is_q_nonsingular=projection is None,
         is_umbilical=len(groups) == 1,
         splitting=tuple(splitting),
         split_change=split_change,
@@ -456,13 +469,14 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
     not annihilate the kernel of the first.  Judged at unit scale, like classify.
     """
     unit, u = _unit_map(phi)
-    proj, core = _project_nonsingular(unit, tol, numeric_rank(unit.components[0]))
+    proj, _, core = _project_nonsingular(unit, tol, numeric_rank(unit.components[0]))
     return proj, replace(core, components=tuple(_times(M, u) for M in core.components))
 
 
 def _project_nonsingular(phi, tol, q_rank, sd=None):
-    """project_nonsingular; q_rank is the rank of the components and sd,
-    when given, the spectral decomposition of the first component."""
+    """(projection, kernel, core): project_nonsingular plus the orthonormal
+    kernel rows it holds anyway; q_rank is the rank of the components and
+    sd, when given, the spectral decomposition of the first component."""
     if q_rank >= phi.m:
         raise ValueError("map already has full rank; nothing to project")
     exact = is_exact(phi.components[0])
@@ -472,9 +486,10 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
                  if all(np.max(np.abs(M[i, :])) <= row_tol for M in phi.components)]
     if len(zero_rows) == phi.m - q_rank:
         keep = [i for i in range(phi.m) if i not in zero_rows]
-        proj = np.eye(phi.m, dtype=np.int64 if exact else np.float64)[keep]
+        eye = np.eye(phi.m, dtype=np.int64 if exact else np.float64)
         core_mats = [M[np.ix_(keep, keep)] for M in phi.components]
-        return proj, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
+        return (eye[keep], eye[zero_rows],
+                QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats)))
     if sd is None:
         sd = spectral_decompose(phi.components[0], tol)
     eigs = sd.eigenvalues
@@ -491,7 +506,7 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
                 f"(defect {leak / size:.3e})")
     proj = sd.eigenvectors[:, keep_mask].T
     core_mats = [proj @ to_float(M) @ proj.T for M in phi.components]
-    return proj, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
+    return proj, kernel.T, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
 
 
 # ---------------------------------------------------------------------------
@@ -499,43 +514,35 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
 
 
 def _normal_form_core(phi, tol, sd=None) -> NormalForm:
-    """Normal form of a full-rank map; sd, when given, is the spectral
-    decomposition of its first component."""
+    """Normal form of a full-rank map, its dropped corners bounded and its
+    blocks checked against D B = B D, B^T B = D^2 and B_i^T B_j = -B_j^T B_i;
+    sd, when given, is the spectral decomposition of its first component."""
     G, D, B, corners = eigenspace_split(phi.components, tol, sd)
     for idx, corner in enumerate(corners, start=2):
         if not corner <= 1e3 * tol:
             raise NotHorizontallyConformal(
                 1, idx, corner, note="component does not reach off-diagonal block form")
-    nf = NormalForm(change_of_coords=G, D=D, B=B)
-    _check_block_relations(nf, tol)
-    return nf
-
-
-def _check_block_relations(nf: NormalForm, tol):
-    D = to_float(nf.D)
-    blocks = [to_float(B) for B in nf.B]
-    if not blocks:
-        return
-    if any(not rel_residual(D @ B, B @ D) <= tol for B in blocks):
-        raise RankMismatch("eigenvalue matrix does not commute with a block")
-    _, failure = pairwise_relation(blocks, D @ D, transpose=True, tol=tol)
-    if failure:
-        raise RankMismatch("block gram matrix does not match the squared eigenvalues"
-                           if failure[0] == failure[1] else
-                           "blocks fail the transpose anticommutation relation")
+    Df, blocks = to_float(D), [to_float(M) for M in B]
+    if blocks:
+        if any(not rel_residual(Df @ M, M @ Df) <= tol for M in blocks):
+            raise RankMismatch("eigenvalue matrix does not commute with a block")
+        _, failure = pairwise_relation(blocks, Df @ Df, transpose=True, tol=tol)
+        if failure:
+            raise RankMismatch("block gram matrix does not match the squared eigenvalues"
+                               if failure[0] == failure[1] else
+                               "blocks fail the transpose anticommutation relation")
+    return NormalForm(change_of_coords=G, D=D, B=B)
 
 
 def normal_form(phi: QuadraticHarmonicMorphism,
                 tol: float = IDENTITY_TOL) -> NormalForm:
-    """Block normal form of a full-rank map with at least two components, at unit scale."""
-    phi, u = _unit_map(phi)
+    """Block normal form of a full-rank map with at least two components,
+    read from _decompose at unit scale."""
     if phi.n < 2:
         raise ValueError("normal form needs at least two components")
-    if phi.m % 2 != 0:
-        raise QSingular(f"odd domain dimension {phi.m} cannot carry a full-rank map")
-    if numeric_rank(phi.components[0]) != phi.m:
+    _, u, _, projection, _, nf, _, _ = _decompose(phi, tol)
+    if projection is not None:
         raise QSingular("components are rank-deficient; project the kernel away first")
-    nf = _normal_form_core(phi, tol)
     return replace(nf, D=_times(nf.D, u), B=tuple(_times(B, u) for B in nf.B))
 
 
@@ -555,8 +562,8 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
                                    tol: float = IDENTITY_TOL) -> SingleFunctionRepresentation:
     """Express every component as F composed with an orthogonal map.
 
-    With classify's kernel projection P (orthonormal rows, completed by an
-    orthonormal kernel basis K) and the core's normal form (G, D, B_alpha):
+    With _decompose's kernel projection P and kernel basis K (orthonormal
+    rows) and the core's normal form (G, D, B_alpha):
     F = diag(D, -D, 0) and transform_alpha stacks S_alpha P over K, where
     S_1 = G and S_alpha = H diag(I, D^-1 B_alpha) G, H = [[I, I], [I, -I]]
     / sqrt(2), is orthogonal as D B = B D and B^T B = D^2.  phi^alpha(X) =
@@ -564,20 +571,13 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     transform_alpha = A_alpha; that identity is checked at unit scale, and
     the first component that fails raises NotHorizontallyConformal(1, alpha).
     """
-    phi, u = _unit_map(phi)
-    q_rank = numeric_rank(phi.components[0])
-    if q_rank == 0:
-        raise RankMismatch("all components are zero")
-    proj, core = _project_nonsingular(phi, tol, q_rank) if q_rank < phi.m else (None, phi)
-    nf = _normal_form_core(core, tol)
-    d = np.diag(to_float(nf.D))
-    MF = np.diag(np.concatenate([d, -d, np.zeros(phi.m - q_rank)]))
+    phi, u, _, proj, kernel, nf, d, groups = _decompose(phi, tol)
+    MF = np.diag(np.concatenate([d, -d, np.zeros(phi.m - 2 * len(d))]))
     G, eye = to_float(nf.change_of_coords), np.eye(len(d))
     H = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2)
     transforms = [G] + [H @ block_diag2(eye, to_float(B) / d[:, None]) @ G for B in nf.B]
     if proj is not None:
         proj = to_float(proj)
-        kernel = np.linalg.svd(proj)[2][q_rank:]
         transforms = [np.vstack([S @ proj, kernel]) for S in transforms]
     T = np.stack(transforms)
     residuals = [rel_residual(rebuilt, to_float(A))
@@ -586,7 +586,6 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
         alpha = next(a for a, r in enumerate(residuals, start=1) if not r <= tol)
         raise NotHorizontallyConformal(1, alpha, residuals[alpha - 1],
                                        note="component is not F composed with its transform")
-    groups = eigenvalue_clusters(d, EIG_PAIR_TOL)
     return SingleFunctionRepresentation(scales=tuple(float(d[lo]) * u for lo, _ in groups),
                                         block_sizes=tuple(hi - lo for lo, hi in groups),
                                         matrix=MF * u, transforms=tuple(transforms))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -54,3 +55,12 @@ def test_condensed_wall_times_leave_the_summary_unchanged():
         "split": {"count": 1, "p50": 5.0, "max": 5.0}}
     assert condensed[3]["result"]["job_wall_ms"]["verify"] == {"count": 4, "p50": 7.5, "max": 9.0}
     assert bench_pairs.summarise(condensed, metrics) == bench_pairs.summarise(runs, metrics)
+
+
+def test_every_committed_bench_file_holds_condensed_wall_times():
+    files = sorted(SCRIPT.parent.parent.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        for run in json.loads(path.read_text())["runs"]:
+            walls = run["result"]["job_wall_ms"]
+            assert walls and all(set(w) == {"count", "p50", "max"} for w in walls.values()), path.name

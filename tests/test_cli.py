@@ -179,6 +179,15 @@ class TestSmallScales:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("rejected: ")
 
+    def test_a_sampled_rejection_is_a_mathematical_rejection(self, tmp_path, capsys):
+        # the identities accept this map within tol, the sampled oracle does not
+        B = np.diag([1.0, 1e-5])
+        mats = [np.diag([1.0, 1e-8, -1.0, -1e-8]), core.symmetric_off_diagonal(B)]
+        assert run(["verify", self._doc(tmp_path, mats)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("rejected: ")
+        assert "sampled check rejects" in captured.err
+
     def test_small_valid_document_verifies_and_classifies(self, tmp_path, capsys):
         path = self._doc(tmp_path, [1e-10 * M for M in two_scale(float_canonical(3))])
         assert run(["verify", path]) == 0

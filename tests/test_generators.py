@@ -281,16 +281,16 @@ class TestLeftMultiplication:
     def test_unit_matrices_are_orthogonal_signed_permutations(self, dim):
         eye = np.eye(dim, dtype=np.int64)
         for i in range(dim):
-            L = generators.left_multiplication_matrix(dim, i)
+            L = generators.left_multiplication_matrices(dim)[i]
             assert L.dtype == np.int64
             assert np.array_equal(L.T @ L, eye)
             assert np.all(np.abs(L).sum(axis=0) == 1)
-        assert np.array_equal(generators.left_multiplication_matrix(dim, 0), eye)
+        assert np.array_equal(generators.left_multiplication_matrices(dim)[0], eye)
 
     def test_columns_agree_with_the_product(self):
         dim = 8
         for i in (1, 5):
-            L = generators.left_multiplication_matrix(dim, i)
+            L = generators.left_multiplication_matrices(dim)[i]
             ei = tuple(1 if t == i else 0 for t in range(dim))
             for jcol in range(dim):
                 ej = tuple(1 if t == jcol else 0 for t in range(dim))

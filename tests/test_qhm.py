@@ -278,7 +278,9 @@ def test_classify_rejects_blocks_that_couple_distinct_groups():
 
 
 @pytest.mark.parametrize("diagonal, error", [((2, -1, -1), OddRank),
-                                              ((3, -1, -1, -1), RankMismatch)])
+                                              ((3, -1, -1, -1), RankMismatch),
+                                              ((3, 1, -2, -2), RankMismatch),
+                                              ((3, 1, -2, -2, 0), RankMismatch)])
 def test_classify_says_a_valid_unpaired_map_has_no_splitting(diagonal, error):
     # one traceless form is a valid map whatever its spectrum, but only
     # eigenvalues that pair as +/- split into umbilical summands
@@ -288,6 +290,31 @@ def test_classify_says_a_valid_unpaired_map_has_no_splitting(diagonal, error):
     message = str(err.value)
     assert "do not pair as +/-" in message and "no umbilical splitting" in message
     assert "valid" not in message
+    with pytest.raises(error) as same:
+        qhm.single_function_representation(phi)
+    assert type(same.value) is type(err.value) and str(same.value) == message
+
+
+def _offdiagonal_map(diagonal, *blocks):
+    """diag(diagonal) followed by [[0, B], [B^T, 0]] per block, unverified."""
+    mats = [np.diag(diagonal)] + [core.symmetric_off_diagonal(np.array(B)) for B in blocks]
+    return qhm.QuadraticHarmonicMorphism(m=len(diagonal), n=len(mats),
+                                         components=tuple(M.astype(np.int64) for M in mats))
+
+
+@pytest.mark.parametrize("function", [qhm.classify, qhm.single_function_representation,
+                                      qhm.normal_form])
+@pytest.mark.parametrize("phi, message", [
+    (qhm.QuadraticHarmonicMorphism(m=4, n=2, components=(np.zeros((4, 4), dtype=np.int64),) * 2),
+     "all components are zero"),
+    (_offdiagonal_map((2, 1, -2, -1), [[0, 1], [1, 0]]),
+     "eigenvalue matrix does not commute with a block"),
+    (_offdiagonal_map((1, 1, -1, -1), np.eye(2), np.eye(2)),
+     "blocks fail the transpose anticommutation relation"),
+])
+def test_one_decomposition_gives_one_verdict_per_fault(function, phi, message):
+    with pytest.raises(RankMismatch, match=message):
+        function(phi)  # deliberately unverified
 
 
 def test_odd_dimensional_maps_are_never_full_rank():
