@@ -16,6 +16,7 @@ with an orthogonal conjugating certificate for equivalent systems.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +32,6 @@ from .core import (
     is_exact,
     ordered_product,
     pairwise_relation,
-    rel_residual,
     square_matrices,
     to_float,
 )
@@ -205,11 +205,24 @@ def is_irreducible(cs: CliffordSystem) -> bool:
     of n >= 2 members lives on 2 * minimal_domain_dimension(n - 1), both
     classes included when there are two.  One member is never irreducible
     on an even dimension."""
-    return cs.n >= 2 and cs.two_m == 2 * minimal_domain_dimension(cs.n - 1)
+    return _irreducible_shape(cs.n, cs.two_m)
+
+
+def _irreducible_shape(n: int, two_m: int) -> bool:
+    return n >= 2 and two_m == 2 * minimal_domain_dimension(n - 1)
 
 
 # ---------------------------------------------------------------------------
 # equivalence
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded_start(seed: int, m: int) -> np.ndarray:
+    """The seeded standard-normal m x m start of the projection, drawn once
+    per (seed, m) and read-only: find_orthogonal_intertwiner projects a copy."""
+    X = np.random.default_rng(seed).standard_normal((m, m))
+    X.flags.writeable = False
+    return X
 
 
 def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.ndarray]:
@@ -218,19 +231,30 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
     Both hold the members of Clifford systems of one size, as lists or
     (n, m, m) stacks, so the maps X -> T_i X S_i are commuting self-adjoint
     involutions and the product of the (I + (X -> T_i X S_i)) / 2 projects
-    orthogonally onto the intertwiners.  That projection of one seeded
+    orthogonally onto the intertwiners.  That projection X of one seeded
     Gaussian matrix is invertible whenever the systems are equivalent
     (almost surely), and its orthogonal polar factor intertwines as well.
-    Returns None only for a singular projection, as for inequivalent
-    systems; the callers certify R (R S_i R^T = T_i, which is T_i R = R S_i
-    for orthogonal R).  Both must be the same nonzero length; an
-    unconstrained search is the caller's.
+
+    When the sources are irreducible (is_irreducible's dimension rule), the
+    polar factor has a closed form: X X^T is symmetric and commutes with
+    every target, so it is c I by Schur's lemma, with c = |X|_F^2 / m, and
+    the polar factor is X / sqrt(c).  Two Newton-Schulz steps
+    R <- R (1.5 I - 0.5 R^T R) then take the rounding and noise of float
+    members out of R R^T - I.  Reducible sources take the polar factor
+    from an SVD.  Returns None only for a singular projection, as for
+    inequivalent systems: sqrt(c) at most 1e-10 in the closed form, the
+    least singular value at most 1e-10 * max(1, the largest) otherwise.
+    A projection whose norm overflows or holds a NaN is not screened here:
+    it gives a zero or NaN R, which the callers' certificate rejects.  The
+    callers certify R (R S_i R^T = T_i, which is T_i R = R S_i for
+    orthogonal R).  Both must be the same nonzero length; an unconstrained
+    search is the caller's.
     """
     if not len(targets) or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
     targets, sources = to_float(np.asarray(targets)), to_float(np.asarray(sources))
     m = sources.shape[-1]
-    X = np.random.default_rng(seed).standard_normal((m, m))
+    X = _seeded_start(seed, m).copy()
     TX, Y = np.empty_like(X), np.empty_like(X)
     for T, S in zip(targets, sources):
         # X = (X + T @ X @ S) / 2 in place; halving is exact
@@ -238,6 +262,14 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
         np.matmul(TX, S, out=Y)
         X += Y
         X *= 0.5
+    if _irreducible_shape(len(sources), m):
+        root_c = math.sqrt(np.vdot(X, X) / m)
+        if root_c <= 1e-10:
+            return None  # not invertible enough to trust the polar factor
+        R = X / root_c
+        for _ in range(2):
+            R = R @ (1.5 * np.eye(m) - 0.5 * (R.T @ R))
+        return R
     u, s, vt = np.linalg.svd(X)
     if s[-1] <= 1e-10 * max(1.0, s[0]):
         return None  # not invertible enough to trust the polar factor
@@ -276,8 +308,10 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
     if R is None:
         return EquivalenceVerdict(EquivalenceStatus.UNKNOWN, None,
                                   "the projected intertwiner failed verification")
-    worst = float(np.max([rel_residual(moved, Q)
-                          for moved, Q in zip(R @ stack_a @ R.T, stack_b)]))
+    # rel_residual per member, bit for bit, on the rows of one stacked difference
+    diff = R @ stack_a @ R.T - stack_b
+    worst = float(np.max([math.sqrt(np.vdot(d, d)) / max(1.0, math.sqrt(np.vdot(q, q)))
+                          for d, q in zip(diff, stack_b)]))
     if worst <= tol:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, R,
                                   f"projected onto the intertwiners; certificate residual {worst:.3e}")

@@ -629,8 +629,10 @@ def range_extend(phi: QuadraticHarmonicMorphism,
     minimal domain, which an orthogonal certificate C conjugates onto the
     leading members of the canonical range-maximal system; each missing
     canonical member P adds the component lambda * C P C^T, and verify_qhm
-    certifies the result once.  Raises rather than guessing when the
-    profile or the certificate fails.
+    certifies the result once.  The system being irreducible, C is
+    find_orthogonal_intertwiner's closed form (the projection over its
+    Schur scale, then two Newton-Schulz steps), with no SVD.  Raises rather
+    than guessing when the profile or the certificate fails.
     """
     if phi.n == 1:
         if phi.m != 2:
@@ -690,10 +692,12 @@ def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricRe
     |grad F|^2 = 4 x^T M^2 x, so the gradient condition holds for every x
     iff M^2 = scale^2 I, and then scale^2 = tr(M^2) / m.  That identity is
     checked at unit scale (_unit_scale) through pairwise_relation: bit for
-    bit on exact input, with scale^2 a Fraction, and within tol on float
-    input; max_gradient_defect is its residual.  The Laplacian of x^T M x is
-    the constant 2 tr M (laplacian_coefficient), so max_laplacian_defect is
-    0.0 by construction.
+    bit on exact input, against an int64 target when scale^2 is an integer
+    within int64 (so core's float64 tier runs it under the 2^53 rule) and
+    else against the Fraction scale^2 on an object diagonal, and within tol
+    on float input; max_gradient_defect is its residual.  The Laplacian of
+    x^T M x is the constant 2 tr M (laplacian_coefficient), so
+    max_laplacian_defect is 0.0 by construction.
     """
     (M,), u = _unit_scale(square_matrices([f_matrix], "function matrices"))
     check_symmetric([M], tol)
@@ -701,7 +705,12 @@ def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricRe
     m = Mf.shape[0]
     scale_sq = float(np.trace(Mf @ Mf)) / m
     if is_exact(M):  # tr(M^2) of a symmetric M is the sum of its squared entries
-        target = identity_matrix(m) * Fraction(sum(v * v for v in M.ravel().tolist()), m)
+        exact_sq = Fraction(sum(v * v for v in M.ravel().tolist()), m)
+        if exact_sq.denominator == 1 and exact_sq < 2**63:
+            target = identity_matrix(m) * exact_sq.numerator  # int64, in the BLAS tier
+        else:
+            target = np.zeros((m, m), dtype=object)
+            np.fill_diagonal(target, exact_sq)
     else:
         target = scale_sq * np.eye(m)
     worst, failure = pairwise_relation([M], target, tol=tol)

@@ -385,11 +385,11 @@ DIGESTS = {
     'extend osystem-malformed':
         'c1b144dcfdda222928da279e434741744456a3c458745bad212dc6344e3aac38',
     'extend qhm':
-        'a58b6c7b360fb7dbeff48d0d17c8ffae6f4b38a343a24ae3c3c7cf59433b6268',
+        '4fad8baef396e30145dda62ed73e6e00796f53486d5d8d380678082861441c10',
     'extend qhm-broken':
         'f78bfd7303e6da5f635ea7247198414bfd6ea80d936fe2b4a904bf485d58a7af',
     'extend qhm-float':
-        'f47a1ede92bb147b833d6567bec70bccdd4c0cac93644a37d0ad52ae4b39e1e7',
+        '2212b68243f17c7dd1788bc5615ce48d5fe230d83ca48faf71830c349471fa7d',
     'extend qhm-malformed':
         '9f57a10985b35a57ecce043a42095a632692e3028eec9d5d53614d63a999d8db',
     'extend qhm-triple':

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -437,15 +439,38 @@ def test_intertwiner_takes_member_stacks(c85):
                for P, T in zip(sources, targets)) < 1e-12
 
 
-def reference_intertwiner(targets, sources, seed=0):
-    """Reference projection, formula for formula the earlier
-    find_orthogonal_intertwiner: one to_float per member and use, out of place."""
+def reference_projection(targets, sources, seed=0):
+    """The seeded projection onto the intertwiners, formula for formula the
+    earlier find_orthogonal_intertwiner: one to_float per member and use,
+    out of place, from a fresh generator."""
     m = sources[0].shape[0]
     X = np.random.default_rng(seed).standard_normal((m, m))
     for T, S in zip(targets, sources):
         X = (X + to_float(T) @ X @ to_float(S)) / 2
+    return X
+
+
+def svd_polar_factor(X):
+    """The polar factor of the projection from its SVD, or None for a singular one."""
     u, s, vt = np.linalg.svd(X)
     return None if s[-1] <= 1e-10 * max(1.0, s[0]) else u @ vt
+
+
+def reference_intertwiner(targets, sources, seed=0):
+    """Reference intertwiner, formula for formula find_orthogonal_intertwiner:
+    for irreducible sources X / sqrt(|X|^2 / m) and two Newton-Schulz steps,
+    else the SVD polar factor."""
+    X = reference_projection(targets, sources, seed)
+    m, n = X.shape[0], len(sources)
+    if not (n >= 2 and m == 2 * clifford.minimal_domain_dimension(n - 1)):
+        return svd_polar_factor(X)
+    root_c = np.sqrt(np.vdot(X, X) / m)
+    if root_c <= 1e-10:
+        return None
+    R = X / root_c
+    for _ in range(2):
+        R = R @ (1.5 * np.eye(m) - 0.5 * (R.T @ R))
+    return R
 
 
 def reference_equivalence(a, b, tol=core.IDENTITY_TOL, seed=0):
@@ -510,6 +535,70 @@ def test_range_extension_is_bit_identical_with_the_reference_projection(monkeypa
         assert all(np.array_equal(A, B) for A, B in zip(ours.components, theirs.components))
 
 
+RESIDUAL = re.compile(r"-?\d\.\d{3}e[+-]\d\d")
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-10, 3e-8])
+def test_the_schur_certificate_is_the_svd_polar_factor(noise, monkeypatch):
+    """Oracle for the closed form on irreducible systems: the certificate is
+    the SVD polar factor of the same projection, and the decision is the SVD
+    route's up to the rounding of the residual the reason quotes."""
+    svd_route = []
+    for n in range(2, 12):
+        cs = clifford.construct_irreducible(n)
+        m = cs.two_m
+        g = random_orthogonal(m, 200 + n)
+        E = noise * np.random.default_rng(n).standard_normal((cs.n, m, m))
+        noisy = clifford.CliffordSystem(m, cs.n, tuple(g @ to_float(P) @ g.T + (e + e.T) / 2
+                                                       for P, e in zip(cs.matrices, E)))
+        R = clifford.find_orthogonal_intertwiner(noisy.matrices, cs.matrices, seed=n)
+        polar = svd_polar_factor(reference_projection(noisy.matrices, cs.matrices, seed=n))
+        assert np.max(np.abs(R - polar)) <= 1e-13
+        assert np.max(np.abs(R @ R.T - np.eye(m))) <= 1e-13
+        svd_route.append((cs, noisy, clifford.algebraically_equivalent(cs, noisy, seed=n)))
+    monkeypatch.setattr(clifford, "find_orthogonal_intertwiner",
+                        lambda t, s, seed=0: svd_polar_factor(reference_projection(t, s, seed)))
+    for n, (cs, noisy, ours) in enumerate(svd_route, start=2):
+        theirs = clifford.algebraically_equivalent(cs, noisy, seed=n)
+        assert ours.status is theirs.status
+        assert RESIDUAL.sub("#", ours.reason) == RESIDUAL.sub("#", theirs.reason)
+        assert np.allclose([float(v) for v in RESIDUAL.findall(ours.reason)],
+                           [float(v) for v in RESIDUAL.findall(theirs.reason)], rtol=0, atol=1e-13)
+
+
+def test_the_svd_runs_only_for_reducible_systems(monkeypatch, c85):
+    svds = []
+    original = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or original(*a, **k))
+    g = random_orthogonal(8, 5)
+    conj = clifford.verify_clifford([g @ to_float(P) @ g.T for P in c85.matrices])
+    for c in (clifford.construct_irreducible(n) for n in range(1, 8)):
+        assert clifford.algebraically_equivalent(c, c).status is EquivalenceStatus.EQUIVALENT
+    assert clifford.algebraically_equivalent(c85, conj).status is EquivalenceStatus.EQUIVALENT
+    assert svds == []
+    twice = clifford.direct_sum(c85, c85)
+    assert not clifford.is_irreducible(twice)
+    assert clifford.algebraically_equivalent(twice, twice).status is EquivalenceStatus.EQUIVALENT
+    assert len(svds) == 1
+
+
+def test_the_seeded_start_is_drawn_once_and_read_only(c85):
+    g = random_orthogonal(8, 5)
+    targets = [g @ to_float(P) @ g.T for P in c85.matrices]
+    start = clifford._seeded_start(3, 8)
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0, 0] = 0.0
+    assert np.array_equal(start, np.random.default_rng(3).standard_normal((8, 8)))
+    first = clifford.find_orthogonal_intertwiner(targets, c85.matrices, seed=3)
+    first[...] = np.nan
+    second = clifford.find_orthogonal_intertwiner(targets, c85.matrices, seed=3)
+    again = clifford.find_orthogonal_intertwiner(targets, c85.matrices, seed=3)
+    assert np.array_equal(second, again) and not np.isnan(second).any()
+    assert clifford._seeded_start(3, 8) is start
+    assert np.array_equal(start, np.random.default_rng(3).standard_normal((8, 8)))
+
+
 def test_traces_are_formed_only_for_n_1_mod_4(monkeypatch, c85, c85_flipped):
     products = count_calls(monkeypatch, clifford, "ordered_product")
     c3 = clifford.construct_irreducible(2)  # three members
@@ -539,5 +628,17 @@ def test_a_nan_residual_is_unknown():
     mats[-1] = 1e300 * mats[-1]
     huge = clifford.CliffordSystem(two_m=c4.two_m, n=c4.n, matrices=tuple(mats))  # unverified
     verdict = clifford.algebraically_equivalent(c4, huge)
+    assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
+    assert verdict.reason == "candidate conjugation failed verification (nan)"
+
+
+def test_a_nan_member_is_unknown_on_the_closed_form():
+    # an irreducible pair takes no SVD, so a NaN projection reaches the
+    # certificate check (an SVD raises LinAlgError on it) and reads UNKNOWN
+    c4 = clifford.construct_irreducible(3)
+    mats = [to_float(P) for P in c4.matrices]
+    mats[0] = np.full_like(mats[0], np.nan)
+    broken = clifford.CliffordSystem(two_m=c4.two_m, n=c4.n, matrices=tuple(mats))  # unverified
+    verdict = clifford.algebraically_equivalent(c4, broken)
     assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
     assert verdict.reason == "candidate conjugation failed verification (nan)"

@@ -928,6 +928,38 @@ def test_exact_isoparametric_input_is_decided_exactly(rows, holds):
     assert rep.holds == sampled_isoparametric_verdict(to_float(M))
 
 
+def reference_isoparametric(f_matrix, tol=IDENTITY_TOL):
+    """Formula for formula the earlier verify_isoparametric, whose exact
+    target multiplied every entry of the identity by the Fraction scale^2."""
+    (M,), u = qhm._unit_scale(core.square_matrices([f_matrix], "function matrices"))
+    Mf = to_float(M)
+    m = Mf.shape[0]
+    scale_sq = float(np.trace(Mf @ Mf)) / m
+    target = core.identity_matrix(m) * Fraction(sum(v * v for v in M.ravel().tolist()), m)
+    worst, failure = core.pairwise_relation([M], target, tol=tol)
+    return qhm.IsoparametricReport(holds=failure is None, scale=np.sqrt(scale_sq) * u,
+                                   laplacian_coefficient=2.0 * float(np.trace(Mf)) * u,
+                                   max_gradient_defect=failure[2] if failure else worst,
+                                   max_laplacian_defect=0.0)
+
+
+@pytest.mark.parametrize("rows, holds", [
+    ([[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, 0], [0, 0, 0, 3]], True),  # scale^2 = 9, int64
+    ([[0, 2**32 - 1], [2**32 - 1, 0]], True),  # scale^2 beyond int64: object diagonal
+    ([[2, 0], [0, 0]], False),  # scale^2 = 2
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 0]], False),  # scale^2 = 5/3
+    ([[2**40, 0], [0, -2**40]], True),  # object entries, unit scale^2 = 1
+    ([["3/5", 0], [0, "-3/5"]], True),  # unit scale^2 = 36/25
+    ([["3/5", 0], [0, "1/3"]], False),
+    ([[2**40, 3], [3, 2**40]], False),
+])
+def test_exact_isoparametric_targets_give_the_reports_of_the_full_fraction_target(rows, holds):
+    M = core.as_matrix(rows)
+    rep = qhm.verify_isoparametric(M)
+    assert rep.holds == holds
+    assert rep == reference_isoparametric(M)
+
+
 def test_isoparametric_verdicts_that_flip_at_the_tolerance_edge():
     """The identity's residual |M^2 - s^2 I| / max(1, s^2 sqrt(m)) and the
     sampled max |4 x^T (M^2 - s^2 I) x| / max(1, 4 s^2 |x|^2) normalise
