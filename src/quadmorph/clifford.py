@@ -28,6 +28,7 @@ from .core import (
     block_diag2,
     check_symmetric,
     eigenspace_split,
+    frobenius,
     identity_matrix,
     is_exact,
     ordered_product,
@@ -310,8 +311,7 @@ def algebraically_equivalent(a: CliffordSystem, b: CliffordSystem,
                                   "the projected intertwiner failed verification")
     # rel_residual per member, bit for bit, on the rows of one stacked difference
     diff = R @ stack_a @ R.T - stack_b
-    worst = float(np.max([math.sqrt(np.vdot(d, d)) / max(1.0, math.sqrt(np.vdot(q, q)))
-                          for d, q in zip(diff, stack_b)]))
+    worst = float(np.max([frobenius(d) / max(1.0, frobenius(Q)) for d, Q in zip(diff, stack_b)]))
     if worst <= tol:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, R,
                                   f"projected onto the intertwiners; certificate residual {worst:.3e}")

@@ -45,7 +45,6 @@ from .core import (
     eigenspace_split,
     eigenvalue_clusters,
     frobenius,
-    identity_matrix,
     is_exact,
     is_exactly_zero,
     numeric_rank,
@@ -692,12 +691,11 @@ def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricRe
     |grad F|^2 = 4 x^T M^2 x, so the gradient condition holds for every x
     iff M^2 = scale^2 I, and then scale^2 = tr(M^2) / m.  That identity is
     checked at unit scale (_unit_scale) through pairwise_relation: bit for
-    bit on exact input, against an int64 target when scale^2 is an integer
-    within int64 (so core's float64 tier runs it under the 2^53 rule) and
-    else against the Fraction scale^2 on an object diagonal, and within tol
-    on float input; max_gradient_defect is its residual.  The Laplacian of
-    x^T M x is the constant 2 tr M (laplacian_coefficient), so
-    max_laplacian_defect is 0.0 by construction.
+    bit on exact input, with scale^2 a Fraction on the diagonal of an
+    object target of zeros, and within tol on float input;
+    max_gradient_defect is its residual.  The Laplacian of x^T M x is the
+    constant 2 tr M (laplacian_coefficient), so max_laplacian_defect is
+    0.0 by construction.
     """
     (M,), u = _unit_scale(square_matrices([f_matrix], "function matrices"))
     check_symmetric([M], tol)
@@ -705,12 +703,8 @@ def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricRe
     m = Mf.shape[0]
     scale_sq = float(np.trace(Mf @ Mf)) / m
     if is_exact(M):  # tr(M^2) of a symmetric M is the sum of its squared entries
-        exact_sq = Fraction(sum(v * v for v in M.ravel().tolist()), m)
-        if exact_sq.denominator == 1 and exact_sq < 2**63:
-            target = identity_matrix(m) * exact_sq.numerator  # int64, in the BLAS tier
-        else:
-            target = np.zeros((m, m), dtype=object)
-            np.fill_diagonal(target, exact_sq)
+        target = np.zeros((m, m), dtype=object)
+        np.fill_diagonal(target, Fraction(sum(v * v for v in M.ravel().tolist()), m))
     else:
         target = scale_sq * np.eye(m)
     worst, failure = pairwise_relation([M], target, tol=tol)

@@ -944,8 +944,8 @@ def reference_isoparametric(f_matrix, tol=IDENTITY_TOL):
 
 
 @pytest.mark.parametrize("rows, holds", [
-    ([[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, 0], [0, 0, 0, 3]], True),  # scale^2 = 9, int64
-    ([[0, 2**32 - 1], [2**32 - 1, 0]], True),  # scale^2 beyond int64: object diagonal
+    ([[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, 0], [0, 0, 0, 3]], True),  # scale^2 = 9
+    ([[0, 2**32 - 1], [2**32 - 1, 0]], True),  # scale^2 beyond int64
     ([[2, 0], [0, 0]], False),  # scale^2 = 2
     ([[1, 0, 0], [0, 2, 0], [0, 0, 0]], False),  # scale^2 = 5/3
     ([[2**40, 0], [0, -2**40]], True),  # object entries, unit scale^2 = 1
