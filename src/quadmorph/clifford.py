@@ -7,10 +7,10 @@ A system is n symmetric matrices P_1..P_n on an even-dimensional space with
 This module verifies the relation, constructs irreducible systems at the
 minimal dimensions, reduces a system to the eigenspace-split block form
 (P_1 diagonal +/-I, the rest off-diagonal with orthogonal blocks), which is
-core.eigenspace_split with D = I, decides irreducibility from the dimension
-alone, gives the symmetric commutant dimension in closed form, and decides
-algebraic equivalence from the trace of the ordered member product alone,
-with an orthogonal conjugating certificate for equivalent systems.
+core.eigenspace_split with D = I behind P_1's own gates, decides
+irreducibility from the dimension alone, gives the symmetric commutant
+dimension in closed form, and decides algebraic equivalence from the trace
+of the ordered member product alone, with an orthogonal certificate.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from .core import (
     is_exact,
     ordered_product,
     pairwise_relation,
+    spectral_decompose,
     square_matrices,
     to_float,
 )
-from .errors import AnticommutationViolated, ArityMismatch, OddDimension, ShapeMismatch
+from .errors import AnticommutationViolated, ArityMismatch, OddDimension, ShapeMismatch, UnbalancedEigenspaces
 from .generators import minimal_domain_dimension, skew_anticommuting_family
 
 __all__ = [
@@ -140,18 +141,29 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
     validated O-system).
 
     This is core.eigenspace_split with D = I: inputs already in that shape
-    pass through with A = I in their own mode.
+    pass through with A = I in their own mode.  P_1's eigenvalues, as the
+    split reads them, must split evenly by sign (UnbalancedEigenspaces) and
+    be +-1, exactly on an exact diagonal (AnticommutationViolated(1, 1)).
     """
     from .osystem import verify_osystem
 
     if cs.n < 2:
         raise ValueError("need at least two members to split eigenspaces against")
-    A, _, taus, defects = eigenspace_split(cs.matrices, tol)
+    first = cs.matrices[0]
+    sd = None if np.array_equal(first, np.diag(np.diag(first))) else spectral_decompose(first, tol)
+    eigs = np.diag(first) if sd is None else sd.eigenvalues
+    pos, neg = int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+    if 2 * pos != len(first) or 2 * neg != len(first):
+        raise UnbalancedEigenspaces(f"eigenvalue signs split {pos}/{neg}")
+    gap = (eigs.astype(object) if is_exact(eigs) else eigs) ** 2 - 1  # P_1^2 - I, diagonalized
+    residual = frobenius(gap) / (1.0 if is_exact(gap) else max(1.0, math.sqrt(len(first))))
+    if (np.any(gap) if is_exact(gap) else not residual <= tol):
+        raise AnticommutationViolated(1, 1, residual, note="the first member's eigenvalues are not +-1")
+    A, _, taus, defects = eigenspace_split(cs.matrices, tol, sd)
     for idx, defect in enumerate(defects, start=2):
         if not defect <= 100 * tol:
             raise AnticommutationViolated(
-                1, idx, defect,
-                note="member does not anticommute with the first; cannot reach block form")
+                1, idx, defect, note="member does not anticommute with the first; cannot reach block form")
     return A, verify_osystem(taus, tol)
 
 
@@ -242,14 +254,14 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
     the polar factor is X / sqrt(c).  Two Newton-Schulz steps
     R <- R (1.5 I - 0.5 R^T R) then take the rounding and noise of float
     members out of R R^T - I.  Reducible sources take the polar factor
-    from an SVD.  Returns None only for a singular projection, as for
+    from an SVD.  Returns None for a singular projection, as for
     inequivalent systems: sqrt(c) at most 1e-10 in the closed form, the
-    least singular value at most 1e-10 * max(1, the largest) otherwise.
-    A projection whose norm overflows or holds a NaN is not screened here:
-    it gives a zero or NaN R, which the callers' certificate rejects.  The
-    callers certify R (R S_i R^T = T_i, which is T_i R = R S_i for
-    orthogonal R).  Both must be the same nonzero length; an unconstrained
-    search is the caller's.
+    least singular value at most 1e-10 * max(1, the largest) otherwise,
+    and for a non-finite one, which the SVD cannot take.  On the closed
+    form a projection whose norm overflows or holds a NaN gives a zero or
+    NaN R, which the callers' certificate rejects.  The callers certify R
+    (R S_i R^T = T_i, which is T_i R = R S_i for orthogonal R).  Both must
+    be the same nonzero length; an unconstrained search is the caller's.
     """
     if not len(targets) or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
@@ -271,6 +283,8 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
         for _ in range(2):
             R = R @ (1.5 * np.eye(m) - 0.5 * (R.T @ R))
         return R
+    if not np.all(np.isfinite(X)):
+        return None  # a NaN or inf entry, which the SVD cannot take
     u, s, vt = np.linalg.svd(X)
     if s[-1] <= 1e-10 * max(1.0, s[0]):
         return None  # not invertible enough to trust the polar factor

@@ -50,7 +50,7 @@ __all__ = [
     "sample_points",
 ]
 
-from .errors import NoConvergence, NotSymmetric, RankMismatch, ShapeMismatch, UnbalancedEigenspaces
+from .errors import NoConvergence, NotSymmetric, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -412,36 +412,25 @@ def eigenspace_split(mats, tol: float = IDENTITY_TOL, sd=None):
     the larger Frobenius norm of its two diagonal blocks relative to
     max(1, |G M_(i+2) G^T|), which the split drops and the caller bounds.
     Input already in that layout, later members with exactly vanishing
-    diagonal blocks, passes through with G = I in its own mode.  Raises
-    UnbalancedEigenspaces for an uneven +/- split of M_1 and RankMismatch when
-    its spectrum does not come in +/- pairs; sd, when given, is the spectral
-    decomposition of M_1.
+    diagonal blocks, passes through with G = I in its own mode; sd, when
+    given, is the spectral decomposition of M_1.  The split only builds: its
+    callers gate M_1's eigenvalues (qhm._decompose, to_standard_representation).
     """
-    first, size = mats[0], mats[0].shape[0]
-    k = size // 2
+    first, k = mats[0], len(mats[0]) // 2
     d = np.diag(first)
     head = d[:k]
     if (np.array_equal(first, np.diag(d)) and np.all(head > 0) and np.all(head[:-1] >= head[1:])
             and np.array_equal(d[k:], -head)
             and all(is_exactly_zero(M[:k, :k]) and is_exactly_zero(M[k:, k:]) for M in mats[1:])):
-        return (identity_matrix(size, exact=is_exact(first)), first[:k, :k].copy(),
+        return (identity_matrix(len(first), exact=is_exact(first)), first[:k, :k].copy(),
                 tuple(M[:k, k:].copy() for M in mats[1:]), (0.0,) * (len(mats) - 1))
     if sd is None:
         sd = spectral_decompose(first, tol)
-    eigs = sd.eigenvalues
-    pos, neg = int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
-    if 2 * pos != size or 2 * neg != size:
-        raise UnbalancedEigenspaces(f"eigenvalue signs split {pos}/{neg}")
-    d = eigs[:k]
-    if np.max(np.abs(d + eigs[k:][::-1])) > EIG_PAIR_TOL * max(1.0, float(d[0])):
-        raise RankMismatch("spectrum does not come in +/- pairs")
     G = np.column_stack([sd.eigenvectors[:, :k], sd.eigenvectors[:, k:][:, ::-1]]).T
-    blocks, defects = [], []
-    for P in mats[1:]:
-        M = G @ to_float(P) @ G.T
-        blocks.append(M[:k, k:])
-        defects.append(max(frobenius(M[:k, :k]), frobenius(M[k:, k:])) / max(1.0, frobenius(M)))
-    return G, np.diag(d), tuple(blocks), tuple(defects)
+    rotated = [G @ to_float(P) @ G.T for P in mats[1:]]
+    defects = tuple(max(frobenius(M[:k, :k]), frobenius(M[k:, k:])) / max(1.0, frobenius(M))
+                    for M in rotated)
+    return G, np.diag(sd.eigenvalues[:k]), tuple(M[:k, k:] for M in rotated), defects
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ function composed with orthogonal maps, extension of domain-minimal maps
 with additional components up to the Radon-Hurwitz bound, counting of sign
 classes, and the sphere-restriction and isoparametric reports, read from
 classify and from the identity M^2 = s^2 I.  classify, normal_form and
-single_function_representation read one decomposition (_decompose): the
-rank and +/- pairing of A_1's eigenvalues, the kernel projection, the
-normal form of the kernel-free core from core.eigenspace_split and its
-eigenvalue groups, so each gate gives all three one verdict.  The
+single_function_representation read one decomposition (_decompose), which
+alone gates the rank and +/- pairing of A_1's eigenvalues, then projects the
+kernel away and builds the core's normal form (core.eigenspace_split) and
+its eigenvalue groups, so each gate gives all three one verdict.  The
 single-function transforms are certified by the identity T^T F T = A_alpha.
 """
 
@@ -403,10 +403,8 @@ def _decompose(phi, tol):
             or np.max(np.abs(pos + neg[::-1])) > EIG_PAIR_TOL * max(1.0, float(pos[0]))):
         raise RankMismatch("the nonzero eigenvalues of component 1 do not pair as +/-, "
                            "so the map has no umbilical splitting")
-    projection = kernel = None
-    core = phi
-    if q_rank < phi.m:
-        projection, kernel, core = _project_nonsingular(phi, tol, q_rank, sd)
+    projection, kernel, core = (_project_nonsingular(phi, tol, q_rank, sd) if q_rank < phi.m
+                                else (None, None, phi))
     nf = _normal_form_core(core, tol, sd if projection is None else None)
     d = np.diag(to_float(nf.D))
     return phi, u, pos, projection, kernel, nf, d, eigenvalue_clusters(d, EIG_PAIR_TOL)
@@ -468,14 +466,16 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
     not annihilate the kernel of the first.  Judged at unit scale, like classify.
     """
     unit, u = _unit_map(phi)
-    proj, _, core = _project_nonsingular(unit, tol, numeric_rank(unit.components[0]))
+    proj, _, core = _project_nonsingular(unit, tol, q_rank := numeric_rank(unit.components[0]))
+    if len(proj) != q_rank:  # numeric_rank's singular values against the eigenvalues
+        raise RankMismatch("eigenvalue zero pattern disagrees with the rank")
     return proj, replace(core, components=tuple(_times(M, u) for M in core.components))
 
 
 def _project_nonsingular(phi, tol, q_rank, sd=None):
     """(projection, kernel, core): project_nonsingular plus the orthonormal
-    kernel rows it holds anyway; q_rank is the rank of the components and
-    sd, when given, the spectral decomposition of the first component."""
+    kernel rows it holds anyway; q_rank is the rank the caller counts the kept
+    eigenvalues against, sd, when given, the first component's decomposition."""
     if q_rank >= phi.m:
         raise ValueError("map already has full rank; nothing to project")
     exact = is_exact(phi.components[0])
@@ -491,11 +491,7 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
                 QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats)))
     if sd is None:
         sd = spectral_decompose(phi.components[0], tol)
-    eigs = sd.eigenvalues
-    cutoff = RANK_TOL * float(np.max(np.abs(eigs)))
-    keep_mask = np.abs(eigs) > cutoff
-    if int(np.sum(keep_mask)) != q_rank:
-        raise RankMismatch("eigenvalue zero pattern disagrees with the rank")
+    keep_mask = np.abs(sd.eigenvalues) > RANK_TOL * float(np.max(np.abs(sd.eigenvalues)))
     kernel = sd.eigenvectors[:, ~keep_mask]
     for idx, M in enumerate(phi.components, start=1):
         leak, size = frobenius(to_float(M) @ kernel), frobenius(M)

@@ -158,6 +158,30 @@ class TestStandardRepresentation:
             clifford.to_standard_representation(cs)
         assert issubclass(UnbalancedEigenspaces, RankMismatch)
 
+    def test_the_first_member_must_be_an_involution(self):
+        # Stated change: eigenvalues +-2, or 3 and 1 against -1, -1, split
+        # evenly by sign but break P_1^2 = I, which verify_clifford reports
+        # as members 1 and 1; diag(3, 1, -1, -1) was a RankMismatch ("not
+        # +/- pairs"), and diag(2, -2) passed through as A = I
+        swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        second = np.kron(swap, np.eye(2, dtype=np.int64))
+        g = random_orthogonal(2, 3)
+        for first, other, residual in (
+                (np.diag([2, -2]).astype(np.int64), swap, 18 ** 0.5),
+                (np.diag([2.0, -2.0]), to_float(swap), 3.0),
+                (g @ np.diag([2.0, -2.0]) @ g.T, g @ to_float(swap) @ g.T, 3.0),
+                (np.diag([3, 1, -1, -1]).astype(np.int64), second, 8.0)):
+            cs = clifford.CliffordSystem(two_m=len(first), n=2,
+                                         matrices=(first, other))  # deliberately unverified
+            with pytest.raises(AnticommutationViolated, match="not \\+-1") as err:
+                clifford.to_standard_representation(cs)
+            assert (err.value.i, err.value.j) == (1, 1)
+            assert err.value.residual == pytest.approx(residual, rel=1e-12)
+            with pytest.raises(AnticommutationViolated) as verified:
+                clifford.verify_clifford(cs.matrices)
+            assert (verified.value.i, verified.value.j) == (1, 1)
+            assert verified.value.residual == pytest.approx(residual, rel=1e-12)
+
     def test_single_member_is_rejected(self):
         cs = clifford.verify_clifford([np.diag([1, -1]).astype(np.int64)])
         with pytest.raises(ValueError):
@@ -630,6 +654,22 @@ def test_a_nan_residual_is_unknown():
     verdict = clifford.algebraically_equivalent(c4, huge)
     assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
     assert verdict.reason == "candidate conjugation failed verification (nan)"
+
+
+def test_a_nan_member_is_unknown_on_the_svd_route():
+    # a reducible pair takes the SVD, which does not converge on a NaN
+    # projection: no intertwiner, UNKNOWN in either argument order
+    twice = clifford.direct_sum(clifford.construct_irreducible(3), clifford.construct_irreducible(3))
+    assert not clifford.is_irreducible(twice)
+    mats = [to_float(P) for P in twice.matrices]
+    mats[1] = mats[1].copy()
+    mats[1][0, 0] = np.nan
+    broken = clifford.CliffordSystem(two_m=twice.two_m, n=twice.n, matrices=tuple(mats))  # unverified
+    for verdict in (clifford.algebraically_equivalent(twice, broken),
+                    clifford.algebraically_equivalent(broken, twice)):
+        assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
+        assert verdict.reason == "the projected intertwiner failed verification"
+    assert clifford.find_orthogonal_intertwiner(mats, twice.matrices) is None
 
 
 def test_a_nan_member_is_unknown_on_the_closed_form():

@@ -453,6 +453,19 @@ def test_projection_rejects_unshared_kernel():
         qhm.project_nonsingular(fake)
 
 
+def test_projection_checks_the_eigenvalue_zero_pattern_against_the_rank():
+    # exact rank 3, but the third eigenvalue, 1e-12, lies below the
+    # eigenvalue cutoff: the kernel projection keeps 2 dimensions.  A
+    # rational rotation of the last two axes leaves no zero row to drop.
+    rot = np.array([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]], dtype=object)
+    tail = rot @ np.diag([Fraction(1, 10**12), Fraction(0)]).astype(object) @ rot.T
+    a1 = np.zeros((4, 4), dtype=object)
+    a1[0, 0], a1[1, 1], a1[2:, 2:] = Fraction(1), Fraction(-1), tail
+    tiny = qhm.QuadraticHarmonicMorphism(m=4, n=1, components=(a1,))  # deliberately unverified
+    with pytest.raises(RankMismatch, match="eigenvalue zero pattern disagrees with the rank"):
+        qhm.project_nonsingular(tiny)
+
+
 def test_projection_refuses_full_rank_input():
     with pytest.raises(ValueError):
         qhm.project_nonsingular(hopf(1))

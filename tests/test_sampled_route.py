@@ -15,9 +15,10 @@ ALLOWED = {
 }
 
 
-def references(name):
-    """module.function for every function that names name, as a call or as
-    a value (the innermost one), and module.<module> outside functions."""
+def owners(matches):
+    """module.function for every function that holds a node for which
+    matches(node) is true (the innermost one), and module.<module> outside
+    functions."""
     found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -26,10 +27,15 @@ def references(name):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((node, func.name) for node in ast.walk(func))
         for node in ast.walk(tree):
-            if ((isinstance(node, ast.Name) and node.id == name)
-                    or (isinstance(node, ast.Attribute) and node.attr == name)):
+            if matches(node):
                 found.add(f"{path.stem}.{owner.get(node, '<module>')}")
     return found
+
+
+def references(name):
+    """The owners of every use of name, as a call or as a value."""
+    return owners(lambda node: (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_the_package_sources_are_found():
