@@ -23,9 +23,7 @@ from .core import (
     IDENTITY_TOL,
     as_matrix,
     common_mode,
-    identity_matrix,
     is_exact,
-    pairwise_relation,
     symmetric_off_diagonal,
     to_float,
     to_point,
@@ -90,7 +88,7 @@ def check_orthomul(candidate_slices, tol: float = IDENTITY_TOL):
     if any(s.ndim != 2 or s.shape != (d, q) for s in mats):
         raise ShapeMismatch("all slices must share one shape")
     mats = list(common_mode(*mats))
-    worst, failure = _slice_relation(mats, tol)
+    worst, failure = _osystem._orthogonal_relation(mats, tol)
     if failure:
         raise NotNormPreserving(*failure)
     mu = OrthogonalMultiplication(p=len(mats), q=q, n_out=d, slices=tuple(mats))
@@ -110,17 +108,10 @@ def measure(mu: OrthogonalMultiplication,
     """The slice identities of a multiplication as a report: max_defect is
     the worst residual, check_orthomul's max_norm_defect, or on slices that
     fail them the failing pair's residual, with norm_preserving False."""
-    worst, failure = _slice_relation(list(mu.slices), tol)
+    worst, failure = _osystem._orthogonal_relation(list(mu.slices), tol)
     return MultiplicationReport(norm_preserving=failure is None,
                                 max_defect=failure[2] if failure else worst,
                                 exact=is_exact(mu.slices[0]))
-
-
-def _slice_relation(mats, tol):
-    """pairwise_relation of s_i^T s_j + s_j^T s_i = 2 delta_ij I_q for
-    d x q slices of one mode."""
-    eye = identity_matrix(mats[0].shape[1], exact=is_exact(mats[0]))
-    return pairwise_relation(mats, eye, transpose=True, tol=tol)
 
 
 def from_osystem(os, tol: float = IDENTITY_TOL) -> OrthogonalMultiplication:

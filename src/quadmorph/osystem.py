@@ -57,8 +57,7 @@ def check_osystem(candidate, tol: float = IDENTITY_TOL):
     residuals as {"max_relation_residual": ...}."""
     mats = square_matrices(candidate, "members")
     size = mats[0].shape[0]
-    eye = identity_matrix(size, exact=is_exact(mats[0]))
-    worst, failure = pairwise_relation(mats, eye, transpose=True, tol=tol)
+    worst, failure = _orthogonal_relation(mats, tol)
     if failure:
         i, j, resid = failure
         if i == j:
@@ -70,6 +69,13 @@ def check_osystem(candidate, tol: float = IDENTITY_TOL):
         raise AnticommutationViolated(i, j, resid, note=note)
     system = OSystem(m=size, n=len(mats), matrices=tuple(mats))
     return system, {"max_relation_residual": worst}
+
+
+def _orthogonal_relation(mats, tol):
+    """pairwise_relation of M_i^T M_j + M_j^T M_i = 2 delta_ij I_q on d x q
+    matrices of one mode: O-system members and orthomul's slices."""
+    eye = identity_matrix(mats[0].shape[1], exact=is_exact(mats[0]))
+    return pairwise_relation(mats, eye, transpose=True, tol=tol)
 
 
 def verify_osystem(candidate, tol: float = IDENTITY_TOL) -> OSystem:

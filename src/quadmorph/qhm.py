@@ -8,19 +8,14 @@ conformality conditions at seeded sample points (central differences are
 exact for quadratics, so both paths must agree).  sampled_check is the one
 routine that draws sample points.
 
-On top of verification: rank/spectrum classification, the block normal form
-of full-rank maps, kernel projection for rank-deficient ones, splitting into
-scaled umbilical summands, representation of all components as one quadratic
-function composed with orthogonal maps, extension of domain-minimal maps
-with additional components up to the Radon-Hurwitz bound, counting of sign
-classes, and the sphere-restriction and isoparametric reports, read from
-classify and from the identity M^2 = s^2 I.  classify, normal_form and
-single_function_representation read one decomposition (_decompose), which
-alone gates the rank and +/- pairing of A_1's eigenvalues, then projects the
-kernel away and builds the core's normal form (core.eigenspace_split) and
-its eigenvalue groups, so each gate gives all three one verdict.  The
-single-function transforms are certified by the identity T^T F T = A_alpha.
-"""
+On top of verification: classification by rank and spectrum, the block
+normal form, kernel projection, umbilical splitting, one quadratic function
+behind every component, extension up to the Radon-Hurwitz bound, sign-class
+counting, and the sphere-restriction and isoparametric reports.  classify,
+normal_form and single_function_representation read one decomposition
+(_decompose), the one owner of the rank and +/- gates on A_1.  lambda^2 =
+tr(A_1^2) / m (_square_scale) is the scale of the isoparametric identity
+and of clifford_system, which reads umbilicity from the Clifford relation."""
 
 from __future__ import annotations
 
@@ -39,7 +34,6 @@ from .core import (
     IDENTITY_TOL,
     RANK_TOL,
     _peak,
-    as_matrix,
     block_diag2,
     check_symmetric,
     eigenspace_split,
@@ -59,6 +53,7 @@ from .core import (
 )
 from .errors import (
     AlreadyRangeMaximal,
+    AnticommutationViolated,
     ArityMismatch,
     DimensionMismatch,
     NotDomainMinimal,
@@ -198,10 +193,10 @@ def evaluate(phi: QuadraticHarmonicMorphism, x) -> np.ndarray:
     return np.array([vec @ to_float(A) @ vec for A in phi.components])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def quadratic_form_value(matrix, x) -> float:
-    vec = to_point(x)
-    return float(vec @ to_float(as_matrix(matrix)) @ vec)
+    """x^T M x for a square M, as evaluate computes it for the map (M,)."""
+    (M,) = square_matrices([matrix], "function matrices")
+    return float(evaluate(QuadraticHarmonicMorphism(m=len(M), n=1, components=(M,)), x)[0])
 
 
 def _form_values(A, P):
@@ -229,6 +224,14 @@ def _unit_scale(mats):
     if not -1074 <= e <= 1023:
         raise ValueError("the map's scale lies beyond the float64 range")
     return [M / Fraction(2) ** e if M.dtype == object else np.ldexp(M, -e) for M in mats], 2.0 ** e
+
+
+def _square_scale(M):
+    """tr(M^2) / m for a symmetric M, its mean squared entry: a Fraction on
+    exact M (no int64 wraparound), else one float64 vdot (at unit scale)."""
+    if is_exact(M):
+        return Fraction(sum(v * v for v in M.ravel().tolist()), len(M))
+    return float(np.vdot(M, M)) / len(M)
 
 
 def _unit_map(phi):
@@ -591,17 +594,23 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
 
 
 def clifford_system(phi: QuadraticHarmonicMorphism, tol: float = IDENTITY_TOL):
-    """The Clifford system phi / lambda of an umbilical map, lambda being its
-    common positive eigenvalue from classify(phi)."""
-    report = classify(phi, tol)
-    if not report.is_umbilical:
-        raise NotUmbilical("only umbilical maps scale to a system")
-    lam = report.positive_eigenvalues[0]
-    if is_exact(phi.components[0]) and lam == 1.0:
-        mats = phi.components
-    else:
-        mats = [to_float(A) / lam for A in phi.components]
-    return _clifford.verify_clifford(mats, tol)
+    """The Clifford system phi / lambda of an umbilical map, lambda^2 =
+    tr(A_1^2) / m (_square_scale at unit scale); exact members with
+    lambda^2 = 1 pass through, and a zero A_1 raises ZeroMap.  Umbilicity,
+    A_1^2 = lambda^2 I, is pair (1, 1) of verify_clifford's relation, so a
+    failure there (a kernel, two scales) raises NotUmbilical."""
+    unit, u = _unit_scale(phi.components)
+    lam_sq = _square_scale(unit[0])
+    if not lam_sq:
+        raise ZeroMap("component 1 vanishes, so the map has no scale lambda")
+    passes_through = is_exact(unit[0]) and lam_sq * Fraction(u) ** 2 == 1
+    mats = phi.components if passes_through else [to_float(A) / math.sqrt(lam_sq) for A in unit]
+    try:
+        return _clifford.verify_clifford(mats, tol)
+    except AnticommutationViolated as exc:
+        if (exc.i, exc.j) != (1, 1):
+            raise
+        raise NotUmbilical(f"A_1^2 is not lambda^2 I (residual {exc.residual:.3e})") from exc
 
 
 @functools.lru_cache(maxsize=8)
@@ -685,27 +694,20 @@ def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricRe
     and constant Laplacian.
 
     |grad F|^2 = 4 x^T M^2 x, so the gradient condition holds for every x
-    iff M^2 = scale^2 I, and then scale^2 = tr(M^2) / m.  That identity is
-    checked at unit scale (_unit_scale) through pairwise_relation: bit for
-    bit on exact input, with scale^2 a Fraction on the diagonal of an
-    object target of zeros, and within tol on float input;
-    max_gradient_defect is its residual.  The Laplacian of x^T M x is the
-    constant 2 tr M (laplacian_coefficient), so max_laplacian_defect is
-    0.0 by construction.
+    iff M^2 = scale^2 I, and then scale^2 = tr(M^2) / m (_square_scale).
+    That identity is checked at unit scale through pairwise_relation: bit
+    for bit on exact input, the Fraction scale^2 on the diagonal of an
+    object target, and within tol on float input; max_gradient_defect is
+    its residual.  The Laplacian of x^T M x is the constant 2 tr M
+    (laplacian_coefficient), so max_laplacian_defect is 0.0.
     """
     (M,), u = _unit_scale(square_matrices([f_matrix], "function matrices"))
     check_symmetric([M], tol)
-    Mf = to_float(M)
-    m = Mf.shape[0]
-    scale_sq = float(np.trace(Mf @ Mf)) / m
-    if is_exact(M):  # tr(M^2) of a symmetric M is the sum of its squared entries
-        target = np.zeros((m, m), dtype=object)
-        np.fill_diagonal(target, Fraction(sum(v * v for v in M.ravel().tolist()), m))
-    else:
-        target = scale_sq * np.eye(m)
+    scale_sq = _square_scale(M)
+    target = np.diag(np.full(len(M), scale_sq, dtype=object if is_exact(M) else float))
     worst, failure = pairwise_relation([M], target, tol=tol)
     return IsoparametricReport(holds=failure is None, scale=math.sqrt(scale_sq) * u,
-                               laplacian_coefficient=2.0 * float(np.trace(Mf)) * u,
+                               laplacian_coefficient=2.0 * float(np.trace(to_float(M))) * u,
                                max_gradient_defect=failure[2] if failure else worst,
                                max_laplacian_defect=0.0)
 

@@ -263,7 +263,7 @@ def test_convert_rejects_an_invalid_source_through_its_conversion(tmp_path, caps
 # the pairwise_relation and sampled_check calls of one convert request:
 # each identity once, and every sampled check of the source kept
 CONVERT_CENSUS = {
-    ("qhm", "clifford"): (3, 1),  # equal squares, the block relations, the scaled system
+    ("qhm", "clifford"): (2, 1),  # equal squares, then the scaled system (umbilicity its (1, 1) pair)
     ("clifford", "qhm"): (2, 1),  # the Clifford relation, then the map's equal squares
     ("clifford", "osystem"): (2, 0),  # the system, then its blocks as an O-system
     ("osystem", "clifford"): (1, 0),

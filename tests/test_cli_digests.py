@@ -347,7 +347,7 @@ DIGESTS = {
     'convert qhm-broken qhm':
         '0034e4b3f04ead01501ce2a2d1bac8795c0f6c6e89f7430bb0d6caf0c7254460',
     'convert qhm-float clifford':
-        '8f1a3d6c97a79efada838a4e1e4e929a22634a121eb2a3a79617556ac361d21f',
+        '85cd9bef0367a71f318e086b45c8c2886ba77c5b4a1ca77481bad783d8c0c4b4',
     'convert qhm-float orthomul':
         '0b983586d03743628bd923936e63161379c5d2a5e643b4b27f33066bef427353',
     'convert qhm-float osystem':

@@ -115,6 +115,14 @@ def test_evaluate_checks_dimension(split_scale_map):
         qhm.evaluate(split_scale_map, [1.0, 2.0])
 
 
+def test_quadratic_form_value_checks_its_shapes():
+    assert qhm.quadratic_form_value(np.eye(3), [1, 2, 3]) == 14.0
+    with pytest.raises(DimensionMismatch, match="point has dimension 2"):
+        qhm.quadratic_form_value(np.eye(3), [1, 2])
+    with pytest.raises(ShapeMismatch):
+        qhm.quadratic_form_value(np.ones((2, 3)), [1, 2, 3])
+
+
 def test_sampled_check_passes_on_triple(split_scale_map):
     rep = qhm.sampled_check(split_scale_map.components, samples=32, seed=5)
     assert rep.passed and rep.samples == 32
@@ -689,6 +697,61 @@ def test_single_function_sweep_matches_a_pointwise_reference(sweep_maps):
             direct = batch_eval([a], X)[:, 0]
             via_f = batch_eval([rep.matrix], X @ t.T)[:, 0]
             assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct))), index
+
+
+# ---------------------------------------------------------------------------
+# the Clifford system of an umbilical map
+
+
+def coupled_map():
+    """verify_qhm accepts it, but A_1 has the two eigenvalues 1 + 1e-6 and 1."""
+    D = np.diag([1 + 1e-6, 1.0])
+    B = np.array([[1 + 1e-6, 1e-5], [-1e-5, 1.0]])
+    return qhm.verify_qhm([core.block_diag2(D, -D), core.symmetric_off_diagonal(B)])
+
+
+def with_kernel(phi, size=2):
+    return qhm.verify_qhm([core.block_diag2(A, np.zeros((size, size), dtype=A.dtype))
+                           for A in phi.components])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: with_kernel(qhm.from_clifford(clifford.construct_irreducible(3))),
+    lambda: qhm.verify_qhm(two_scale(clifford.construct_irreducible(3).matrices)),
+    lambda: qhm.verify_qhm(two_scale(float_canonical(2))),
+    coupled_map,
+], ids=["kernel", "two scales", "two float scales", "coupled scales"])
+def test_only_umbilical_maps_scale_to_a_clifford_system(make):
+    with pytest.raises(NotUmbilical, match="not lambda\\^2 I"):
+        qhm.clifford_system(make())
+
+
+def test_a_zero_map_has_no_clifford_system():
+    with pytest.raises(ZeroMap):
+        qhm.clifford_system(qhm.scale(qhm.from_clifford(clifford.construct_irreducible(3)), 0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_scaled_map_gives_the_members_back(n, monkeypatch):
+    decompositions = count_calls(monkeypatch, core, "spectral_decompose")
+    cs = clifford.construct_irreducible(n)
+    phi = qhm.from_clifford(cs)
+    assert qhm.clifford_system(phi).matrices[0].dtype == np.int64  # passed through
+    for scaled in (qhm.scale(phi, 3), qhm.scale(qhm.verify_qhm(float_canonical(n)), 3.0)):
+        members = qhm.clifford_system(scaled).matrices
+        assert all(np.array_equal(P, Q) for P, Q in zip(members, cs.matrices))
+    assert decompositions == []
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_float_clifford_systems_keep_the_eigenvalue_scaling(n):
+    """Seeded conjugates land within 2e-15 of the members divided by
+    classify's eigenvalue, the scale clifford_system read before."""
+    g = random_orthogonal(clifford.construct_irreducible(n).two_m, 40 + n)
+    phi = qhm.verify_qhm([g @ P @ g.T for P in float_canonical(n)])
+    lam = qhm.classify(phi).positive_eigenvalues[0]
+    members = qhm.clifford_system(phi).matrices
+    assert max(np.max(np.abs(P - A / lam)) for P, A in zip(members, phi.components)) <= 2e-15
 
 
 # ---------------------------------------------------------------------------
