@@ -11,11 +11,12 @@ routine that draws sample points.
 On top of verification: classification by rank and spectrum, the block
 normal form, kernel projection, umbilical splitting, one quadratic function
 behind every component, extension up to the Radon-Hurwitz bound, sign-class
-counting, and the sphere-restriction and isoparametric reports.  classify,
-normal_form and single_function_representation read one decomposition
-(_decompose), the one owner of the rank and +/- gates on A_1.  lambda^2 =
-tr(A_1^2) / m (_square_scale) is the scale of the isoparametric identity
-and of clifford_system, which reads umbilicity from the Clifford relation."""
+counting, and the sphere-restriction and isoparametric reports.  Five
+readers share one decomposition (_decompose), the one owner of the rank,
++/- pairing and block-relation gates; only classify builds the splitting.
+lambda^2 = tr(A_1^2) / m (_square_scale) is the scale of the isoparametric
+identity and of clifford_system, which reads umbilicity from the Clifford
+relation."""
 
 from __future__ import annotations
 
@@ -381,8 +382,7 @@ def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
 
 
 def _decompose(phi, tol):
-    """The decomposition that classify, normal_form and
-    single_function_representation read, at unit scale (_unit_scale): (unit
+    """The one decomposition of a map, at unit scale (_unit_scale): (unit
     map, u, A_1's positive eigenvalues, projection and kernel rows or None,
     the core's normal form, its diagonal d, d's groups as (lo, hi) ranges).
 
@@ -390,7 +390,7 @@ def _decompose(phi, tol):
     A_i^2 = A_1^2 and anticommutation give every component A_1's rank and
     spectrum, whose kept eigenvalues must pair as +/- by count and by value;
     the shared-kernel check, the corner bound and the block relations
-    re-check every later component.
+    (NormalForm's) re-check every later component.
     """
     phi, u = _unit_map(phi)
     q_rank = numeric_rank(phi.components[0])
@@ -408,9 +408,23 @@ def _decompose(phi, tol):
                            "so the map has no umbilical splitting")
     projection, kernel, core = (_project_nonsingular(phi, tol, q_rank, sd) if q_rank < phi.m
                                 else (None, None, phi))
-    nf = _normal_form_core(core, tol, sd if projection is None else None)
-    d = np.diag(to_float(nf.D))
-    return phi, u, pos, projection, kernel, nf, d, eigenvalue_clusters(d, EIG_PAIR_TOL)
+    G, D, B, corners = eigenspace_split(core.components, tol, sd if projection is None else None)
+    for idx, corner in enumerate(corners, start=2):
+        if not corner <= 1e3 * tol:
+            raise NotHorizontallyConformal(
+                1, idx, corner, note="component does not reach off-diagonal block form")
+    Df, blocks = to_float(D), [to_float(M) for M in B]
+    if blocks:
+        if any(not rel_residual(Df @ M, M @ Df) <= tol for M in blocks):
+            raise RankMismatch("eigenvalue matrix does not commute with a block")
+        _, failure = pairwise_relation(blocks, Df @ Df, transpose=True, tol=tol)
+        if failure:
+            raise RankMismatch("block gram matrix does not match the squared eigenvalues"
+                               if failure[0] == failure[1] else
+                               "blocks fail the transpose anticommutation relation")
+    d = np.diag(Df)
+    return (phi, u, pos, projection, kernel, NormalForm(change_of_coords=G, D=D, B=B), d,
+            eigenvalue_clusters(d, EIG_PAIR_TOL))
 
 
 def classify(phi: QuadraticHarmonicMorphism,
@@ -511,27 +525,6 @@ def _project_nonsingular(phi, tol, q_rank, sd=None):
 # normal form
 
 
-def _normal_form_core(phi, tol, sd=None) -> NormalForm:
-    """Normal form of a full-rank map, its dropped corners bounded and its
-    blocks checked against D B = B D, B^T B = D^2 and B_i^T B_j = -B_j^T B_i;
-    sd, when given, is the spectral decomposition of its first component."""
-    G, D, B, corners = eigenspace_split(phi.components, tol, sd)
-    for idx, corner in enumerate(corners, start=2):
-        if not corner <= 1e3 * tol:
-            raise NotHorizontallyConformal(
-                1, idx, corner, note="component does not reach off-diagonal block form")
-    Df, blocks = to_float(D), [to_float(M) for M in B]
-    if blocks:
-        if any(not rel_residual(Df @ M, M @ Df) <= tol for M in blocks):
-            raise RankMismatch("eigenvalue matrix does not commute with a block")
-        _, failure = pairwise_relation(blocks, Df @ Df, transpose=True, tol=tol)
-        if failure:
-            raise RankMismatch("block gram matrix does not match the squared eigenvalues"
-                               if failure[0] == failure[1] else
-                               "blocks fail the transpose anticommutation relation")
-    return NormalForm(change_of_coords=G, D=D, B=B)
-
-
 def normal_form(phi: QuadraticHarmonicMorphism,
                 tol: float = IDENTITY_TOL) -> NormalForm:
     """Block normal form of a full-rank map with at least two components,
@@ -598,11 +591,14 @@ def clifford_system(phi: QuadraticHarmonicMorphism, tol: float = IDENTITY_TOL):
     tr(A_1^2) / m (_square_scale at unit scale); exact members with
     lambda^2 = 1 pass through, and a zero A_1 raises ZeroMap.  Umbilicity,
     A_1^2 = lambda^2 I, is pair (1, 1) of verify_clifford's relation, so a
-    failure there (a kernel, two scales) raises NotUmbilical."""
+    failure there (a kernel, two scales) raises NotUmbilical, as odd m does:
+    a traceless A_1 with A_1^2 = lambda^2 I has even m."""
     unit, u = _unit_scale(phi.components)
     lam_sq = _square_scale(unit[0])
     if not lam_sq:
         raise ZeroMap("component 1 vanishes, so the map has no scale lambda")
+    if phi.m % 2:
+        raise NotUmbilical(f"A_1^2 is not lambda^2 I (odd m = {phi.m} leaves a kernel)")
     passes_through = is_exact(unit[0]) and lam_sq * Fraction(u) ** 2 == 1
     mats = phi.components if passes_through else [to_float(A) / math.sqrt(lam_sq) for A in unit]
     try:
@@ -645,12 +641,12 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         A = phi.components[0]  # [[a, b], [b, -a]], anticommuting with [[-b, a], [a, b]]
         (a, b), _ = A
         return verify_qhm([A, np.array([[-b, a], [a, b]], dtype=A.dtype)], tol)
-    report = classify(phi, tol)
-    if not report.is_q_nonsingular:
+    _, u, pos, projection, _, _, _, groups = _decompose(phi, tol)
+    if projection is not None:
         raise NotDomainMinimal("map has a kernel; project it away first")
-    if not report.is_umbilical:
+    if len(groups) != 1:
         raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
-    lam = report.positive_eigenvalues[0]
+    lam = float(pos[0]) * u
     m_half = phi.m // 2
     sigma = _osystem.hurwitz_radon(m_half).sigma
     if phi.n - 1 >= sigma:
@@ -715,7 +711,7 @@ def verify_isoparametric(f_matrix, tol: float = IDENTITY_TOL) -> IsoparametricRe
 def sphere_restriction_check(phi: QuadraticHarmonicMorphism,
                              tol: float = IDENTITY_TOL) -> SphereRestrictionReport:
     """Whether |phi(x)| = radius * |x|^2, radius being the common positive
-    eigenvalue lambda of an umbilical map (classify), so that spheres map
+    eigenvalue lambda of an umbilical map (_decompose), so that spheres map
     to spheres.
 
     It holds iff phi has no kernel and n = m/2 + 1.  max_defect is the
@@ -734,9 +730,9 @@ def sphere_restriction_check(phi: QuadraticHarmonicMorphism,
       ..., 2 <a, tau_(n-1) b>).  A unit b and a unit a orthogonal to
       tau_1 b, ..., tau_(n-1) b give phi(x) = 0, and so does a kernel vector.
     """
-    report = classify(phi, tol)
-    if not report.is_umbilical:
+    _, u, pos, projection, _, _, _, groups = _decompose(phi, tol)
+    if len(groups) != 1:
         raise NotUmbilical("positive eigenvalues are not all equal")
-    holds = report.is_q_nonsingular and phi.n == phi.m // 2 + 1
-    return SphereRestrictionReport(holds=holds, radius=report.positive_eigenvalues[0],
+    holds = projection is None and phi.n == phi.m // 2 + 1
+    return SphereRestrictionReport(holds=holds, radius=float(pos[0]) * u,
                                    max_defect=0.0 if holds else 1.0)

@@ -1,9 +1,9 @@
 """One owner per spectral gate: inside the package, qhm._decompose alone
-raises the rank, odd-rank and +/- pairing gates of a map, the public
-project_nonsingular alone checks the eigenvalue zero pattern against the
-rank, clifford.to_standard_representation alone raises the sign-count and
-+-1 gates of a Clifford system's first member, and core.eigenspace_split,
-which both reach, raises nothing."""
+raises the rank, odd-rank, +/- pairing and block-relation gates of a map,
+the public project_nonsingular alone checks the eigenvalue zero pattern
+against the rank, clifford.to_standard_representation alone raises the
+sign-count and +-1 gates of a Clifford system's first member, and
+core.eigenspace_split, which both reach, raises nothing."""
 
 import ast
 
@@ -23,6 +23,10 @@ MESSAGES = {
     # raise statement spells it out
     "do not pair as +/-": {"qhm._decompose"},
     "eigenvalue zero pattern": {"qhm.project_nonsingular"},
+    # the block relations of the normal form
+    "does not commute with a block": {"qhm._decompose"},
+    "block gram matrix does not match": {"qhm._decompose"},
+    "transpose anticommutation relation": {"qhm._decompose"},
     "eigenvalue signs split": {"clifford.to_standard_representation"},
     "eigenvalues are not +-1": {"clifford.to_standard_representation"},
 }

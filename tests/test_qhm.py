@@ -597,15 +597,16 @@ def test_single_function_transforms_come_from_one_normal_form(k, lams, seed, pad
 
 
 def test_single_function_residual_is_never_a_nan_read_as_zero(monkeypatch, split_scale_map):
-    original = qhm._normal_form_core
+    # the NaN goes into the returned normal form, past the block relations
+    original = qhm._decompose
 
     def nan_in_component_3(*args, **kwargs):
-        nf = original(*args, **kwargs)
+        *head, nf, d, groups = original(*args, **kwargs)
         block = to_float(nf.B[1]).copy()
         block[0, 0] = np.nan
-        return replace(nf, B=(nf.B[0], block))
+        return (*head, replace(nf, B=(nf.B[0], block)), d, groups)
 
-    monkeypatch.setattr(qhm, "_normal_form_core", nan_in_component_3)
+    monkeypatch.setattr(qhm, "_decompose", nan_in_component_3)
     with pytest.raises(VerificationError) as err:
         qhm.single_function_representation(split_scale_map)
     assert (err.value.i, err.value.j) == (1, 3)
@@ -717,10 +718,11 @@ def with_kernel(phi, size=2):
 
 @pytest.mark.parametrize("make", [
     lambda: with_kernel(qhm.from_clifford(clifford.construct_irreducible(3))),
+    lambda: with_kernel(qhm.from_clifford(clifford.construct_irreducible(3)), size=1),
     lambda: qhm.verify_qhm(two_scale(clifford.construct_irreducible(3).matrices)),
     lambda: qhm.verify_qhm(two_scale(float_canonical(2))),
     coupled_map,
-], ids=["kernel", "two scales", "two float scales", "coupled scales"])
+], ids=["kernel", "kernel on odd m", "two scales", "two float scales", "coupled scales"])
 def test_only_umbilical_maps_scale_to_a_clifford_system(make):
     with pytest.raises(NotUmbilical, match="not lambda\\^2 I"):
         qhm.clifford_system(make())
@@ -890,6 +892,58 @@ def test_short_prefix_is_not_domain_minimal():
     prefix = qhm.verify_qhm(hopf(4).components[:3])
     with pytest.raises(NotDomainMinimal):
         qhm.range_extend(prefix)
+
+
+def test_decomposition_readers_reject_the_coupled_map():
+    """range_extend and sphere_restriction_check read _decompose and build
+    no splitting, so the coupled map meets their scale gates; only classify
+    bounds the blocks' coupling (RankMismatch)."""
+    phi = coupled_map()
+    with pytest.raises(NotDomainMinimal, match="distinct eigenvalue scales"):
+        qhm.range_extend(phi)
+    with pytest.raises(NotUmbilical, match="not all equal"):
+        qhm.sphere_restriction_check(phi)
+
+
+def decomposition_reader_maps():
+    """construct_irreducible(1..9) exact, as a seeded float conjugate, padded
+    with one and with two zero coordinates, and the conjugated sum
+    3 phi + 2 phi, plus the exact plane map: 46 verified maps."""
+    maps = []
+    for k in range(1, 10):
+        members = clifford.construct_irreducible(k).matrices
+        two_m = members[0].shape[0]
+        g, g2 = random_orthogonal(two_m, 300 + k), random_orthogonal(2 * two_m, 400 + k)
+        maps += [members, [g @ to_float(P) @ g.T for P in members],
+                 [np.pad(P, (0, 1)) for P in members], [np.pad(P, (0, 2)) for P in members],
+                 [g2 @ to_float(core.block_diag2(3 * P, 2 * P)) @ g2.T for P in members]]
+    maps.append([np.array([[3, 4], [4, -3]], dtype=np.int64)])
+    return [qhm.verify_qhm(m) for m in maps]
+
+
+# SHA-256 of the outputs, taken while both routines still read classify
+DECOMPOSITION_READERS_SHA256 = "74d43e914d202aa772f07f1688cf16dfccbf093b3dfc149eae4ddc1ddf98a3b5"
+
+
+def test_decomposition_readers_keep_every_output():
+    def outcome(func, phi):
+        try:
+            return func(phi)
+        except VerificationError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    maps = decomposition_reader_maps()
+    assert len(maps) == 46
+    digest = hashlib.sha256()
+    for phi in maps:
+        extended = outcome(qhm.range_extend, phi)
+        if isinstance(extended, str):
+            digest.update(extended.encode())
+        else:
+            for A in extended.components:
+                digest.update(A.dtype.str.encode() + to_float(A).tobytes())
+        digest.update(repr(outcome(qhm.sphere_restriction_check, phi)).encode())
+    assert digest.hexdigest() == DECOMPOSITION_READERS_SHA256
 
 
 # ---------------------------------------------------------------------------
