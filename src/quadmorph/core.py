@@ -16,6 +16,7 @@ generation) happens in approx mode on top of LAPACK via numpy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,29 +88,36 @@ def as_matrix(rows):
     below 2^32 and in Python integers (object) beyond, exact rationals in
     object dtype, anything float in float64; NaN and inf raise ValueError,
     and nested data that is no rectangular table of rows ShapeMismatch.
+    A table of Python integers is read by one int64 array call; other
+    tables are coerced entry by entry.
     """
     if isinstance(rows, np.ndarray):
         if rows.dtype == object or rows.dtype == np.int64:
             return rows
         if np.issubdtype(rows.dtype, np.integer):
-            return rows.astype(np.int64 if _peak(rows) < 2**32 else object)
+            return _integer_storage(rows)
         if np.issubdtype(rows.dtype, np.floating):
             return _finite(rows.astype(np.float64, copy=False))
         raise TypeError(f"unsupported dtype {rows.dtype}")
     widths = {len(row) if isinstance(row, (list, tuple, np.ndarray)) else -1 for row in rows}
     if len(widths) != 1 or -1 in widths:
         raise ShapeMismatch("matrix data must be a rectangular table of rows")
-    data = [[_coerce_scalar(x) for x in row] for row in rows]
-    flat = [x for row in data for x in row]
-    if any(isinstance(x, float) for x in flat):
-        return _finite(np.array([[float(x) for x in row] for row in data], dtype=np.float64))
-    if all(isinstance(x, int) for x in flat) and all(abs(x) < 2**32 for x in flat):
-        return np.array(data, dtype=np.int64)
-    out = np.empty((len(data), len(data[0])), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+    if not all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(rows)))):
+        rows = [[_coerce_scalar(x) for x in row] for row in rows]
+        flat = [x for row in rows for x in row]
+        if any(isinstance(x, float) for x in flat):
+            return _finite(np.array([[float(x) for x in row] for row in rows], dtype=np.float64))
+        if not all(isinstance(x, int) for x in flat):
+            return np.array(rows, dtype=object)
+    try:
+        return _integer_storage(np.array(rows, dtype=np.int64))
+    except OverflowError:  # beyond int64
+        return np.array([[int(x) for x in row] for row in rows], dtype=object)
+
+
+def _integer_storage(a):
+    """int64 below 2^32 in absolute value, Python integers (object) beyond."""
+    return a.astype(np.int64 if _peak(a) < 2**32 else object, copy=False)
 
 
 def _finite(a):

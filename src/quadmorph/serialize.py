@@ -18,6 +18,7 @@ the result before trusting the mathematics.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import NamedTuple
@@ -98,20 +99,22 @@ def _require(cond, msg):
         raise DocumentFormatError(msg)
 
 
+# per scalars tag: the entry types a document may hold, and the rule's wording
+_ENTRIES = {"rational": ((int, str), "rational entries must be integers or 'p/q' strings"),
+            "float": ((int, float), "float entries must be numbers")}
+
+
 def _decode_matrix(rows, scalars: str, pos: int):
     _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
              f"matrix {pos} is not a non-empty list of rows")
     width = len(rows[0])
     _require(width > 0 and all(len(r) == width for r in rows),
              f"matrix {pos} is not rectangular")
-    for r in rows:
-        for v in r:
-            if scalars == "rational":
-                _require(isinstance(v, (int, str)) and not isinstance(v, bool),
-                         f"matrix {pos}: rational entries must be integers or 'p/q' strings")
-            else:
-                _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                         f"matrix {pos}: float entries must be numbers")
+    allowed, what = _ENTRIES[scalars]
+    # isinstance(v, C) is issubclass(type(v), C): one check per distinct entry type
+    _require(all(issubclass(t, allowed) and not issubclass(t, bool)
+                 for t in set(map(type, itertools.chain.from_iterable(rows)))),
+             f"matrix {pos}: {what}")
     try:
         if scalars == "float":
             return as_matrix(np.array(rows, dtype=np.float64))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmorph import clifford, core, orthomul, osystem, qhm
+from quadmorph import clifford, core, orthomul, osystem, qhm, serialize
 from quadmorph.core import IDENTITY_TOL, random_orthogonal, sample_points, to_float
 from quadmorph.errors import (
     AlreadyRangeMaximal,
@@ -1390,8 +1390,12 @@ def test_verify_at_two_m_512(monkeypatch):
     A_1^2 is diagonal, so no component is ranked by elimination.  On float
     input the sampled route holds one block of shifted points and products,
     not the three arrays of samples * m^2 floats (~50 MB at 8 samples) of
-    evaluating every point at once."""
+    evaluating every point at once.  The members' document decodes back to
+    int64 members bit for bit."""
     cs = clifford.construct_irreducible(17)
+    back = serialize.decode(serialize.loads(serialize.dumps(serialize.encode(cs))))
+    assert all(b.dtype == np.int64 and np.array_equal(b, a)
+               for a, b in zip(cs.matrices, back.matrices, strict=True))
     phi, residuals = qhm.check_qhm(cs.matrices, samples=8)
     assert (phi.m, phi.n) == (512, 18)
     assert max(residuals.values()) <= IDENTITY_TOL

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmorph import clifford, core, orthomul, osystem, qhm, serialize
 from quadmorph.core import random_orthogonal, to_float
-from quadmorph.errors import DocumentFormatError
+from quadmorph.errors import DocumentFormatError, ShapeMismatch
 
-from conftest import eight_dim_triple
+from conftest import count_calls, eight_dim_triple
 
 
 def padded_complex_multiplication():
@@ -242,3 +244,143 @@ class TestRejections:
     def test_encode_refuses_foreign_objects(self):
         with pytest.raises(DocumentFormatError):
             serialize.encode({"not": "a system"})
+
+
+# ---------------------------------------------------------------------------
+# the entry rule: decode checks each distinct entry type once, and integer
+# tables become one int64 array; the per-entry validator and coercion it
+# replaced are kept here as the oracle
+
+
+def _entrywise_coerce(x):
+    if isinstance(x, str):
+        return Fraction(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, np.floating)):
+        return float(x)
+    raise TypeError(f"unsupported scalar {x!r}")
+
+
+def _entrywise_as_matrix(rows):
+    if isinstance(rows, np.ndarray):
+        a = rows.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite numbers")
+        return a
+    widths = {len(row) if isinstance(row, (list, tuple, np.ndarray)) else -1 for row in rows}
+    if len(widths) != 1 or -1 in widths:
+        raise ShapeMismatch("matrix data must be a rectangular table of rows")
+    data = [[_entrywise_coerce(x) for x in row] for row in rows]
+    flat = [x for row in data for x in row]
+    if any(isinstance(x, float) for x in flat):
+        return _entrywise_as_matrix(np.array([[float(x) for x in row] for row in data]))
+    if all(isinstance(x, int) for x in flat) and all(abs(x) < 2**32 for x in flat):
+        return np.array(data, dtype=np.int64)
+    out = np.empty((len(data), len(data[0])), dtype=object)
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            out[i, j] = x
+    return out
+
+
+def _entrywise_decode_matrix(rows, scalars, pos):
+    def require(cond, msg):
+        if not cond:
+            raise DocumentFormatError(msg)
+
+    require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
+            f"matrix {pos} is not a non-empty list of rows")
+    width = len(rows[0])
+    require(width > 0 and all(len(r) == width for r in rows), f"matrix {pos} is not rectangular")
+    for r in rows:
+        for v in r:
+            if scalars == "rational":
+                require(isinstance(v, (int, str)) and not isinstance(v, bool),
+                        f"matrix {pos}: rational entries must be integers or 'p/q' strings")
+            else:
+                require(isinstance(v, (int, float)) and not isinstance(v, bool),
+                        f"matrix {pos}: float entries must be numbers")
+    try:
+        if scalars == "float":
+            return _entrywise_as_matrix(np.array(rows, dtype=np.float64))
+        return _entrywise_as_matrix(rows)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise DocumentFormatError(f"matrix {pos}: {exc}") from exc
+
+
+def _outcome(decode_matrix, rows, scalars):
+    """The dtype, shape and (type, repr) of every entry, or the exception."""
+    try:
+        M = decode_matrix(rows, scalars, 3)
+    except Exception as exc:  # the oracle and decode must fail alike
+        return type(exc), str(exc)
+    return M.dtype, M.shape, [[(type(v), repr(v)) for v in row] for row in M.tolist()]
+
+
+INT_EDGES = [2**32 - 1, -(2**32 - 1), 2**32, -2**32, -2**63, 2**63, 2**64, 10**30]
+ENTRY_KINDS = [
+    st.integers(-5, 5),
+    st.sampled_from(INT_EDGES),
+    st.booleans(),
+    st.floats(),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from(["1/0", None, [1, 2], "two"]),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+]
+
+
+@st.composite
+def entry_tables(draw):
+    """A small table whose entries come from one or two of ENTRY_KINDS, so
+    that valid tables of each kind are drawn as well as mixed ones."""
+    kinds = draw(st.lists(st.sampled_from(range(len(ENTRY_KINDS))), min_size=1, max_size=2))
+    entries = st.one_of(*(ENTRY_KINDS[k] for k in kinds))
+    height, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [[draw(entries) for _ in range(width)] for _ in range(height)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=entry_tables(), scalars=st.sampled_from(["rational", "float"]))
+def test_decode_matches_the_entrywise_rule(rows, scalars):
+    assert _outcome(serialize._decode_matrix, rows, scalars) == \
+        _outcome(_entrywise_decode_matrix, rows, scalars)
+
+
+@pytest.mark.parametrize("v", [2**32 - 1, -(2**32 - 1)])
+def test_entries_below_2_32_decode_to_int64(v):
+    M = serialize._decode_matrix([[v, 1], [0, -v]], "rational", 1)
+    assert M.dtype == np.int64
+    assert M.tolist() == [[v, 1], [0, -v]]
+
+
+@pytest.mark.parametrize("v", [2**32, -2**32, -2**63, 2**63, 2**64])
+def test_entries_from_2_32_decode_to_python_integers(v):
+    M = serialize._decode_matrix([[v, 1], [0, -1]], "rational", 1)
+    assert M.dtype == object
+    assert all(type(x) is int for x in M.ravel())
+    assert M.tolist() == [[v, 1], [0, -1]]
+
+
+def test_numpy_scalars_in_library_built_documents():
+    M = serialize._decode_matrix([[np.float64(0.5), 1], [0, -0.5]], "float", 1)
+    assert M.dtype == np.float64 and M.tolist() == [[0.5, 1.0], [0.0, -0.5]]
+    with pytest.raises(DocumentFormatError,
+                       match=r"^matrix 1: rational entries must be integers or 'p/q' strings$"):
+        serialize._decode_matrix([[np.int64(1), 0], [0, -1]], "rational", 1)
+
+
+def test_integer_and_float_documents_are_not_coerced_entry_by_entry(monkeypatch):
+    exact = serialize.encode(clifford.construct_irreducible(5))
+    floats = serialize.encode(qhm.verify_qhm([to_float(M) for M in eight_dim_triple()]))
+    assert (exact["scalars"], floats["scalars"]) == ("rational", "float")
+    calls = count_calls(monkeypatch, core, "_coerce_scalar")
+    assert serialize.decode(exact).matrices[0].dtype == np.int64
+    assert serialize.decode(floats).components[0].dtype == np.float64
+    assert calls == []
+    # the counter sees the entrywise route that rational strings still take
+    serialize._decode_matrix([["1/2", 0], [0, "-1/2"]], "rational", 1)
+    assert len(calls) == 4
