@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     IDENTITY_TOL,
+    _orthogonal_relation,
     block_diag2,
     check_symmetric,
     eigenspace_split,
@@ -32,7 +33,6 @@ from .core import (
     identity_matrix,
     is_exact,
     ordered_product,
-    pairwise_relation,
     spectral_decompose,
     square_matrices,
     to_float,
@@ -88,9 +88,8 @@ def check_clifford(candidate, tol: float = IDENTITY_TOL):
     size = mats[0].shape[0]
     if size % 2 != 0:
         raise OddDimension(size)
-    check_symmetric(mats, tol)
-    eye = identity_matrix(size, exact=is_exact(mats[0]))
-    worst, failure = pairwise_relation(mats, eye, tol=tol)
+    check_symmetric(mats, tol)  # a Clifford system is an O-system of symmetric members
+    worst, failure = _orthogonal_relation(mats, tol)
     if failure:
         raise AnticommutationViolated(*failure)
     system = CliffordSystem(two_m=size, n=len(mats), matrices=tuple(mats))
@@ -261,12 +260,15 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
     form a projection whose norm overflows or holds a NaN gives a zero or
     NaN R, which the callers' certificate rejects.  The callers certify R
     (R S_i R^T = T_i, which is T_i R = R S_i for orthogonal R).  Both must
-    be the same nonzero length; an unconstrained search is the caller's.
+    be the same nonzero length (ValueError), with members square of one
+    size (ShapeMismatch); an unconstrained search is the caller's.
     """
     if not len(targets) or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
     targets, sources = to_float(np.asarray(targets)), to_float(np.asarray(sources))
     m = sources.shape[-1]
+    if sources.ndim != 3 or targets.shape != sources.shape or sources.shape[1] != m:
+        raise ShapeMismatch("targets and sources must be square matrices of one size")
     X = _seeded_start(seed, m).copy()
     TX, Y = np.empty_like(X), np.empty_like(X)
     for T, S in zip(targets, sources):

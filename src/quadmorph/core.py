@@ -102,7 +102,12 @@ def as_matrix(rows):
     widths = {len(row) if isinstance(row, (list, tuple, np.ndarray)) else -1 for row in rows}
     if len(widths) != 1 or -1 in widths:
         raise ShapeMismatch("matrix data must be a rectangular table of rows")
-    if not all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(rows)))):
+    return _table_matrix(rows, set(map(type, itertools.chain.from_iterable(rows))))
+
+
+def _table_matrix(rows, types):
+    """as_matrix of a rectangular table whose entries' distinct types are types."""
+    if not all(issubclass(t, int) for t in types):
         rows = [[_coerce_scalar(x) for x in row] for row in rows]
         flat = [x for row in rows for x in row]
         if any(isinstance(x, float) for x in flat):
@@ -286,23 +291,18 @@ def ordered_product(mats):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pairwise_relation(mats, target=None, transpose: bool = False,
-                      tol: float = IDENTITY_TOL):
-    """Check L(M_i) M_j + L(M_j) M_i = 2 delta_ij T over the pairs i <= j in
-    row order, L being the transpose or the identity and T defaulting to
-    L(M_1) M_1 (all L(M_i) M_i agree).  Exact members compare bit for bit;
-    float members compare rel_residual(L(M_i) M_i, T) and
-    |L(M_i) M_j + L(M_j) M_i| / max(1, |M_i| |M_j|) against tol.
+def pairwise_relation(mats, target=None, tol: float = IDENTITY_TOL):
+    """Check M_i^T M_j + M_j^T M_i = 2 delta_ij T over the pairs i <= j in
+    row order, T defaulting to M_1^T M_1 (all M_i^T M_i agree), with one
+    product X = M_i^T M_j per off-diagonal pair, summed as X + X^T.  On
+    symmetric members this is the Clifford relation; its callers check
+    symmetry first.  Exact members compare bit for bit; float members
+    compare rel_residual(M_i^T M_i, T) and
+    |M_i^T M_j + M_j^T M_i| / max(1, |M_i| |M_j|) against tol.
     Returns (worst residual, first failing pair as 1-based (i, j, residual)
     or None); an exact failure reports its absolute Frobenius residual.
     Float products may overflow on finite input: an inf or NaN residual
     rejects.
-
-    For the transposed relation an off-diagonal pair costs one product
-    X = M_i^T M_j, summed as X + X^T, since M_j^T M_i = X^T.  Exact
-    members give bit for bit the two-product value; float residuals equal
-    the two-product ones up to the summation order of the matrix product.
-    The plain relation takes both products.
     """
     exact = is_exact(mats[0])
     if exact:
@@ -310,20 +310,18 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
         mats = [M.astype(dtype, copy=False) for M in mats]
         if target is not None and dtype == np.float64:
             target = target.astype(np.float64)
-    left = [M.T for M in mats] if transpose else mats
     if target is None:
-        target = left[0] @ mats[0]
+        target = mats[0].T @ mats[0]
     norms = [1.0 if exact else frobenius(M) for M in mats]
     target_norm = 1.0 if exact else frobenius(target)
     worst = 0.0
     for i in range(len(mats)):
         for j in range(i, len(mats)):
             if i == j:
-                value, expected, scale = left[i] @ mats[i], target, target_norm
+                value, expected, scale = mats[i].T @ mats[i], target, target_norm
             else:
-                product = left[i] @ mats[j]
-                value = product + (product.T if transpose else left[j] @ mats[i])
-                expected, scale = 0, norms[i] * norms[j]
+                product = mats[i].T @ mats[j]
+                value, expected, scale = product + product.T, 0, norms[i] * norms[j]
             if exact:
                 failed = not np.all(value == expected)
                 resid = frobenius(value - expected) if failed else 0.0
@@ -334,6 +332,13 @@ def pairwise_relation(mats, target=None, transpose: bool = False,
                 return worst, (i + 1, j + 1, resid)
             worst = max(worst, resid)
     return worst, None
+
+
+def _orthogonal_relation(mats, tol):
+    """pairwise_relation with T = I_q on d x q matrices of one mode: O-system
+    members, orthomul's slices, and symmetry-checked Clifford members."""
+    eye = identity_matrix(mats[0].shape[1], exact=is_exact(mats[0]))
+    return pairwise_relation(mats, eye, tol=tol)
 
 
 # ---------------------------------------------------------------------------

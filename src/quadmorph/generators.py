@@ -8,8 +8,8 @@ convention (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c)) and conjugation
 (a,b)* = (a*, -b).  The product of two basis units is a signed unit; one
 table of those signs and indices, built by applying the rule to the units
 of each half, gives every left multiplication by a unit as a signed
-permutation matrix.  cayley_dickson_multiply is the general product of
-coefficient tuples, and the reference the table is tested against.
+permutation matrix; the tests check that table against the general product
+of coefficient tuples.
 
 The maximal families of mutually anticommuting skew orthogonal matrices
 follow the classical period-8 pattern: complex, quaternion and octonion
@@ -31,7 +31,6 @@ __all__ = [
     "SigmaDecomposition",
     "hurwitz_radon",
     "minimal_domain_dimension",
-    "cayley_dickson_multiply",
     "left_multiplication_matrices",
     "skew_anticommuting_family",
 ]
@@ -67,25 +66,6 @@ def minimal_domain_dimension(n: int) -> int:
         raise ValueError("n must be >= 1")
     a, r = divmod(n - 1, 8)
     return 2 ** (4 * a + r.bit_length())
-
-
-def cayley_dickson_conjugate(x):
-    return (x[0],) + tuple(-v for v in x[1:])
-
-
-def cayley_dickson_multiply(x, y):
-    """Product of coefficient tuples of length 1, 2, 4 or 8 (exact ints)."""
-    n = len(x)
-    if n == 1:
-        return (x[0] * y[0],)
-    h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
-    left = tuple(p - q for p, q in zip(cayley_dickson_multiply(a, c),
-                                       cayley_dickson_multiply(cayley_dickson_conjugate(d), b)))
-    right = tuple(p + q for p, q in zip(cayley_dickson_multiply(d, a),
-                                        cayley_dickson_multiply(b, cayley_dickson_conjugate(c))))
-    return left + right
 
 
 def _unit_table(dim: int):

@@ -21,6 +21,7 @@ import numpy as np
 from . import osystem as _osystem
 from .core import (
     IDENTITY_TOL,
+    _orthogonal_relation,
     as_matrix,
     common_mode,
     is_exact,
@@ -88,7 +89,7 @@ def check_orthomul(candidate_slices, tol: float = IDENTITY_TOL):
     if any(s.ndim != 2 or s.shape != (d, q) for s in mats):
         raise ShapeMismatch("all slices must share one shape")
     mats = list(common_mode(*mats))
-    worst, failure = _osystem._orthogonal_relation(mats, tol)
+    worst, failure = _orthogonal_relation(mats, tol)
     if failure:
         raise NotNormPreserving(*failure)
     mu = OrthogonalMultiplication(p=len(mats), q=q, n_out=d, slices=tuple(mats))
@@ -108,7 +109,7 @@ def measure(mu: OrthogonalMultiplication,
     """The slice identities of a multiplication as a report: max_defect is
     the worst residual, check_orthomul's max_norm_defect, or on slices that
     fail them the failing pair's residual, with norm_preserving False."""
-    worst, failure = _osystem._orthogonal_relation(list(mu.slices), tol)
+    worst, failure = _orthogonal_relation(list(mu.slices), tol)
     return MultiplicationReport(norm_preserving=failure is None,
                                 max_defect=failure[2] if failure else worst,
                                 exact=is_exact(mu.slices[0]))

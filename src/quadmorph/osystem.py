@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from .clifford import CliffordSystem, to_standard_representation
 from .core import (
     IDENTITY_TOL,
+    _orthogonal_relation,
     block_diag2,
     identity_matrix,
-    is_exact,
-    pairwise_relation,
     square_matrices,
     symmetric_off_diagonal,
 )
@@ -69,13 +68,6 @@ def check_osystem(candidate, tol: float = IDENTITY_TOL):
         raise AnticommutationViolated(i, j, resid, note=note)
     system = OSystem(m=size, n=len(mats), matrices=tuple(mats))
     return system, {"max_relation_residual": worst}
-
-
-def _orthogonal_relation(mats, tol):
-    """pairwise_relation of M_i^T M_j + M_j^T M_i = 2 delta_ij I_q on d x q
-    matrices of one mode: O-system members and orthomul's slices."""
-    eye = identity_matrix(mats[0].shape[1], exact=is_exact(mats[0]))
-    return pairwise_relation(mats, eye, transpose=True, tol=tol)
 
 
 def verify_osystem(candidate, tol: float = IDENTITY_TOL) -> OSystem:

@@ -34,6 +34,7 @@ from .core import (
     EIG_PAIR_TOL,
     IDENTITY_TOL,
     RANK_TOL,
+    _finite,
     _peak,
     block_diag2,
     check_symmetric,
@@ -368,8 +369,11 @@ def direct_sum(a: QuadraticHarmonicMorphism, b: QuadraticHarmonicMorphism) -> Qu
 def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
     """Multiply every component by a scalar.  int64 components times an
     integer stay exact: int64 while every entry stays below 2^32, as in
-    as_matrix, Python integers beyond.  Not re-verified: a zero factor gives
-    the zero tuple, which is only usable inside direct sums."""
+    as_matrix, Python integers beyond.  A NaN or infinite factor raises
+    ValueError.  Not re-verified: a zero factor gives the zero tuple, which
+    is only usable inside direct sums."""
+    if isinstance(factor, (float, np.floating)):
+        _finite(np.asarray(factor))
     mats = phi.components
     if (isinstance(factor, (int, np.integer)) and all(M.dtype == np.int64 for M in mats)
             and max(_peak(M) for M in mats) * abs(int(factor)) >= 2**32):
@@ -417,7 +421,7 @@ def _decompose(phi, tol):
     if blocks:
         if any(not rel_residual(Df @ M, M @ Df) <= tol for M in blocks):
             raise RankMismatch("eigenvalue matrix does not commute with a block")
-        _, failure = pairwise_relation(blocks, Df @ Df, transpose=True, tol=tol)
+        _, failure = pairwise_relation(blocks, Df @ Df, tol=tol)
         if failure:
             raise RankMismatch("block gram matrix does not match the squared eigenvalues"
                                if failure[0] == failure[1] else

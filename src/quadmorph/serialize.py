@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import CliffordSystem, check_clifford
-from .core import as_matrix, is_exact
+from .core import _table_matrix, as_matrix, is_exact
 from .errors import DocumentFormatError
 from .orthomul import OrthogonalMultiplication, check_orthomul
 from .osystem import OSystem, check_osystem
@@ -112,13 +112,13 @@ def _decode_matrix(rows, scalars: str, pos: int):
              f"matrix {pos} is not rectangular")
     allowed, what = _ENTRIES[scalars]
     # isinstance(v, C) is issubclass(type(v), C): one check per distinct entry type
-    _require(all(issubclass(t, allowed) and not issubclass(t, bool)
-                 for t in set(map(type, itertools.chain.from_iterable(rows)))),
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    _require(all(issubclass(t, allowed) and not issubclass(t, bool) for t in types),
              f"matrix {pos}: {what}")
     try:
         if scalars == "float":
             return as_matrix(np.array(rows, dtype=np.float64))
-        return as_matrix(rows)
+        return _table_matrix(rows, types)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DocumentFormatError(f"matrix {pos}: {exc}") from exc
 

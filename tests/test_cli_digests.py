@@ -431,7 +431,7 @@ DIGESTS = {
     'verify clifford-broken':
         'd67eab2f1607edce9442f8949cbca29bdc8aac5893d65a015f3a0c8b070de26a',
     'verify clifford-float':
-        'f8fe9c532bc96df865a6360954cbdaf1afa8a1d1f3774a12fd18756224cedcac',
+        '70be3ac8fe60e15c3cfe12dab04525e5a60a8c6f30fef58661324d471f839910',
     'verify clifford-malformed':
         '031908e415cb9ef26ba445cee9a71edcfd58e1d826582d666b79046881ebb596',
     'verify orthomul':

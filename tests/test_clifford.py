@@ -450,6 +450,16 @@ def test_intertwiner_rejects_mismatched_lists():
         clifford.find_orthogonal_intertwiner(np.eye(2)[None], np.empty((0, 2, 2)))
 
 
+def test_intertwiner_refuses_members_of_different_sizes(c85):
+    narrow, wide = c85.matrices, clifford.construct_irreducible(5).matrices[:5]
+    assert narrow[0].shape == (8, 8) and wide[0].shape == (16, 16)
+    for targets, sources in ((narrow, wide), (wide, narrow)):
+        with pytest.raises(ShapeMismatch):
+            clifford.find_orthogonal_intertwiner(targets, sources)
+    with pytest.raises(ShapeMismatch):
+        clifford.find_orthogonal_intertwiner([np.eye(2, 3)], [np.eye(2, 3)])
+
+
 def test_intertwiner_takes_member_stacks(c85):
     g = random_orthogonal(8, 5)
     sources = [to_float(P) for P in c85.matrices]

@@ -1,4 +1,5 @@
 import functools
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -335,6 +336,10 @@ class TestPairwiseRelation:
         assert failure is not None and failure[:2] == (1, 1)
         assert core.pairwise_relation([wrap])[1] is None  # one member agrees with itself
 
+    def test_the_relation_has_no_transpose_knob(self):
+        params = inspect.signature(core.pairwise_relation).parameters
+        assert list(params) == ["mats", "target", "tol"]
+
     def test_integer_target_counts_toward_the_float64_bound(self):
         # the square is 2^53 everywhere, within the float64 bound, but float64
         # would round the target's 2^53 + 1 onto it
@@ -345,15 +350,15 @@ class TestPairwiseRelation:
         assert core.pairwise_relation([member], target)[1] == (1, 1, 1.0)
 
 
-def _python_first_failure(rows, transpose, identity):
-    """The first pair (i, j, Frobenius residual) failing L(M_i) M_j + L(M_j) M_i
+def _python_first_failure(rows, identity):
+    """The first pair (i, j, Frobenius residual) failing M_i^T M_j + M_j^T M_i
     = 2 delta_ij T in unbounded Python integers, or None."""
     n = len(rows[0])
 
     def mul(a, b):
         return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
 
-    left = [[list(col) for col in zip(*M)] if transpose else M for M in rows]
+    left = [[list(col) for col in zip(*M)] for M in rows]
     target = ([[int(r == c) for c in range(n)] for r in range(n)] if identity
               else mul(left[0], rows[0]))
     for i in range(len(rows)):
@@ -397,28 +402,29 @@ A26, B26 = 2**26, 2**26 + 1  # 2 * A26^2 = 2^53; A26^2 + B26^2 = 2^53 + 2^27 + 1
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_members(), st.booleans(), st.booleans())
-@example([[[1438793759, 4046803256], [4046803256, -1438793759]]] * 2, False, True)
+@given(integer_members(), st.booleans())
+@example([[[1438793759, 4046803256], [4046803256, -1438793759]]] * 2, True)
 # size * peak^2 = 2^53 exactly: the largest members that take the float64 route
-@example([[[A26, 0], [0, -A26]], [[0, A26], [A26, 0]]], False, False)
-@example([[[A26, 0], [0, -A26]], [[0, A26], [A26, 1]]], True, False)
-@example([[[A26, A26], [A26, A26]]], False, True)
+@example([[[A26, 0], [0, -A26]], [[0, A26], [A26, 0]]], False)
+@example([[[A26, 0], [0, -A26]], [[0, A26], [A26, 1]]], False)
+@example([[[A26, A26], [A26, A26]]], True)
 # size * peak^2 = 2^53 + 2^28 + 2, just past it: products and sums beyond 2^53
-@example([[[A26, B26], [B26, -A26]], [[-B26, A26], [A26, B26]]], False, False)
-@example([[[A26, B26], [B26, -A26]]], False, True)
-@example([[[A26, B26], [B26, -A26]], [[-B26 + 1, A26], [A26, B26]]], True, False)
-def test_exact_relation_verdict_matches_python_integers(rows, transpose, identity):
+@example([[[A26, B26], [B26, -A26]], [[-B26, A26], [A26, B26]]], False)
+@example([[[A26, B26], [B26, -A26]]], True)
+@example([[[A26, B26], [B26, -A26]], [[-B26 + 1, A26], [A26, B26]]], False)
+def test_exact_relation_verdict_matches_python_integers(rows, identity):
     mats = [np.array(M, dtype=np.int64) for M in rows]
     size = mats[0].shape[0]
     target = np.eye(size, dtype=np.int64) if identity else None
-    _, failure = core.pairwise_relation(mats, target, transpose)
-    assert failure == _python_first_failure(rows, transpose, identity)
+    _, failure = core.pairwise_relation(mats, target)
+    assert failure == _python_first_failure(rows, identity)
 
 
 def _two_product_relation(mats, target=None, transpose=False, tol=core.IDENTITY_TOL):
-    """pairwise_relation with both products of every off-diagonal pair and
+    """L(M_i) M_j + L(M_j) M_i = 2 delta_ij T, L the transpose or the
+    identity, with both products of every off-diagonal pair and
     np.linalg.norm residuals: the reference the one-product kernel must
-    reproduce."""
+    reproduce, the plain relation (L the identity) on symmetric members."""
 
     def norm(a):
         try:
@@ -490,27 +496,64 @@ def relation_members(draw):
     return members
 
 
-@settings(max_examples=300, deadline=None)
-@given(relation_members(), st.booleans(), st.booleans(), st.sampled_from([1e-9, 1e-6]))
-@example([np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]])], False, False, 1e-9)
-@example([np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]])], True, True, 1e-9)
-def test_one_product_kernel_matches_the_two_product_loop(mats, transpose, identity, tol):
-    target = None
-    if identity:
-        target = np.eye(mats[0].shape[0], dtype=mats[0].dtype)
-    got = core.pairwise_relation(mats, target, transpose, tol)
-    want = _two_product_relation(mats, target, transpose, tol)
-    if core.is_exact(mats[0]) or not transpose:
+def _assert_agree(got, want, exact):
+    """Exact members: the same repr.  Float members: X^T and the second
+    product are separate matrix products, the same sums up to their order,
+    so the verdict and failing pair are the same and the residuals
+    (relative to the pair's scale) agree to rounding."""
+    if exact:
         assert repr(got) == repr(want)
         return
-    # float, transposed: X^T and M_j^T M_i are separate matrix products, the
-    # same sums up to their order, so the residuals (relative to the pair's
-    # scale) agree to rounding and the verdict is the same
     assert (got[1] is None) == (want[1] is None)
     assert got[1] is None or got[1][:2] == want[1][:2]
     got_resid = [got[0]] + ([got[1][2]] if got[1] else [])
     want_resid = [want[0]] + ([want[1][2]] if want[1] else [])
     assert got_resid == pytest.approx(want_resid, rel=1e-9, abs=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_members(), st.booleans(), st.sampled_from([1e-9, 1e-6]))
+@example([np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]])], False, 1e-9)
+@example([np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]])], True, 1e-9)
+def test_one_product_kernel_matches_the_two_product_loop(mats, identity, tol):
+    target = None
+    if identity:
+        target = np.eye(mats[0].shape[0], dtype=mats[0].dtype)
+    got = core.pairwise_relation(mats, target, tol)
+    _assert_agree(got, _two_product_relation(mats, target, True, tol), core.is_exact(mats[0]))
+
+
+@st.composite
+def symmetric_members(draw):
+    """Bitwise-symmetric members: a canonical system, optionally with one
+    diagonal entry of its last member shifted by 1, or a float conjugate
+    g P g^T of one, optionally perturbed by 1e-9, symmetrized as
+    (M + M^T) / 2."""
+    members = list(_canonical(draw(st.integers(1, 9))))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(members[-1]) - 1))
+            members[-1] = members[-1].copy()
+            members[-1][k, k] += 1
+        return members
+    size, seed = members[0].shape[0], draw(st.integers(0, 2**16))
+    g = core.random_orthogonal(size, seed)
+    members = [g @ core.to_float(P) @ g.T for P in members]
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        members = [M + 1e-9 * rng.standard_normal(M.shape) for M in members]
+    return [(M + M.T) / 2 for M in members]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_members(), st.booleans(), st.sampled_from([1e-9, 1e-6]))
+def test_symmetric_members_read_the_plain_relation(mats, identity, tol):
+    # P_j P_i = (P_i P_j)^T on symmetric members: the one relation is the
+    # Clifford relation P_i P_j + P_j P_i = 2 delta_ij T
+    assert all(np.array_equal(M, M.T) for M in mats)
+    target = np.eye(mats[0].shape[0], dtype=mats[0].dtype) if identity else None
+    got = core.pairwise_relation(mats, target, tol)
+    _assert_agree(got, _two_product_relation(mats, target, False, tol), core.is_exact(mats[0]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -274,6 +274,14 @@ def test_scale_by_an_integer_never_wraps_around():
     assert qhm.scale(hopf(2), Fraction(1, 3)).components[0].dtype == object
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -np.inf, np.float32("nan")])
+def test_scale_refuses_a_non_finite_factor(factor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+            qhm.scale(hopf(2), factor)
+
+
 def test_classify_rejects_blocks_that_couple_distinct_groups():
     # eigenvalues 1 + 1e-6 and 1 lie apart by more than EIG_PAIR_TOL, and the
     # block couples them by 1e-5: within verify's identity tolerance, beyond
