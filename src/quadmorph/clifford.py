@@ -265,7 +265,11 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
     """
     if not len(targets) or len(targets) != len(sources):
         raise ValueError("need matching nonempty target and source lists")
-    targets, sources = to_float(np.asarray(targets)), to_float(np.asarray(sources))
+    try:
+        targets, sources = np.asarray(targets), np.asarray(sources)
+    except ValueError:  # a list of members of two sizes, refused below
+        targets = sources = np.empty(0)
+    targets, sources = to_float(targets), to_float(sources)
     m = sources.shape[-1]
     if sources.ndim != 3 or targets.shape != sources.shape or sources.shape[1] != m:
         raise ShapeMismatch("targets and sources must be square matrices of one size")

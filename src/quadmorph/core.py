@@ -80,25 +80,27 @@ def _coerce_scalar(x):
 
 
 def as_matrix(rows):
-    """Build a matrix from nested data, picking the tightest mode.
-
-    Accepts an existing ndarray (returned with dtype normalized), or nested
-    sequences of ints, Fractions, floats, and rational strings like "2/3".
-    All-integer data (lists, integer arrays other than int64) lands in int64
-    below 2^32 and in Python integers (object) beyond, exact rationals in
-    object dtype, anything float in float64; NaN and inf raise ValueError,
-    and nested data that is no rectangular table of rows ShapeMismatch.
-    A table of Python integers is read by one int64 array call; other
-    tables are coerced entry by entry.
+    """Build a matrix from nested data, picking the tightest mode: the one
+    owner of that rule.  Accepts an ndarray, or nested sequences of ints,
+    Fractions, floats, and rational strings like "2/3".  All-integer data
+    lands in int64 below 2^32 and in Python integers (object) beyond, exact
+    rationals in object dtype, anything float in float64; NaN and inf raise
+    ValueError, and nested data that is no rectangular table ShapeMismatch.
+    int64 arrays pass through; a 2-D object array is read entry by entry
+    as the same table in a list (other object arrays pass through to the
+    caller's shape check).  A table of Python integers is read by one int64
+    array call; other tables are coerced entry by entry.
     """
     if isinstance(rows, np.ndarray):
-        if rows.dtype == object or rows.dtype == np.int64:
+        if rows.dtype == np.int64 or (rows.dtype == object and rows.ndim != 2):
             return rows
         if np.issubdtype(rows.dtype, np.integer):
             return _integer_storage(rows)
         if np.issubdtype(rows.dtype, np.floating):
             return _finite(rows.astype(np.float64, copy=False))
-        raise TypeError(f"unsupported dtype {rows.dtype}")
+        if rows.dtype != object:
+            raise TypeError(f"unsupported dtype {rows.dtype}")
+        rows = rows.tolist()
     widths = {len(row) if isinstance(row, (list, tuple, np.ndarray)) else -1 for row in rows}
     if len(widths) != 1 or -1 in widths:
         raise ShapeMismatch("matrix data must be a rectangular table of rows")
@@ -218,8 +220,8 @@ def square_matrices(candidate, noun: str) -> list:
     mats = [as_matrix(M) for M in candidate]
     if not mats:
         raise ShapeMismatch(f"need at least one of the {noun}")
-    size = mats[0].shape[0]
-    if any(M.ndim != 2 or M.shape != (size, size) for M in mats):
+    square = mats[0].shape[:1] * 2  # () for a 0-D member, which no square shape matches
+    if any(M.ndim != 2 or M.shape != square for M in mats):
         raise ShapeMismatch(f"all {noun} must be square matrices of one size")
     return list(common_mode(*mats))
 
@@ -353,12 +355,12 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def eigenvalue_clusters(values, pair_tol):
-    """Split a descending sequence into runs separated by relative gaps."""
+def eigenvalue_clusters(values):
+    """Split a descending sequence into runs apart by relative gaps > EIG_PAIR_TOL."""
     groups, start = [], 0
     n = len(values)
     for i in range(1, n + 1):
-        if i == n or values[i - 1] - values[i] > pair_tol * max(1.0, abs(values[i - 1])):
+        if i == n or values[i - 1] - values[i] > EIG_PAIR_TOL * max(1.0, abs(values[i - 1])):
             groups.append((start, i))
             start = i
     return groups
@@ -392,7 +394,7 @@ def spectral_decompose(a, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     n = len(w)
-    for lo, hi in eigenvalue_clusters(w, EIG_PAIR_TOL):
+    for lo, hi in eigenvalue_clusters(w):
         if hi - lo == 1:
             v[:, lo] = _sign_normalize(v[:, lo])
             continue

@@ -29,13 +29,11 @@ from typing import Optional
 import numpy as np
 
 from . import clifford as _clifford
-from . import osystem as _osystem
 from .core import (
     EIG_PAIR_TOL,
     IDENTITY_TOL,
     RANK_TOL,
-    _finite,
-    _peak,
+    as_matrix,
     block_diag2,
     check_symmetric,
     eigenspace_split,
@@ -70,6 +68,7 @@ from .errors import (
     SharedKernelViolated,
     ZeroMap,
 )
+from .generators import hurwitz_radon, minimal_domain_dimension
 
 __all__ = [
     "QuadraticHarmonicMorphism",
@@ -366,19 +365,18 @@ def direct_sum(a: QuadraticHarmonicMorphism, b: QuadraticHarmonicMorphism) -> Qu
     return verify_qhm([block_diag2(x, y) for x, y in zip(a.components, b.components)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
-    """Multiply every component by a scalar.  int64 components times an
-    integer stay exact: int64 while every entry stays below 2^32, as in
-    as_matrix, Python integers beyond.  A NaN or infinite factor raises
-    ValueError.  Not re-verified: a zero factor gives the zero tuple, which
-    is only usable inside direct sums."""
-    if isinstance(factor, (float, np.floating)):
-        _finite(np.asarray(factor))
-    mats = phi.components
-    if (isinstance(factor, (int, np.integer)) and all(M.dtype == np.int64 for M in mats)
-            and max(_peak(M) for M in mats) * abs(int(factor)) >= 2**32):
-        mats, factor = [M.astype(object) for M in mats], int(factor)
-    return QuadraticHarmonicMorphism(m=phi.m, n=phi.n, components=tuple(M * factor for M in mats))
+    """Multiply every component by a scalar; exact components multiply as
+    Python numbers, and every product is stored by as_matrix's rule, so an
+    integer product is int64 below 2^32 and Python integers beyond, and a
+    float one float64.  A NaN or infinite factor, or a float product beyond
+    the float64 range, raises ValueError.  Not re-verified: a zero factor
+    gives the zero tuple, which is only usable inside direct sums."""
+    if isinstance(factor, str):  # a Python integer times a string repeats it
+        raise TypeError(f"unsupported factor {factor!r}")
+    return QuadraticHarmonicMorphism(m=phi.m, n=phi.n, components=tuple(
+        as_matrix((M.astype(object) if is_exact(M) else M) * factor) for M in phi.components))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,7 @@ def _decompose(phi, tol):
                                "blocks fail the transpose anticommutation relation")
     d = np.diag(Df)
     return (phi, u, pos, projection, kernel, NormalForm(change_of_coords=G, D=D, B=B), d,
-            eigenvalue_clusters(d, EIG_PAIR_TOL))
+            eigenvalue_clusters(d))
 
 
 def classify(phi: QuadraticHarmonicMorphism,
@@ -652,12 +650,12 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
     lam = float(pos[0]) * u
     m_half = phi.m // 2
-    sigma = _osystem.hurwitz_radon(m_half).sigma
+    sigma = hurwitz_radon(m_half).sigma
     if phi.n - 1 >= sigma:
         raise AlreadyRangeMaximal(
             f"{phi.n} components is the maximum for domain dimension {phi.m}")
     # phi / lambda is a Clifford system, irreducible only on the minimal domain
-    if m_half != _clifford.minimal_domain_dimension(phi.n - 1):
+    if m_half != minimal_domain_dimension(phi.n - 1):
         raise NotDomainMinimal("the associated system splits; the map is not domain-minimal")
     # Only 4j + 1 members have two irreducible classes (told apart by the
     # product trace), and on their minimal domain sigma = 4j already; so

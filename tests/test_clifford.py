@@ -460,6 +460,14 @@ def test_intertwiner_refuses_members_of_different_sizes(c85):
         clifford.find_orthogonal_intertwiner([np.eye(2, 3)], [np.eye(2, 3)])
 
 
+def test_intertwiner_refuses_a_ragged_member_list(c85):
+    narrow, wide = c85.matrices[0], clifford.construct_irreducible(5).matrices[0]
+    ragged, even = [narrow, wide], [narrow, narrow]
+    for targets, sources in ((ragged, even), (even, ragged), (ragged, ragged)):
+        with pytest.raises(ShapeMismatch, match="^targets and sources must be square matrices of one size$"):
+            clifford.find_orthogonal_intertwiner(targets, sources)
+
+
 def test_intertwiner_takes_member_stacks(c85):
     g = random_orthogonal(8, 5)
     sources = [to_float(P) for P in c85.matrices]

@@ -77,6 +77,17 @@ class TestAsMatrix:
             with pytest.raises(ShapeMismatch):
                 verify([rows])
 
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2, 2)])
+    def test_object_arrays_that_are_no_table_stay_a_shape_mismatch(self, shape):
+        member = np.zeros(shape, dtype=object)
+        assert core.as_matrix(member) is member
+        for verify, noun in ((verify_clifford, "members"), (verify_osystem, "members"),
+                             (verify_qhm, "components")):
+            with pytest.raises(ShapeMismatch, match=f"^all {noun} must be square matrices"):
+                verify([member])
+        with pytest.raises(ShapeMismatch, match="^all slices must share one shape$"):
+            verify_orthomul([member])
+
     def test_mode_promotion_is_one_way(self):
         exact = core.as_matrix([[1, 0], [0, 1]])
         approx = core.as_matrix([[1.0, 0.0], [0.0, 1.0]])
@@ -85,6 +96,32 @@ class TestAsMatrix:
         c, d = core.common_mode(exact, core.as_matrix([[Fraction(1, 2), 0], [0, 1]]))
         assert c.dtype == object and d.dtype == object
         assert core.is_exact(c) and core.is_exact(d)
+
+
+EDGE_INTS = [2**32 - 1, -(2**32 - 1), 2**32, -(2**32), 2**63, 2**64]
+ENTRIES = st.one_of(
+    st.integers(), st.sampled_from(EDGE_INTS), st.booleans(), st.fractions(),
+    st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats().map(np.float64))
+
+
+def _mode_outcome(rows):
+    """as_matrix's dtype and entries (type and repr), or its exception."""
+    try:
+        M = core.as_matrix(rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return M.dtype, M.shape, [[(type(x), repr(x)) for x in row] for row in M.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda cols: st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=3)))
+@example([[1, 2**32]])
+@example([[0.5, Fraction(1, 3)]])
+def test_object_arrays_follow_the_list_rule(rows):
+    assert _mode_outcome(np.array(rows, dtype=object)) == _mode_outcome(rows)
 
 
 class TestResiduals:
@@ -163,7 +200,7 @@ def _gram_schmidt_decompose(a):
     w, v = np.linalg.eigh((A + A.T) / 2.0)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     chosen = []
-    for lo, hi in core.eigenvalue_clusters(w, core.EIG_PAIR_TOL):
+    for lo, hi in core.eigenvalue_clusters(w):
         if hi - lo == 1:
             v[:, lo] = core._sign_normalize(v[:, lo])
             continue
@@ -189,7 +226,7 @@ def _chosen_columns(w, v):
     index i with |b_k[i]| = |(P e_i) . b_k| > 1e-6, since every earlier
     candidate was chosen before b_k or left a residual of at most 1e-6."""
     return [[int(np.argmax(np.abs(v[:, k]) > 1e-6)) for k in range(lo, hi)]
-            for lo, hi in core.eigenvalue_clusters(w, core.EIG_PAIR_TOL) if hi - lo > 1]
+            for lo, hi in core.eigenvalue_clusters(w) if hi - lo > 1]
 
 
 def _basis_cases():
@@ -231,7 +268,7 @@ class TestClusterBasisRegression:
     def test_gap_case_is_one_cluster(self):
         _, a = BASIS_CASES[-1]
         w = core.spectral_decompose(a).eigenvalues
-        assert (2, 4) in core.eigenvalue_clusters(w, core.EIG_PAIR_TOL)
+        assert (2, 4) in core.eigenvalue_clusters(w)
 
 
 class TestExactRank:
@@ -310,7 +347,7 @@ def test_random_orthogonal_is_orthogonal_and_deterministic():
 
 
 def test_eigenvalue_clusters_gaps():
-    groups = core.eigenvalue_clusters(np.array([3.0, 3.0 - 1e-12, 2.0, 1.0, 1.0]), 1e-8)
+    groups = core.eigenvalue_clusters(np.array([3.0, 3.0 - 1e-12, 2.0, 1.0, 1.0]))
     assert groups == [(0, 2), (2, 3), (3, 5)]
 
 

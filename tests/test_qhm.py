@@ -274,6 +274,31 @@ def test_scale_by_an_integer_never_wraps_around():
     assert qhm.scale(hopf(2), Fraction(1, 3)).components[0].dtype == object
 
 
+def test_scale_stores_float_products_as_float64():
+    phi = qhm.from_clifford(clifford.construct_irreducible(2))
+    big = qhm.scale(qhm.scale(phi, 2**40), 0.5)  # Python-integer components times a float
+    third = qhm.scale(qhm.scale(phi, 2.5), Fraction(1, 3))  # float components times a Fraction
+    for scaled, value in ((big, 2.0**39), (third, 2.5 * (1 / 3))):
+        assert [M.dtype for M in scaled.components] == [np.float64] * 3
+        assert scaled.components[0][0, 0] == value
+    assert serialize.encode(qhm.verify_qhm(big.components))["scalars"] == "float"
+    assert qhm.scale(phi, np.int64(2**40)).components[0][0, 0] == 2**40  # no int64 wraparound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+            qhm.scale(qhm.scale(phi, 1e300), 1e300)
+
+
+def test_float_input_as_object_is_checked_as_float():
+    g = random_orthogonal(8, 11)
+    mats = [g @ to_float(P) @ g.T for P in clifford.construct_irreducible(3).matrices]
+    phi, residuals = qhm.check_qhm(mats)
+    as_objects, object_residuals = qhm.check_qhm([M.astype(object) for M in mats])
+    assert object_residuals == residuals and max(residuals.values()) > 0
+    assert all(np.array_equal(a, b) and b.dtype == np.float64
+               for a, b in zip(phi.components, as_objects.components))
+
+
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -np.inf, np.float32("nan")])
 def test_scale_refuses_a_non_finite_factor(factor):
     with warnings.catch_warnings():

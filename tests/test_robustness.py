@@ -124,6 +124,21 @@ def test_exact_entries_beyond_the_float_range_are_a_value_error(tmp_path):
     assert cli(["verify", str(path)]) == (2, "")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: clifford.verify_clifford(None),
+    lambda: osystem.verify_osystem(5),
+    lambda: qhm.sampled_check(clifford.construct_irreducible(2).matrices, samples=2.5),
+    lambda: clifford.construct_irreducible("3"),
+    lambda: qhm.scale(qhm.from_clifford(clifford.construct_irreducible(2)), "2"),
+])
+def test_a_value_of_the_wrong_python_type_is_a_type_error(call):
+    # the exception contract: QuadmorphError for mathematical and shape
+    # faults, ValueError for non-finite or out-of-range numbers, and
+    # TypeError for a value of the wrong Python type
+    with pytest.raises(TypeError):
+        call()
+
+
 @pytest.mark.parametrize("bad", [10**400, NAN, float("inf")])
 def test_points_must_be_finite(bad):
     phi = qhm.from_clifford(clifford.construct_irreducible(3))
