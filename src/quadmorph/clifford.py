@@ -270,9 +270,9 @@ def find_orthogonal_intertwiner(targets, sources, seed: int = 0) -> Optional[np.
     except ValueError:  # a list of members of two sizes, refused below
         targets = sources = np.empty(0)
     targets, sources = to_float(targets), to_float(sources)
-    m = sources.shape[-1]
-    if sources.ndim != 3 or targets.shape != sources.shape or sources.shape[1] != m:
+    if sources.ndim != 3 or targets.shape != sources.shape or sources.shape[1] != sources.shape[2]:
         raise ShapeMismatch("targets and sources must be square matrices of one size")
+    m = sources.shape[-1]
     X = _seeded_start(seed, m).copy()
     TX, Y = np.empty_like(X), np.empty_like(X)
     for T, S in zip(targets, sources):

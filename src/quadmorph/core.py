@@ -113,7 +113,7 @@ def _table_matrix(rows, types):
         rows = [[_coerce_scalar(x) for x in row] for row in rows]
         flat = [x for row in rows for x in row]
         if any(isinstance(x, float) for x in flat):
-            return _finite(np.array([[float(x) for x in row] for row in rows], dtype=np.float64))
+            return _finite(to_float(np.array(rows, dtype=object)))
         if not all(isinstance(x, int) for x in flat):
             return np.array(rows, dtype=object)
     try:
@@ -155,8 +155,8 @@ def to_point(x) -> np.ndarray:
 
 
 def common_mode(*arrays):
-    """Promote a group of matrices to a shared mode (exact -> approx only)."""
-    if any(a.dtype == np.float64 for a in arrays):
+    """Promote a group of matrices to a shared mode (exact -> approx only, any float dtype)."""
+    if any(a.dtype.kind == "f" for a in arrays):
         return tuple(to_float(a) for a in arrays)
     if any(a.dtype == object for a in arrays):
         return tuple(a if a.dtype == object else a.astype(object) for a in arrays)

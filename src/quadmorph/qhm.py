@@ -11,9 +11,10 @@ routine that draws sample points.
 On top of verification: classification by rank and spectrum, the block
 normal form, kernel projection, umbilical splitting, one quadratic function
 behind every component, extension up to the Radon-Hurwitz bound, sign-class
-counting, and the sphere-restriction and isoparametric reports.  Five
-readers share one decomposition (_decompose), the one owner of the rank,
-+/- pairing and block-relation gates; only classify builds the splitting.
+counting, and the sphere-restriction and isoparametric reports.  Six
+readers share one decomposition (_decompose), which ranks, projects and
+splits a map from one eigendecomposition of A_1 and owns the rank, +/-
+pairing and block-relation gates; only classify builds the splitting.
 lambda^2 = tr(A_1^2) / m (_square_scale) is the scale of the isoparametric
 identity and of clifford_system, which reads umbilicity from the Clifford
 relation."""
@@ -33,9 +34,11 @@ from .core import (
     EIG_PAIR_TOL,
     IDENTITY_TOL,
     RANK_TOL,
+    SpectralDecomposition,
     as_matrix,
     block_diag2,
     check_symmetric,
+    common_mode,
     eigenspace_split,
     eigenvalue_clusters,
     frobenius,
@@ -235,11 +238,6 @@ def _square_scale(M):
     return float(np.vdot(M, M)) / len(M)
 
 
-def _unit_map(phi):
-    mats, u = _unit_scale(phi.components)
-    return replace(phi, components=tuple(mats)), u
-
-
 def _times(M, u):  # back in the caller's units, exactly in either mode
     return M if u == 1 else M * (Fraction(u) if M.dtype == object else u)
 
@@ -367,16 +365,16 @@ def direct_sum(a: QuadraticHarmonicMorphism, b: QuadraticHarmonicMorphism) -> Qu
 
 @np.errstate(over="ignore", invalid="ignore")
 def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
-    """Multiply every component by a scalar; exact components multiply as
-    Python numbers, and every product is stored by as_matrix's rule, so an
-    integer product is int64 below 2^32 and Python integers beyond, and a
-    float one float64.  A NaN or infinite factor, or a float product beyond
-    the float64 range, raises ValueError.  Not re-verified: a zero factor
-    gives the zero tuple, which is only usable inside direct sums."""
+    """Multiply every component by a scalar in their common_mode: by an exact
+    factor as Python numbers, by a float one in float64 (to_float).  Every
+    product is stored by as_matrix's rule: int64 below 2^32, Python integers
+    beyond, float64 for floats.  A NaN or infinite factor, or a float value
+    beyond the float64 range, raises ValueError.  Not re-verified: a zero
+    factor gives the zero tuple, which is only usable inside direct sums."""
     if isinstance(factor, str):  # a Python integer times a string repeats it
         raise TypeError(f"unsupported factor {factor!r}")
-    return QuadraticHarmonicMorphism(m=phi.m, n=phi.n, components=tuple(
-        as_matrix((M.astype(object) if is_exact(M) else M) * factor) for M in phi.components))
+    return replace(phi, components=tuple(as_matrix(np.multiply(*common_mode(
+        M.astype(object) if is_exact(M) else M, np.asarray(factor)))) for M in phi.components))
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +383,36 @@ def scale(phi: QuadraticHarmonicMorphism, factor) -> QuadraticHarmonicMorphism:
 
 def _decompose(phi, tol):
     """The one decomposition of a map, at unit scale (_unit_scale): (unit
-    map, u, A_1's positive eigenvalues, projection and kernel rows or None,
-    the core's normal form, its diagonal d, d's groups as (lo, hi) ranges).
+    map, u, projection and kernel rows or None, the full-rank core, its
+    normal form, its diagonal d, d's groups as (lo, hi) ranges).
 
-    Only A_1 is ranked and decomposed (the projected core once more):
-    A_i^2 = A_1^2 and anticommutation give every component A_1's rank and
-    spectrum, whose kept eigenvalues must pair as +/- by count and by value;
-    the shared-kernel check, the corner bound and the block relations
-    (NormalForm's) re-check every later component.
+    One eigendecomposition of A_1 serves all of it: A_i^2 = A_1^2 and
+    anticommutation give every component A_1's rank and spectrum.  Its
+    eigenvalues above RANK_TOL times the largest are kept: they count a
+    float map's rank (numeric_rank an exact one's), must pair as +/- by
+    count and by value, and with the identity decompose a core projected
+    along their eigenvectors.  The shared-kernel check, the corner bound
+    and the block relations (NormalForm's) re-check every later component.
     """
-    phi, u = _unit_map(phi)
-    q_rank = numeric_rank(phi.components[0])
+    mats, u = _unit_scale(phi.components)
+    phi = replace(phi, components=tuple(mats))
+    sd = spectral_decompose(mats[0], tol)
+    eigs = sd.eigenvalues
+    cutoff = RANK_TOL * float(np.max(np.abs(eigs)))
+    keep = np.abs(eigs) > cutoff
+    q_rank = numeric_rank(mats[0]) if is_exact(mats[0]) else int(np.count_nonzero(keep))
     if q_rank == 0:
         raise RankMismatch("all components are zero")
     if q_rank % 2 != 0:
         raise OddRank(q_rank)
-    sd = spectral_decompose(phi.components[0], tol)
-    eigs = sd.eigenvalues
-    cutoff = RANK_TOL * float(np.max(np.abs(eigs)))
     pos, neg = eigs[eigs > cutoff], eigs[eigs < -cutoff]
     if (len(pos) != q_rank // 2 or len(neg) != q_rank // 2
             or np.max(np.abs(pos + neg[::-1])) > EIG_PAIR_TOL * max(1.0, float(pos[0]))):
         raise RankMismatch("the nonzero eigenvalues of component 1 do not pair as +/-, "
                            "so the map has no umbilical splitting")
-    projection, kernel, core = (_project_nonsingular(phi, tol, q_rank, sd) if q_rank < phi.m
-                                else (None, None, phi))
-    G, D, B, corners = eigenspace_split(core.components, tol, sd if projection is None else None)
+    projection, kernel, core, sd = (_project_nonsingular(phi, tol, sd, keep) if q_rank < phi.m
+                                    else (None, None, phi, sd))
+    G, D, B, corners = eigenspace_split(core.components, tol, sd)
     for idx, corner in enumerate(corners, start=2):
         if not corner <= 1e3 * tol:
             raise NotHorizontallyConformal(
@@ -425,7 +427,7 @@ def _decompose(phi, tol):
                                if failure[0] == failure[1] else
                                "blocks fail the transpose anticommutation relation")
     d = np.diag(Df)
-    return (phi, u, pos, projection, kernel, NormalForm(change_of_coords=G, D=D, B=B), d,
+    return (phi, u, projection, kernel, core, NormalForm(change_of_coords=G, D=D, B=B), d,
             eigenvalue_clusters(d))
 
 
@@ -438,7 +440,7 @@ def classify(phi: QuadraticHarmonicMorphism,
     positive eigenvalue.  All of it reads _decompose, at unit scale:
     2^k phi gives phi's report, eigenvalues and scales * 2^k.
     """
-    phi, u, pos, projection, _, nf, d, clusters = _decompose(phi, tol)
+    phi, u, projection, _, _, nf, d, clusters = _decompose(phi, tol)
     k = len(d)
     groups = [list(range(lo, hi)) for lo, hi in clusters]
     bmats = [to_float(B) for B in nf.B]
@@ -465,7 +467,7 @@ def classify(phi: QuadraticHarmonicMorphism,
         splitting.append((lam * u, summand))
     return ClassificationReport(
         q_rank=2 * k,
-        positive_eigenvalues=tuple(float(v) * u for v in pos),
+        positive_eigenvalues=tuple(float(v) * u for v in d),
         zero_count=phi.m - 2 * k,
         is_q_nonsingular=projection is None,
         is_umbilical=len(groups) == 1,
@@ -481,46 +483,42 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
 
     Returns (projection, core): projection has orthonormal rows spanning the
     non-kernel subspace, core is the restricted map with full rank, and
-    phi(X) = core(projection @ X).  Rejects inputs whose later components do
-    not annihilate the kernel of the first.  Judged at unit scale, like classify.
+    phi(X) = core(projection @ X).  Read from _decompose at unit scale, like
+    classify, so it raises its gates; ValueError on a full-rank map.
     """
-    unit, u = _unit_map(phi)
-    proj, _, core = _project_nonsingular(unit, tol, q_rank := numeric_rank(unit.components[0]))
-    if len(proj) != q_rank:  # numeric_rank's singular values against the eigenvalues
-        raise RankMismatch("eigenvalue zero pattern disagrees with the rank")
-    return proj, replace(core, components=tuple(_times(M, u) for M in core.components))
-
-
-def _project_nonsingular(phi, tol, q_rank, sd=None):
-    """(projection, kernel, core): project_nonsingular plus the orthonormal
-    kernel rows it holds anyway; q_rank is the rank the caller counts the kept
-    eigenvalues against, sd, when given, the first component's decomposition."""
-    if q_rank >= phi.m:
+    _, u, projection, _, core, _, _, _ = _decompose(phi, tol)
+    if projection is None:
         raise ValueError("map already has full rank; nothing to project")
+    return projection, replace(core, components=tuple(_times(M, u) for M in core.components))
+
+
+def _project_nonsingular(phi, tol, sd, keep):
+    """(projection, kernel rows, core, the core's decomposition or None) of a
+    map whose A_1 has the decomposition sd and keeps the eigenvalues keep:
+    rows that vanish in every component are dropped as they are (the core
+    is then decomposed on its own), else the kept eigenvectors project, and
+    the core's decomposition is the kept eigenvalues with the identity."""
     exact = is_exact(phi.components[0])
     # axis-aligned fast path: rows that vanish in every component
     row_tol = 0 if exact else RANK_TOL * max(frobenius(M) for M in phi.components)
     zero_rows = [i for i in range(phi.m)
                  if all(np.max(np.abs(M[i, :])) <= row_tol for M in phi.components)]
-    if len(zero_rows) == phi.m - q_rank:
-        keep = [i for i in range(phi.m) if i not in zero_rows]
+    if len(zero_rows) == np.count_nonzero(~keep):
+        kept = [i for i in range(phi.m) if i not in zero_rows]
         eye = np.eye(phi.m, dtype=np.int64 if exact else np.float64)
-        core_mats = [M[np.ix_(keep, keep)] for M in phi.components]
-        return (eye[keep], eye[zero_rows],
-                QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats)))
-    if sd is None:
-        sd = spectral_decompose(phi.components[0], tol)
-    keep_mask = np.abs(sd.eigenvalues) > RANK_TOL * float(np.max(np.abs(sd.eigenvalues)))
-    kernel = sd.eigenvectors[:, ~keep_mask]
+        core_mats = tuple(M[np.ix_(kept, kept)] for M in phi.components)
+        return eye[kept], eye[zero_rows], replace(phi, m=len(kept), components=core_mats), None
+    kernel = sd.eigenvectors[:, ~keep]
     for idx, M in enumerate(phi.components, start=1):
         leak, size = frobenius(to_float(M) @ kernel), frobenius(M)
         if not leak <= tol * size:
             raise SharedKernelViolated(
                 f"component {idx} does not annihilate the kernel of component 1 "
                 f"(defect {leak / size:.3e})")
-    proj = sd.eigenvectors[:, keep_mask].T
-    core_mats = [proj @ to_float(M) @ proj.T for M in phi.components]
-    return proj, kernel.T, QuadraticHarmonicMorphism(m=q_rank, n=phi.n, components=tuple(core_mats))
+    proj = sd.eigenvectors[:, keep].T
+    core_mats = tuple(proj @ to_float(M) @ proj.T for M in phi.components)
+    return (proj, kernel.T, replace(phi, m=len(proj), components=core_mats),
+            SpectralDecomposition(sd.eigenvalues[keep], np.eye(len(proj))))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +531,7 @@ def normal_form(phi: QuadraticHarmonicMorphism,
     read from _decompose at unit scale."""
     if phi.n < 2:
         raise ValueError("normal form needs at least two components")
-    _, u, _, projection, _, nf, _, _ = _decompose(phi, tol)
+    _, u, projection, _, _, nf, _, _ = _decompose(phi, tol)
     if projection is not None:
         raise QSingular("components are rank-deficient; project the kernel away first")
     return replace(nf, D=_times(nf.D, u), B=tuple(_times(B, u) for B in nf.B))
@@ -564,7 +562,7 @@ def single_function_representation(phi: QuadraticHarmonicMorphism,
     transform_alpha = A_alpha; that identity is checked at unit scale, and
     the first component that fails raises NotHorizontallyConformal(1, alpha).
     """
-    phi, u, _, proj, kernel, nf, d, groups = _decompose(phi, tol)
+    phi, u, proj, kernel, _, nf, d, groups = _decompose(phi, tol)
     MF = np.diag(np.concatenate([d, -d, np.zeros(phi.m - 2 * len(d))]))
     G, eye = to_float(nf.change_of_coords), np.eye(len(d))
     H = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2)
@@ -643,12 +641,12 @@ def range_extend(phi: QuadraticHarmonicMorphism,
         A = phi.components[0]  # [[a, b], [b, -a]], anticommuting with [[-b, a], [a, b]]
         (a, b), _ = A
         return verify_qhm([A, np.array([[-b, a], [a, b]], dtype=A.dtype)], tol)
-    _, u, pos, projection, _, _, _, groups = _decompose(phi, tol)
+    _, u, projection, _, _, _, d, groups = _decompose(phi, tol)
     if projection is not None:
         raise NotDomainMinimal("map has a kernel; project it away first")
     if len(groups) != 1:
         raise NotDomainMinimal("distinct eigenvalue scales: the map splits off summands")
-    lam = float(pos[0]) * u
+    lam = float(d[0]) * u
     m_half = phi.m // 2
     sigma = hurwitz_radon(m_half).sigma
     if phi.n - 1 >= sigma:
@@ -732,9 +730,9 @@ def sphere_restriction_check(phi: QuadraticHarmonicMorphism,
       ..., 2 <a, tau_(n-1) b>).  A unit b and a unit a orthogonal to
       tau_1 b, ..., tau_(n-1) b give phi(x) = 0, and so does a kernel vector.
     """
-    _, u, pos, projection, _, _, _, groups = _decompose(phi, tol)
+    _, u, projection, _, _, _, d, groups = _decompose(phi, tol)
     if len(groups) != 1:
         raise NotUmbilical("positive eigenvalues are not all equal")
     holds = projection is None and phi.n == phi.m // 2 + 1
-    return SphereRestrictionReport(holds=holds, radius=float(pos[0]) * u,
+    return SphereRestrictionReport(holds=holds, radius=float(d[0]) * u,
                                    max_defect=0.0 if holds else 1.0)

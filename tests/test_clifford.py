@@ -468,6 +468,13 @@ def test_intertwiner_refuses_a_ragged_member_list(c85):
             clifford.find_orthogonal_intertwiner(targets, sources)
 
 
+@pytest.mark.parametrize("members", ["3", [1.0, 2.0], [[1.0, 0.0], [0.0, -1.0]]])
+def test_intertwiner_refuses_members_of_too_few_axes(members):
+    # "3" reads as a 0-D array, whose shape has no last axis to index
+    with pytest.raises(ShapeMismatch, match="^targets and sources must be square matrices of one size$"):
+        clifford.find_orthogonal_intertwiner(members, members)
+
+
 def test_intertwiner_takes_member_stacks(c85):
     g = random_orthogonal(8, 5)
     sources = [to_float(P) for P in c85.matrices]

@@ -68,6 +68,19 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             core.as_matrix(np.array([[bad]], dtype=np.float32))
 
+    @pytest.mark.parametrize("huge", [10**400, -10**400, Fraction(10**400, 3)],
+                             ids=["int", "negative-int", "Fraction"])
+    def test_exact_entries_beyond_float64_next_to_a_float_are_not_finite(self, huge):
+        for rows in ([[huge, 0.5]], np.array([[huge, 0.5]], dtype=object)):
+            with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+                core.as_matrix(rows)
+
+    def test_every_verifier_reads_a_huge_integer_next_to_a_float_as_not_finite(self):
+        rows = [[10**400, 0.5], [0.5, -10**400]]
+        for verify in (verify_clifford, verify_osystem, verify_orthomul, verify_qhm):
+            with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+                verify([rows])
+
     @pytest.mark.parametrize("rows", [[[1, "1/2"], [3]], [["1/2"], [3, 4]], [[1, 2], [3]],
                                       [1, 2], [["1/1", 0], [0]]])
     def test_ragged_rows_are_a_shape_mismatch(self, rows):

@@ -1,7 +1,7 @@
 """One owner per spectral gate: inside the package, qhm._decompose alone
-raises the rank, odd-rank, +/- pairing and block-relation gates of a map,
-the public project_nonsingular alone checks the eigenvalue zero pattern
-against the rank, clifford.to_standard_representation alone raises the
+raises the rank, odd-rank, +/- pairing and block-relation gates of a map
+(the public project_nonsingular reads it), clifford.to_standard_representation
+alone raises the
 sign-count and +-1 gates of a Clifford system's first member, and
 core.eigenspace_split, which both reach, raises nothing."""
 
@@ -22,7 +22,6 @@ MESSAGES = {
     # errors.OddRank builds a message of its own with these words; no
     # raise statement spells it out
     "do not pair as +/-": {"qhm._decompose"},
-    "eigenvalue zero pattern": {"qhm.project_nonsingular"},
     # the block relations of the normal form
     "does not commute with a block": {"qhm._decompose"},
     "block gram matrix does not match": {"qhm._decompose"},

@@ -186,9 +186,9 @@ FLOAT_DIGESTS = {
     ("verify", "padded"):
         "b0ca5284b9f8a6ce36d8f4742215f96dfd1137de8a07037a931aae9c85bbec57",
     ("classify", "padded"):
-        "afb889fb9cb3884895aa48387dce5651886db6239608606eb65ada59f0b79af7",
+        "6818b5c484126c1eb491492f80fe0d2753d2881bdb814715e4fe4ad33c6ed63d",
     ("split", "padded"):
-        "b48733264c85954df427ac7b05fcde5601774887c0e663860e5c400e0adea172",
+        "40188971889aeeef272a452d4f2e582003750f8aefdc5eb7d11689702e8de290",
 }
 
 

@@ -65,10 +65,17 @@ def test_one_routine_splits_a_map_into_eigenspaces():
                                               "clifford.to_standard_representation"}
 
 
-def test_the_decomposition_has_five_readers():
+def test_the_decomposition_has_six_readers():
     assert references("_decompose") == {
-        "qhm.classify", "qhm.normal_form", "qhm.single_function_representation",
-        "qhm.range_extend", "qhm.sphere_restriction_check"}
+        "qhm.classify", "qhm.normal_form", "qhm.project_nonsingular",
+        "qhm.single_function_representation", "qhm.range_extend",
+        "qhm.sphere_restriction_check"}
+
+
+def test_one_eigendecomposition_ranks_and_splits_a_map():
+    assert references("spectral_decompose") == {
+        "core.eigenspace_split", "clifford.to_standard_representation", "qhm._decompose"}
+    assert references("numeric_rank") == {"qhm._decompose"}
 
 
 def test_lambda_squared_has_one_owner():

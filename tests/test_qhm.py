@@ -289,6 +289,15 @@ def test_scale_stores_float_products_as_float64():
             qhm.scale(qhm.scale(phi, 1e300), 1e300)
 
 
+def test_scale_reads_a_python_integer_beyond_float64_times_a_float_as_not_finite():
+    phi = qhm.from_clifford(clifford.construct_irreducible(2))
+    huge = qhm.scale(phi, 10**400)
+    assert huge.components[0].dtype == object
+    for factor in (0.5, np.float64(0.5), np.float32(0.5)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+            qhm.scale(huge, factor)
+
+
 def test_float_input_as_object_is_checked_as_float():
     g = random_orthogonal(8, 11)
     mats = [g @ to_float(P) @ g.T for P in clifford.construct_irreducible(3).matrices]
@@ -494,16 +503,16 @@ def test_projection_rejects_unshared_kernel():
         qhm.project_nonsingular(fake)
 
 
-def test_projection_checks_the_eigenvalue_zero_pattern_against_the_rank():
-    # exact rank 3, but the third eigenvalue, 1e-12, lies below the
-    # eigenvalue cutoff: the kernel projection keeps 2 dimensions.  A
-    # rational rotation of the last two axes leaves no zero row to drop.
+def test_projection_ranks_exact_input_exactly():
+    # exact rank 3, though the third eigenvalue, 1e-12, lies below the
+    # eigenvalue cutoff: an exact map keeps its exact rank, which is odd.
+    # A rational rotation of the last two axes leaves no zero row to drop.
     rot = np.array([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]], dtype=object)
     tail = rot @ np.diag([Fraction(1, 10**12), Fraction(0)]).astype(object) @ rot.T
     a1 = np.zeros((4, 4), dtype=object)
     a1[0, 0], a1[1, 1], a1[2:, 2:] = Fraction(1), Fraction(-1), tail
     tiny = qhm.QuadraticHarmonicMorphism(m=4, n=1, components=(a1,))  # deliberately unverified
-    with pytest.raises(RankMismatch, match="eigenvalue zero pattern disagrees with the rank"):
+    with pytest.raises(OddRank):
         qhm.project_nonsingular(tiny)
 
 
@@ -731,6 +740,26 @@ def test_single_function_sweep_matches_a_pointwise_reference(sweep_maps):
             direct = batch_eval([a], X)[:, 0]
             via_f = batch_eval([rep.matrix], X @ t.T)[:, 0]
             assert np.max(np.abs(direct - via_f)) < 1e-9 * max(1.0, np.max(np.abs(direct))), index
+
+
+def test_every_splitting_scale_is_a_positive_eigenvalue(sweep_maps):
+    for index, phi in enumerate(sweep_maps[0] + sweep_maps[1]):
+        report = qhm.classify(phi)
+        assert {lam for lam, _ in report.splitting} <= set(report.positive_eigenvalues), index
+
+
+# SHA-256 of project_nonsingular's (projection, core) on the maps with a
+# kernel, taken while the projected core was still decomposed a second time
+KERNEL_PROJECTION_SHA256 = "923fa9bd0a1f23e272eede3d18c0cff765a9b2c1bcf747fcdae1ca987e91de00"
+
+
+def test_projection_keeps_every_kernel_output(sweep_maps):
+    digest = hashlib.sha256()
+    for phi in sweep_maps[1]:
+        proj, core_map = qhm.project_nonsingular(phi)
+        for array in (proj, *core_map.components):
+            digest.update(repr((array.dtype.str, array.shape)).encode() + array.tobytes())
+    assert digest.hexdigest() == KERNEL_PROJECTION_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -1260,8 +1289,8 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     ranks = count_calls(monkeypatch, core, "numeric_rank")
     report = qhm.classify(phi)
     assert report.zero_count == 2 and phi.n == 4
-    assert len(calls) == 2  # component 1, then the normal form of the core
-    assert len(ranks) == 1  # component 1 alone; the projection reuses it
+    assert len(calls) == 1  # component 1 alone; the core's normal form reuses it
+    assert ranks == []  # a float map's rank is its count of kept eigenvalues
 
 
 RANGE_MAXIMAL = {("irreducible", 4), ("hopf", 1), ("hopf", 2), ("hopf", 4), ("hopf", 8)}
@@ -1618,7 +1647,8 @@ def test_shared_kernel_defect_is_never_a_nan_read_as_zero(monkeypatch):
 
 def test_a_zero_component_is_no_zero_division():
     """Deliberately unverified maps with one zero component: its Laplacian
-    and its kernel defect are 0, not 0/0."""
+    and its kernel defect are 0, not 0/0; the projection then stops at the
+    block relations, as the zero block's gram matrix is no D^2."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = qhm.sampled_check([np.diag([1.0, -1.0]), np.zeros((2, 2))], samples=8)
@@ -1627,5 +1657,5 @@ def test_a_zero_component_is_no_zero_division():
         g = random_orthogonal(3, 5)
         phi = qhm.QuadraticHarmonicMorphism(
             m=3, n=2, components=(g @ np.diag([1.0, -1.0, 0.0]) @ g.T, np.zeros((3, 3))))
-        proj, core_map = qhm.project_nonsingular(phi)
-    assert proj.shape == (2, 3) and not np.any(core_map.components[1])
+        with pytest.raises(RankMismatch, match="block gram matrix does not match"):
+            qhm.project_nonsingular(phi)
