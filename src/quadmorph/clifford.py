@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     IDENTITY_TOL,
+    SpectralDecomposition,
     _orthogonal_relation,
     block_diag2,
     check_symmetric,
@@ -143,6 +144,7 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
     pass through with A = I in their own mode.  P_1's eigenvalues, as the
     split reads them, must split evenly by sign (UnbalancedEigenspaces) and
     be +-1, exactly on an exact diagonal (AnticommutationViolated(1, 1)).
+    The split reads spectral_decompose(P_1), or on a diagonal P_1 its order.
     """
     from .osystem import verify_osystem
 
@@ -158,7 +160,10 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
     residual = frobenius(gap) / (1.0 if is_exact(gap) else max(1.0, math.sqrt(len(first))))
     if (np.any(gap) if is_exact(gap) else not residual <= tol):
         raise AnticommutationViolated(1, 1, residual, note="the first member's eigenvalues are not +-1")
-    A, _, taus, defects = eigenspace_split(cs.matrices, tol, sd)
+    if sd is None:
+        order = np.argsort(eigs < 0, kind="stable")  # +1 coordinates, then -1, by index
+        sd = SpectralDecomposition(to_float(eigs)[order], np.eye(len(first))[:, order])
+    A, _, taus, defects = eigenspace_split(cs.matrices, sd)
     for idx, defect in enumerate(defects, start=2):
         if not defect <= 100 * tol:
             raise AnticommutationViolated(

@@ -9,7 +9,7 @@ Matrices are plain 2-D numpy arrays in one of two modes:
   tolerance, ``IDENTITY_TOL`` by default.
 
 Mixed arithmetic promotes exact to approx, never the reverse.  All spectral
-work (eigendecomposition, rank by singular values, seeded orthogonal
+work (eigendecomposition, which also ranks float maps, seeded orthogonal
 generation) happens in approx mode on top of LAPACK via numpy.
 """
 
@@ -60,7 +60,7 @@ from .errors import NoConvergence, NotSymmetric, ShapeMismatch
 
 IDENTITY_TOL = 1e-9  # relative Frobenius tolerance for matrix identities on float input
 EIG_PAIR_TOL = 1e-8  # relative gap that matches eigenvalues into clusters and +/- pairs
-RANK_TOL = 1e-9  # scales the largest singular value when counting rank
+RANK_TOL = 1e-9  # relative rank cutoff on A_1's eigenvalues (numeric_rank: singular values)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ def spectral_decompose(a, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def eigenspace_split(mats, tol: float = IDENTITY_TOL, sd=None):
+def eigenspace_split(mats, sd):
     """Split along the eigenspaces of the first member: (G, D, blocks, defects)
     with G orthogonal, G M_1 G^T = diag(D, -D) and D positive descending, the
     negative eigenvectors taken in reverse order so that -D mirrors D.
@@ -427,9 +427,9 @@ def eigenspace_split(mats, tol: float = IDENTITY_TOL, sd=None):
     the larger Frobenius norm of its two diagonal blocks relative to
     max(1, |G M_(i+2) G^T|), which the split drops and the caller bounds.
     Input already in that layout, later members with exactly vanishing
-    diagonal blocks, passes through with G = I in its own mode; sd, when
-    given, is the spectral decomposition of M_1.  The split only builds: its
-    callers gate M_1's eigenvalues (qhm._decompose, to_standard_representation).
+    diagonal blocks, passes through with G = I in its own mode; else G reads
+    sd, the caller's spectral decomposition of M_1.  The split only builds:
+    its callers hold sd and gate it (qhm._decompose, to_standard_representation).
     """
     first, k = mats[0], len(mats[0]) // 2
     d = np.diag(first)
@@ -439,8 +439,6 @@ def eigenspace_split(mats, tol: float = IDENTITY_TOL, sd=None):
             and all(is_exactly_zero(M[:k, :k]) and is_exactly_zero(M[k:, k:]) for M in mats[1:])):
         return (identity_matrix(len(first), exact=is_exact(first)), first[:k, :k].copy(),
                 tuple(M[:k, k:].copy() for M in mats[1:]), (0.0,) * (len(mats) - 1))
-    if sd is None:
-        sd = spectral_decompose(first, tol)
     G = np.column_stack([sd.eigenvectors[:, :k], sd.eigenvectors[:, k:][:, ::-1]]).T
     rotated = [G @ to_float(P) @ G.T for P in mats[1:]]
     defects = tuple(max(frobenius(M[:k, :k]), frobenius(M[k:, k:])) / max(1.0, frobenius(M))

@@ -390,8 +390,8 @@ def _decompose(phi, tol):
     anticommutation give every component A_1's rank and spectrum.  Its
     eigenvalues above RANK_TOL times the largest are kept: they count a
     float map's rank (numeric_rank an exact one's), must pair as +/- by
-    count and by value, and with the identity decompose a core projected
-    along their eigenvectors.  The shared-kernel check, the corner bound
+    count and by value, and with their eigenvectors decompose the core too
+    (_project_nonsingular's).  The shared-kernel check, the corner bound
     and the block relations (NormalForm's) re-check every later component.
     """
     mats, u = _unit_scale(phi.components)
@@ -412,7 +412,7 @@ def _decompose(phi, tol):
                            "so the map has no umbilical splitting")
     projection, kernel, core, sd = (_project_nonsingular(phi, tol, sd, keep) if q_rank < phi.m
                                     else (None, None, phi, sd))
-    G, D, B, corners = eigenspace_split(core.components, tol, sd)
+    G, D, B, corners = eigenspace_split(core.components, sd)
     for idx, corner in enumerate(corners, start=2):
         if not corner <= 1e3 * tol:
             raise NotHorizontallyConformal(
@@ -493,11 +493,11 @@ def project_nonsingular(phi: QuadraticHarmonicMorphism,
 
 
 def _project_nonsingular(phi, tol, sd, keep):
-    """(projection, kernel rows, core, the core's decomposition or None) of a
-    map whose A_1 has the decomposition sd and keeps the eigenvalues keep:
-    rows that vanish in every component are dropped as they are (the core
-    is then decomposed on its own), else the kept eigenvectors project, and
-    the core's decomposition is the kept eigenvalues with the identity."""
+    """(projection, kernel rows, core, the core's decomposition) of a map
+    whose A_1 has the decomposition sd and keeps the eigenvalues keep: rows
+    that vanish in every component are dropped, from the core and from the
+    kept eigenvectors (which vanish there too); else the kept eigenvectors
+    project, and the core's decomposition is the kept eigenvalues with I."""
     exact = is_exact(phi.components[0])
     # axis-aligned fast path: rows that vanish in every component
     row_tol = 0 if exact else RANK_TOL * max(frobenius(M) for M in phi.components)
@@ -507,7 +507,8 @@ def _project_nonsingular(phi, tol, sd, keep):
         kept = [i for i in range(phi.m) if i not in zero_rows]
         eye = np.eye(phi.m, dtype=np.int64 if exact else np.float64)
         core_mats = tuple(M[np.ix_(kept, kept)] for M in phi.components)
-        return eye[kept], eye[zero_rows], replace(phi, m=len(kept), components=core_mats), None
+        return (eye[kept], eye[zero_rows], replace(phi, m=len(kept), components=core_mats),
+                SpectralDecomposition(sd.eigenvalues[keep], sd.eigenvectors[np.ix_(kept, keep)]))
     kernel = sd.eigenvectors[:, ~keep]
     for idx, M in enumerate(phi.components, start=1):
         leak, size = frobenius(to_float(M) @ kernel), frobenius(M)

@@ -187,6 +187,33 @@ class TestStandardRepresentation:
         with pytest.raises(ValueError):
             clifford.to_standard_representation(cs)
 
+    @pytest.mark.slow
+    def test_a_diagonal_first_member_splits_as_its_spectral_decomposition(self, monkeypatch):
+        # construct_irreducible(2..9) doubled by direct sums up to two_m 256,
+        # exact and float, each as built and under a seeded coordinate
+        # permutation: P_1 stays diagonal, in the layout or out of it
+        systems = []
+        for k in range(2, 10):
+            cs = clifford.construct_irreducible(k)
+            while cs.two_m <= 256:
+                perm = np.random.default_rng(cs.two_m + k).permutation(cs.two_m)
+                for mats in (cs.matrices, [to_float(P) for P in cs.matrices]):
+                    systems += [mats, [P[np.ix_(perm, perm)] for P in mats]]
+                cs = clifford.direct_sum(cs, cs)
+        assert len(systems) == 172
+        for mats in systems:
+            cs = clifford.verify_clifford(mats)
+            sd = core.spectral_decompose(cs.matrices[0])
+            ref_coords, _, taus, _ = core.eigenspace_split(cs.matrices, sd)
+            reference = (ref_coords, *osystem.verify_osystem(taus).matrices)
+            with monkeypatch.context() as mp:
+                decompositions = count_calls(mp, core, "spectral_decompose")
+                coords, os_ = clifford.to_standard_representation(cs)
+            assert decompositions == []  # no eigensolve on a diagonal
+            for got, want in zip((coords, *os_.matrices), reference, strict=True):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes())
+
 
 class TestCommutant:
     def test_irreducible_has_scalar_commutant(self, c85):

@@ -2,9 +2,11 @@
 called by one routine per identity, and classify is reached only where its
 kernel projection or splitting is read; every other reader of a map's
 spectrum reads qhm._decompose, which alone splits a map (and
-to_standard_representation a Clifford system) into eigenspaces;
-qhm.clifford_system reads umbilicity from pair (1, 1) of the Clifford
-relation and lambda^2 from the helper that verify_isoparametric reads too.
+to_standard_representation a Clifford system) into eigenspaces, each
+handing core.eigenspace_split the one eigendecomposition it holds, as the
+split decomposes nothing; qhm.clifford_system reads umbilicity from pair
+(1, 1) of the Clifford relation and lambda^2 from the helper that
+verify_isoparametric reads too.
 The relation is M_i^T M_j + M_j^T M_i = 2 delta_ij T, which is the Clifford
 relation on symmetric members, so every caller that means the latter checks
 symmetry first."""
@@ -74,7 +76,7 @@ def test_the_decomposition_has_six_readers():
 
 def test_one_eigendecomposition_ranks_and_splits_a_map():
     assert references("spectral_decompose") == {
-        "core.eigenspace_split", "clifford.to_standard_representation", "qhm._decompose"}
+        "clifford.to_standard_representation", "qhm._decompose"}
     assert references("numeric_rank") == {"qhm._decompose"}
 
 

@@ -628,7 +628,7 @@ def test_single_function_transforms_come_from_one_normal_form(k, lams, seed, pad
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, core, "spectral_decompose")
         rep = qhm.single_function_representation(phi)
-    assert len(calls) <= (2 if pad else 1)  # as in classify: the kernel, then the core
+    assert len(calls) == 1  # as in classify: A_1 alone, kernel or not
     assert rep.scales == pytest.approx(sorted(set(lams), reverse=True))
     X = sample_points(phi.m, 37, 1000 + seed)  # not the function's own points
     for a, t in zip(phi.components, rep.transforms):
@@ -1291,6 +1291,27 @@ def test_classify_reuses_component_one_for_the_kernel(monkeypatch):
     assert report.zero_count == 2 and phi.n == 4
     assert len(calls) == 1  # component 1 alone; the core's normal form reuses it
     assert ranks == []  # a float map's rank is its count of kept eigenvalues
+
+
+@pytest.mark.parametrize("pad", [(0, 2), (1, 1)])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_an_axis_aligned_kernel_reuses_component_one_for_the_core(monkeypatch, k, pad):
+    # a rotated float core with zero rows and columns around it: the core
+    # cut out of those rows splits along A_1's kept eigenvectors on its rows
+    members = clifford.construct_irreducible(k).matrices
+    for count in range(1, len(members) + 1):
+        g = random_orthogonal(members[0].shape[0], 100 * k + count)
+        phi = qhm.verify_qhm([np.pad(g @ to_float(P) @ g.T, pad) for P in members[:count]])
+        eigs = core.spectral_decompose(phi.components[0]).eigenvalues
+        kept = eigs[eigs > core.RANK_TOL * np.max(np.abs(eigs))]
+        with monkeypatch.context() as mp:
+            calls = count_calls(mp, core, "spectral_decompose")
+            report = qhm.classify(phi)
+            assert len(calls) == 1, count
+            qhm.single_function_representation(phi)
+            assert len(calls) == 2, count
+        assert report.zero_count == 2 and not report.is_q_nonsingular
+        assert report.positive_eigenvalues == tuple(kept.tolist()), count
 
 
 RANGE_MAXIMAL = {("irreducible", 4), ("hopf", 1), ("hopf", 2), ("hopf", 4), ("hopf", 8)}
