@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import (
     IDENTITY_TOL,
-    SpectralDecomposition,
     _orthogonal_relation,
     block_diag2,
     check_symmetric,
@@ -141,28 +140,24 @@ def to_standard_representation(cs: CliffordSystem, tol: float = IDENTITY_TOL):
     validated O-system).
 
     This is core.eigenspace_split with D = I: inputs already in that shape
-    pass through with A = I in their own mode.  P_1's eigenvalues, as the
-    split reads them, must split evenly by sign (UnbalancedEigenspaces) and
-    be +-1, exactly on an exact diagonal (AnticommutationViolated(1, 1)).
-    The split reads spectral_decompose(P_1), or on a diagonal P_1 its order.
+    pass through with A = I in their own mode.  Gates and split read
+    spectral_decompose(P_1), whose eigenvalues, exact on an exact diagonal,
+    must split evenly by sign (UnbalancedEigenspaces) and be +-1, exactly
+    when exact (AnticommutationViolated(1, 1)).
     """
     from .osystem import verify_osystem
 
     if cs.n < 2:
         raise ValueError("need at least two members to split eigenspaces against")
-    first = cs.matrices[0]
-    sd = None if np.array_equal(first, np.diag(np.diag(first))) else spectral_decompose(first, tol)
-    eigs = np.diag(first) if sd is None else sd.eigenvalues
+    sd = spectral_decompose(cs.matrices[0], tol)
+    eigs = sd.eigenvalues
     pos, neg = int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
-    if 2 * pos != len(first) or 2 * neg != len(first):
+    if 2 * pos != len(eigs) or 2 * neg != len(eigs):
         raise UnbalancedEigenspaces(f"eigenvalue signs split {pos}/{neg}")
     gap = (eigs.astype(object) if is_exact(eigs) else eigs) ** 2 - 1  # P_1^2 - I, diagonalized
-    residual = frobenius(gap) / (1.0 if is_exact(gap) else max(1.0, math.sqrt(len(first))))
+    residual = frobenius(gap) / (1.0 if is_exact(gap) else max(1.0, math.sqrt(len(eigs))))
     if (np.any(gap) if is_exact(gap) else not residual <= tol):
         raise AnticommutationViolated(1, 1, residual, note="the first member's eigenvalues are not +-1")
-    if sd is None:
-        order = np.argsort(eigs < 0, kind="stable")  # +1 coordinates, then -1, by index
-        sd = SpectralDecomposition(to_float(eigs)[order], np.eye(len(first))[:, order])
     A, _, taus, defects = eigenspace_split(cs.matrices, sd)
     for idx, defect in enumerate(defects, start=2):
         if not defect <= 100 * tol:

@@ -374,25 +374,29 @@ def _sign_normalize(col):
 def spectral_decompose(a, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, descending, deterministic.
 
-    Within an eigenvalue cluster (relative gap below EIG_PAIR_TOL) the
-    eigenvector columns are rebuilt from the cluster projector P: its columns
-    P e_i are taken in index order, each minus its projection onto the basis
-    chosen so far (one product pair per column), and kept, normalized and
-    sign-normalized, when that residual exceeds 1e-6.  That makes
-    repeated-eigenvalue output reproducible and, for exactly diagonal input,
-    a signed permutation.
+    An exactly diagonal matrix is read off, with no eigensolve: its entries
+    by a stable descending sort, in its own mode, and the matching float64
+    permutation columns.  Otherwise, within a cluster of eigh's eigenvalues
+    (relative gap below EIG_PAIR_TOL) the eigenvector columns are rebuilt
+    from the cluster projector P: its columns P e_i in index order, each
+    minus its projection onto the basis chosen so far (one product pair per
+    column), are kept, normalized and sign-normalized, when that residual
+    exceeds 1e-6, so that repeated-eigenvalue output is reproducible.
     """
     A = to_float(a)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(1, None)
     check_symmetric([A], tol)
+    d = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(d):  # exactly diagonal: read off, exact
+        order = np.argsort(-d, kind="stable")
+        return SpectralDecomposition(eigenvalues=d[order], eigenvectors=np.eye(len(d))[:, order])
     S = (A + A.T) / 2.0
     try:
         w, v = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(str(exc)) from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     n = len(w)
     for lo, hi in eigenvalue_clusters(w):
         if hi - lo == 1:
@@ -427,9 +431,9 @@ def eigenspace_split(mats, sd):
     the larger Frobenius norm of its two diagonal blocks relative to
     max(1, |G M_(i+2) G^T|), which the split drops and the caller bounds.
     Input already in that layout, later members with exactly vanishing
-    diagonal blocks, passes through with G = I in its own mode; else G reads
-    sd, the caller's spectral decomposition of M_1.  The split only builds:
-    its callers hold sd and gate it (qhm._decompose, to_standard_representation).
+    diagonal blocks, passes through with G = I in its own mode; else G and
+    D (float64) read sd, M_1's decomposition held and gated by the callers,
+    qhm._decompose and to_standard_representation.  The split only builds.
     """
     first, k = mats[0], len(mats[0]) // 2
     d = np.diag(first)
@@ -443,7 +447,7 @@ def eigenspace_split(mats, sd):
     rotated = [G @ to_float(P) @ G.T for P in mats[1:]]
     defects = tuple(max(frobenius(M[:k, :k]), frobenius(M[k:, k:])) / max(1.0, frobenius(M))
                     for M in rotated)
-    return G, np.diag(sd.eigenvalues[:k]), tuple(M[:k, k:] for M in rotated), defects
+    return G, np.diag(to_float(sd.eigenvalues[:k])), tuple(M[:k, k:] for M in rotated), defects
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .core import (
     eigenspace_split,
     eigenvalue_clusters,
     frobenius,
+    identity_matrix,
     is_exact,
     is_exactly_zero,
     numeric_rank,
@@ -505,7 +506,7 @@ def _project_nonsingular(phi, tol, sd, keep):
                  if all(np.max(np.abs(M[i, :])) <= row_tol for M in phi.components)]
     if len(zero_rows) == np.count_nonzero(~keep):
         kept = [i for i in range(phi.m) if i not in zero_rows]
-        eye = np.eye(phi.m, dtype=np.int64 if exact else np.float64)
+        eye = identity_matrix(phi.m, exact)
         core_mats = tuple(M[np.ix_(kept, kept)] for M in phi.components)
         return (eye[kept], eye[zero_rows], replace(phi, m=len(kept), components=core_mats),
                 SpectralDecomposition(sd.eigenvalues[keep], sd.eigenvectors[np.ix_(kept, keep)]))

@@ -52,6 +52,22 @@ def broken_canonical():
     return mats
 
 
+def diagonal_first_systems():
+    """Members of construct_irreducible(2..9) doubled by direct sums up to
+    two_m 256, exact and float, each as built and under a seeded coordinate
+    permutation: P_1 stays diagonal, in the layout or out of it (172
+    systems)."""
+    systems = []
+    for k in range(2, 10):
+        cs = clifford.construct_irreducible(k)
+        while cs.two_m <= 256:
+            perm = np.random.default_rng(cs.two_m + k).permutation(cs.two_m)
+            for mats in (cs.matrices, [to_float(P) for P in cs.matrices]):
+                systems += [mats, [P[np.ix_(perm, perm)] for P in mats]]
+            cs = clifford.direct_sum(cs, cs)
+    return systems
+
+
 def leaky_pair(seed: int = 17, leak: float = 1e-3):
     """Two 4x4 float members, rotated by a seeded orthogonal matrix: P_1 with
     eigenvalues (1, 1, -1, -1), and a second member whose diagonal blocks in
@@ -71,9 +87,9 @@ def random_symmetric(size: int, seed: int) -> np.ndarray:
 
 
 def count_calls(monkeypatch, module, name):
-    """A list that grows by one per call of module.name through every binding
-    of that function in the quadmorph modules, by the call's positional
-    arguments."""
+    """A list that grows by one per call of module.name through module (such
+    as np.linalg) and every binding of that function in the quadmorph
+    modules, by the call's positional arguments."""
     calls = []
     original = getattr(module, name)
 
@@ -81,6 +97,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counting)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("quadmorph") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)

@@ -17,7 +17,7 @@ from quadmorph.errors import (
     VerificationError,
 )
 
-from conftest import count_calls, leaky_pair
+from conftest import count_calls, diagonal_first_systems, leaky_pair
 
 
 @pytest.fixture(scope="module")
@@ -189,17 +189,7 @@ class TestStandardRepresentation:
 
     @pytest.mark.slow
     def test_a_diagonal_first_member_splits_as_its_spectral_decomposition(self, monkeypatch):
-        # construct_irreducible(2..9) doubled by direct sums up to two_m 256,
-        # exact and float, each as built and under a seeded coordinate
-        # permutation: P_1 stays diagonal, in the layout or out of it
-        systems = []
-        for k in range(2, 10):
-            cs = clifford.construct_irreducible(k)
-            while cs.two_m <= 256:
-                perm = np.random.default_rng(cs.two_m + k).permutation(cs.two_m)
-                for mats in (cs.matrices, [to_float(P) for P in cs.matrices]):
-                    systems += [mats, [P[np.ix_(perm, perm)] for P in mats]]
-                cs = clifford.direct_sum(cs, cs)
+        systems = diagonal_first_systems()
         assert len(systems) == 172
         for mats in systems:
             cs = clifford.verify_clifford(mats)
@@ -207,9 +197,9 @@ class TestStandardRepresentation:
             ref_coords, _, taus, _ = core.eigenspace_split(cs.matrices, sd)
             reference = (ref_coords, *osystem.verify_osystem(taus).matrices)
             with monkeypatch.context() as mp:
-                decompositions = count_calls(mp, core, "spectral_decompose")
+                eigensolves = count_calls(mp, np.linalg, "eigh")
                 coords, os_ = clifford.to_standard_representation(cs)
-            assert decompositions == []  # no eigensolve on a diagonal
+            assert eigensolves == []  # no eigensolve on a diagonal
             for got, want in zip((coords, *os_.matrices), reference, strict=True):
                 assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                                  want.tobytes())
@@ -706,6 +696,17 @@ def test_a_nan_residual_is_unknown():
     verdict = clifford.algebraically_equivalent(c4, huge)
     assert verdict.status is EquivalenceStatus.UNKNOWN and verdict.certificate is None
     assert verdict.reason == "candidate conjugation failed verification (nan)"
+
+
+def test_inequivalent_systems_have_no_intertwiner_on_either_route(monkeypatch, c85, c85_flipped):
+    # the projection onto the intertwiners of inequivalent systems vanishes:
+    # sqrt(c) on the closed form, the least singular value on the SVD route
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    assert clifford.find_orthogonal_intertwiner(c85_flipped.matrices, c85.matrices) is None
+    assert svds == []
+    same, mixed = clifford.direct_sum(c85, c85), clifford.direct_sum(c85, c85_flipped)
+    assert clifford.find_orthogonal_intertwiner(mixed.matrices, same.matrices) is None
+    assert len(svds) == 1
 
 
 def test_a_nan_member_is_unknown_on_the_svd_route():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quadmorph import core
 from quadmorph.clifford import construct_irreducible, verify_clifford
-from quadmorph.errors import NoConvergence, ShapeMismatch, VerificationError
+from quadmorph.errors import NoConvergence, NotSymmetric, ShapeMismatch, VerificationError
 from quadmorph.orthomul import verify_orthomul
 from quadmorph.osystem import verify_osystem
 from quadmorph.qhm import verify_qhm
@@ -143,10 +143,11 @@ class TestResiduals:
         assert core.rel_residual(a, np.array([[0.0]])) == pytest.approx(1e-12)
 
     def test_reconstruction_residual_is_never_a_nan_read_as_zero(self, monkeypatch):
+        g = core.random_orthogonal(3, 7)  # an exactly diagonal matrix would skip the check
         monkeypatch.setattr(core, "check_symmetric", lambda mats, tol=None: None)
         monkeypatch.setattr(core, "frobenius", lambda a: float("nan"))
         with pytest.raises(NoConvergence):
-            core.spectral_decompose(np.diag([2.0, 1.0, -1.0]))
+            core.spectral_decompose(g @ np.diag([2.0, 1.0, -1.0]) @ g.T)
 
     def test_block_diag_preserves_exactness(self):
         a = core.as_matrix([[1]])
@@ -170,6 +171,27 @@ class TestSpectralDecompose:
         v = np.abs(sd.eigenvectors)
         assert np.allclose(v.sum(axis=0), 1.0)
         assert np.allclose(v * (1 - v), 0.0)
+
+    @pytest.mark.parametrize("entries", [
+        [2, -3, 0, 2, -3, 1],
+        [Fraction(1, 3), 0, Fraction(-1, 2), Fraction(1, 3)],
+        [2**40, -(2**40), 0, 2**40],
+        [0.5, -0.5, 0.5, 1e-300, -0.0],
+    ], ids=["int64", "fractions", "python ints", "float64"])
+    def test_an_exactly_diagonal_matrix_is_read_off_in_its_own_mode(self, entries, monkeypatch):
+        a = core.as_matrix(np.diag(np.array(entries, dtype=object)))
+        order = sorted(range(len(entries)), key=lambda i: -entries[i])  # stable: ties by index
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigh")
+        sd = core.spectral_decompose(a)
+        assert eigensolves == []
+        assert sd.eigenvalues.dtype == a.dtype
+        assert sd.eigenvalues.tolist() == [entries[i] for i in order]
+        assert sd.eigenvectors.dtype == np.float64
+        assert np.array_equal(sd.eigenvectors, np.eye(len(entries))[:, order])
+
+    def test_a_non_finite_diagonal_is_not_read_off(self):
+        with pytest.raises(NotSymmetric):
+            core.spectral_decompose(np.diag([1.0, np.inf]))
 
     def test_determinism_on_repeated_eigenvalues(self):
         a = random_symmetric(6, 5)

@@ -4,7 +4,8 @@ kernel projection or splitting is read; every other reader of a map's
 spectrum reads qhm._decompose, which alone splits a map (and
 to_standard_representation a Clifford system) into eigenspaces, each
 handing core.eigenspace_split the one eigendecomposition it holds, as the
-split decomposes nothing; qhm.clifford_system reads umbilicity from pair
+split decomposes nothing, and spectral_decompose alone orders a spectrum,
+a diagonal's included; qhm.clifford_system reads umbilicity from pair
 (1, 1) of the Clifford relation and lambda^2 from the helper that
 verify_isoparametric reads too.
 The relation is M_i^T M_j + M_j^T M_i = 2 delta_ij T, which is the Clifford
@@ -78,6 +79,20 @@ def test_one_eigendecomposition_ranks_and_splits_a_map():
     assert references("spectral_decompose") == {
         "clifford.to_standard_representation", "qhm._decompose"}
     assert references("numeric_rank") == {"qhm._decompose"}
+
+
+def _calls(name):
+    """The owners of every call of name, bare or as an attribute."""
+    return owners(lambda node: isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_one_routine_orders_a_spectrum():
+    # a diagonal's order is read off in spectral_decompose alone; the
+    # projection only restricts the decomposition it was handed
+    assert _calls("SpectralDecomposition") == {"core.spectral_decompose",
+                                               "qhm._project_nonsingular"}
+    assert _calls("argsort") == {"core.spectral_decompose"}
 
 
 def test_lambda_squared_has_one_owner():

@@ -13,9 +13,11 @@ from quadmorph import clifford, core, orthomul, osystem, qhm, serialize
 from quadmorph.core import IDENTITY_TOL, random_orthogonal, sample_points, to_float
 from quadmorph.errors import (
     AlreadyRangeMaximal,
+    AnticommutationViolated,
     ArityMismatch,
     DimensionMismatch,
     NotDomainMinimal,
+    NotExtendable,
     NotHarmonic,
     NotHorizontallyConformal,
     NotSymmetric,
@@ -790,6 +792,17 @@ def test_only_umbilical_maps_scale_to_a_clifford_system(make):
         qhm.clifford_system(make())
 
 
+def test_a_relation_failure_past_the_first_pair_is_no_umbilicity_verdict():
+    # A_1^2 = I holds, so pair (1, 1) passes; A_2 commutes with A_1, and
+    # pair (1, 2)'s AnticommutationViolated reaches the caller as it is
+    a1 = np.diag([1, 1, -1, -1]).astype(np.int64)
+    a2 = np.diag([1, -1, 1, -1]).astype(np.int64)
+    phi = qhm.QuadraticHarmonicMorphism(m=4, n=2, components=(a1, a2))  # deliberately unverified
+    with pytest.raises(AnticommutationViolated) as err:
+        qhm.clifford_system(phi)
+    assert (err.value.i, err.value.j) == (1, 2)
+
+
 def test_a_zero_map_has_no_clifford_system():
     with pytest.raises(ZeroMap):
         qhm.clifford_system(qhm.scale(qhm.from_clifford(clifford.construct_irreducible(3)), 0))
@@ -899,6 +912,12 @@ def test_extension_sweep_keeps_the_input_components(n):
         assert extended.n == osystem.hurwitz_radon(phi.m // 2).sigma + 1
         for a, b in zip(extended.components, phi.components):
             assert np.array_equal(to_float(a), to_float(b))
+
+
+def test_no_intertwiner_onto_the_canonical_system_is_not_extendable(monkeypatch):
+    monkeypatch.setattr(clifford, "find_orthogonal_intertwiner", lambda *args: None)
+    with pytest.raises(NotExtendable, match="no orthogonal intertwiner"):
+        qhm.range_extend(qhm.verify_qhm(hopf(4).components[:4]))
 
 
 def test_extension_checks_the_canonical_system_once(monkeypatch):
